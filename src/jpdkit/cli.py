@@ -46,8 +46,8 @@ def _threshold_arg(raw: str):
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"{raw!r} is not a number or 'none'") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError("threshold must be >= 0")
+    if not 0 <= value <= 1:
+        raise argparse.ArgumentTypeError("threshold must lie in [0, 1]")
     return value
 
 

@@ -116,7 +116,7 @@ _PARSERS = {
     ("camera", "read_sigma"): _float_range(0.0),
     ("camera", "smear"): _float_range(0.0, 1.0),
     ("processing", "band_radius"): _int_min(1),
-    ("processing", "threshold"): _or_none(_float_range(0.0)),
+    ("processing", "threshold"): _or_none(_float_range(0.0, 1.0)),
     ("processing", "normalize"): _bool,
     ("processing", "interpolate"): _bool,
     ("processing", "chunk"): _int_min(1),

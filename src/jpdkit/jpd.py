@@ -132,26 +132,6 @@ def _natural_center(shape) -> tuple[int, int]:
     return shape[0] - 1, shape[1] - 1
 
 
-def _band_kernel(a_stack: np.ndarray, b_stack: np.ndarray, band_radius: int,
-                 out: np.ndarray) -> None:
-    """out[dy+K, dx+K] += sum_l a_l(r) * b_l(r + d), banded, in place."""
-    k = band_radius
-    h, w = a_stack.shape[1:]
-    for dy in range(-k, k + 1):
-        ya, yb = max(0, -dy), h - max(0, dy)
-        if ya >= yb:
-            continue
-        for dx in range(-k, k + 1):
-            xa, xb = max(0, -dx), w - max(0, dx)
-            if xa >= xb:
-                continue
-            out[dy + k, dx + k, ya:yb, xa:xb] += np.einsum(
-                "byx,byx->yx",
-                a_stack[:, ya:yb, xa:xb],
-                b_stack[:, ya + dy:yb + dy, xa + dx:xb + dx],
-            )
-
-
 def accumulate_partial(frames: np.ndarray, mode: str = "near",
                        band_radius: int = DEFAULT_BAND_RADIUS,
                        center: tuple[int, int] | None = None) -> PartialJpd:
@@ -173,33 +153,42 @@ def accumulate_partial(frames: np.ndarray, mode: str = "near",
         raise ConfigurationError(
             f"only the natural centre {natural} is supported, got {tuple(center)}")
     k = band_radius
-    # integer frames stay exact in float64 (values well below 2**53), so the
-    # result is independent of chunking and thread count
-    a = frames[:-1].astype(np.float64)
-    diff = a - frames[1:].astype(np.float64)
+    # Integer frames are exact in float64 under any summation order while
+    # every sum stays below 2**53 (u16 frames: fewer than about 2e6 frames),
+    # so BLAS's reordering gives the same bits and the result does not
+    # depend on chunking or thread count.
+    pix = np.moveaxis(frames, 0, -1).astype(np.float64, order="C")
+    a = pix[..., :-1]
+    d = a - pix[..., 1:]
+    # One batched GEMM per row offset dy gives full[y, x, x'] =
+    # sum_l a_l(y, x) d_l(partner row, x'); plane (dy, dx) is its diagonal at
+    # offset dx.  Far field: plane u pairs r with c - r + u, so reversing the
+    # partner rows and the GEMM's partner columns turns it into offset -u.
+    sign = 1 if mode == "near" else -1
+    d = d[::sign]
     sums = np.zeros((2 * k + 1, 2 * k + 1, h, w))
-    if mode == "near":
-        _band_kernel(a, diff, k, sums)
-    else:
-        # partner value at c - r + u equals the centre-flipped stack at r - u,
-        # so the near-field kernel applies with displacement -u
-        flipped = diff[:, ::-1, ::-1]
-        tmp = np.zeros_like(sums)
-        _band_kernel(a, flipped, k, tmp)
-        sums = tmp[::-1, ::-1]
+    for dy in range(-min(k, h - 1), min(k, h - 1) + 1):
+        ya, yb = max(0, -dy), h - max(0, dy)
+        full = np.matmul(a[ya:yb], d[ya + dy:yb + dy].transpose(0, 2, 1))
+        full = full[:, :, ::sign]
+        for dx in range(-min(k, w - 1), min(k, w - 1) + 1):
+            xa, xb = max(0, -dx), w - max(0, dx)
+            sums[sign * dy + k, sign * dx + k, ya:yb, xa:xb] = np.diagonal(
+                full, dx, 1, 2)
     return PartialJpd(mode, k, tuple(center), (h, w), sums, frames.shape[0] - 1)
 
 
 def merge_partials(parts) -> PartialJpd:
-    """Merge chunk accumulators; order does not affect the sums' bits for
+    """Merge chunk accumulators in the order given, consuming *parts* (any
+    iterable) one at a time; order does not affect the sums' bits for
     integer-valued frames and is kept chunk-major for float ones."""
-    parts = list(parts)
-    if not parts:
+    parts = iter(parts)
+    first = next(parts, None)
+    if first is None:
         raise InsufficientDataError("no partial accumulators to merge")
-    first = parts[0]
     sums = first.sums.copy()
     n_terms = first.n_terms
-    for p in parts[1:]:
+    for p in parts:
         if (p.mode, p.band_radius, p.center, p.shape) != (
                 first.mode, first.band_radius, first.center, first.shape):
             raise StateError("partial accumulators disagree in geometry")
@@ -301,9 +290,9 @@ def accumulate_jpd(frames: np.ndarray, mode: str = "near",
     """Estimate the banded JPD of a frame stack.
 
     The stack is processed in fixed chunks of ``chunk_size`` consecutive-frame
-    terms (optionally on ``workers`` threads; the einsum kernel releases the
-    GIL) and merged in chunk order, so the result does not depend on the
-    chunking or the thread count.
+    terms (optionally on ``workers`` threads) and merged in chunk order as
+    the chunks finish, so only one merged sum is held, and the result does
+    not depend on the chunking or the thread count.
     """
     frames = _check_stack(frames)
     if chunk_size < 1:
@@ -316,10 +305,10 @@ def accumulate_jpd(frames: np.ndarray, mode: str = "near",
 
     if workers is not None and workers > 1 and len(spans) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run, spans))
+            merged = merge_partials(pool.map(run, spans))
     else:
-        parts = [run(s) for s in spans]
-    return finalize_jpd(merge_partials(parts), symmetrize=symmetrize)
+        merged = merge_partials(map(run, spans))
+    return finalize_jpd(merged, symmetrize=symmetrize)
 
 
 def apply_separation_policy(jpd: Jpd, invalid_separation) -> Jpd:
@@ -428,6 +417,7 @@ def diagonal_image(jpd: Jpd) -> GridImage:
 # ---------------------------------------------------------------------------
 # snapshot format
 
+MAX_BAND_RADIUS = 127  # plane records store (dy, dx) as i8
 _SNAP_MAGIC = b"BJPD"
 _SNAP_VERSION = 1
 _SNAP_HEADER = struct.Struct("<4sHBBHHIiiBH5x")  # 32 bytes

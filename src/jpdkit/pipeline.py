@@ -30,6 +30,7 @@ from .errors import (
 )
 from .images import GridImage
 from .jpd import (
+    MAX_BAND_RADIUS,
     Jpd,
     accumulate_jpd,
     apply_separation_policy,
@@ -228,8 +229,17 @@ def reconstruct(frames: np.ndarray, mode: str = "near", camera=None,
 
     *camera* supplies the separation validity policy (None treats every
     estimated entry as usable, appropriate only for synthetic data);
-    *threshold* None skips the plane filter.
+    *threshold* None skips the plane filter.  The band radius must lie in
+    [1, min(max(H, W) - 1, MAX_BAND_RADIUS)]; it is checked before any
+    accumulation.
     """
+    frames = np.asarray(frames)
+    if frames.ndim == 3:
+        limit = min(max(frames.shape[1:]) - 1, MAX_BAND_RADIUS)
+        if not 1 <= band_radius <= limit:
+            raise ConfigurationError(
+                f"band radius {band_radius} outside [1, {limit}] for "
+                f"{frames.shape[1]}x{frames.shape[2]} frames")
     jpd = accumulate_jpd(frames, mode=mode, band_radius=band_radius,
                          chunk_size=chunk_size, workers=workers)
     jpd = process_jpd(jpd, camera=camera, threshold=threshold,

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from jpdkit import pipeline
 from jpdkit.cli import main
 from jpdkit.frames import read_frames, write_frames
 from jpdkit.images import read_spectrum_csv
@@ -172,6 +173,35 @@ def test_configuration_errors_exit_2(tmp_path, config_path):
                  "--out", str(tmp_path / "y")]) == 2
     assert main(["simulate", "--config", str(tmp_path / "absent.ini"),
                  "--out", str(tmp_path / "z")]) == 2
+    assert main(["simulate", "--config", str(config_path),
+                 "--set", "processing.threshold=3",
+                 "--out", str(tmp_path / "w")]) == 2
+    assert not (tmp_path / "w").exists()
+
+
+def test_threshold_flag_above_one_is_a_usage_error(tmp_path):
+    with pytest.raises(SystemExit) as info:
+        main(["reconstruct", "--frames", str(tmp_path / "any.bpsr"),
+              "--threshold", "2", "--out", str(tmp_path / "r")])
+    assert info.value.code == 2
+
+
+@pytest.mark.parametrize("flags", [
+    ["--band-radius", "0"],
+    ["--band-radius", "5", "--threshold", "none"],
+    ["--band-radius", "128", "--threshold", "none", "--no-normalize"],
+])
+def test_out_of_range_band_radius_exits_2_before_accumulating(
+        tmp_path, monkeypatch, flags):
+    stack = tmp_path / "small.bpsr"
+    write_frames(stack, np.random.default_rng(1).integers(
+        0, 5, (20, 4, 4), dtype=np.uint16))
+    calls = []
+    monkeypatch.setattr(pipeline, "accumulate_jpd",
+                        lambda *args, **kwargs: calls.append(args))
+    assert main(["reconstruct", "--frames", str(stack), "--camera", "ideal",
+                 *flags, "--out", str(tmp_path / "r")]) == 2
+    assert calls == []
 
 
 def test_malformed_files_exit_3(tmp_path):

@@ -3,7 +3,11 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from jpdkit.analysis import banded_from_dense, dense_jpd_matrix
 from jpdkit.errors import (ConfigurationError, FileFormatError,
                            FrameShapeError, InsufficientDataError, StateError)
 from jpdkit.jpd import (Jpd, accumulate_jpd, accumulate_partial,
@@ -94,6 +98,44 @@ def test_result_independent_of_chunking_and_workers():
     merged = finalize_jpd(merge_partials(parts))
     assert merged.n_frames == 41
     assert np.array_equal(base.planes, merged.planes)
+
+
+@st.composite
+def small_stacks(draw):
+    """Stacks with a 1-3 pixel side (so some planes have no partner rows),
+    bool or full-range u16 values."""
+    h, w = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        h, w = w, h
+    n = draw(st.integers(2, 12))
+    if draw(st.booleans()):
+        return draw(arrays(np.bool_, (n, h, w)))
+    return draw(arrays(np.uint16, (n, h, w), elements=st.integers(0, 65535)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(frames=small_stacks(), data=st.data())
+def test_banded_equals_dense_on_edge_shapes(frames, data):
+    n, h, w = frames.shape
+    k = data.draw(st.integers(1, max(h, w) + 1), label="band_radius")
+    mode = data.draw(st.sampled_from(["near", "far"]), label="mode")
+    symmetrize = data.draw(st.booleans(), label="symmetrize")
+    chunk = data.draw(st.integers(1, n), label="chunk_size")
+    workers = data.draw(st.sampled_from([None, 2]), label="workers")
+    jpd = accumulate_jpd(frames, mode, k, chunk_size=chunk, workers=workers,
+                         symmetrize=symmetrize)
+    ref = banded_from_dense(dense_jpd_matrix(frames, symmetrize=symmetrize),
+                            mode, k, (h, w))
+    assert np.array_equal(np.where(jpd.valid, ref, 0.0), jpd.planes)
+
+    parts = [accumulate_partial(frames[i:min(i + chunk + 1, n)], mode, k)
+             for i in range(0, n - 1, chunk)]
+    first = parts[0].sums.copy()
+    from_list = merge_partials(parts)
+    from_iter = merge_partials(p for p in parts)
+    assert np.array_equal(from_list.sums, from_iter.sums)
+    assert from_list.n_terms == from_iter.n_terms == n - 1
+    assert np.array_equal(parts[0].sums, first)
 
 
 def test_input_validation():
