@@ -35,9 +35,6 @@ from .simulate import (camera_by_name, interference_rate, noon_density,
                        simulate_frames)
 
 
-_UNSET = object()
-
-
 def _threshold_arg(raw: str):
     if raw.lower() == "none":
         return None
@@ -78,17 +75,23 @@ def _build_parser() -> argparse.ArgumentParser:
                           "from the frame dtype)")
     rec.add_argument("--mode", choices=("near", "far"),
                      help="imaging geometry (default: manifest, else near)")
-    rec.add_argument("--band-radius", type=int)
-    rec.add_argument("--threshold", type=_threshold_arg, default=_UNSET,
-                     metavar="X|none",
+    # processing flags are absent from args unless given, so the manifest's
+    # [processing] section (or the defaults) fills in the rest
+    rec.add_argument("--band-radius", type=int, default=argparse.SUPPRESS)
+    rec.add_argument("--threshold", type=_threshold_arg,
+                     default=argparse.SUPPRESS, metavar="X|none",
                      help="plane filter threshold relative to the strongest "
                           "plane, or 'none' to keep all planes")
-    rec.add_argument("--no-normalize", action="store_true", default=None,
+    rec.add_argument("--no-normalize", dest="normalize", action="store_false",
+                     default=argparse.SUPPRESS,
                      help="skip per-plane normalization")
-    rec.add_argument("--no-interpolate", action="store_true", default=None,
+    rec.add_argument("--no-interpolate", dest="interpolate",
+                     action="store_false", default=argparse.SUPPRESS,
                      help="exclude invalid entries instead of interpolating")
-    rec.add_argument("--chunk", type=int, help="frames per accumulation chunk")
-    rec.add_argument("--workers", type=int, help="accumulation worker threads")
+    rec.add_argument("--chunk", type=int, default=argparse.SUPPRESS,
+                     help="frames per accumulation chunk")
+    rec.add_argument("--workers", type=int, default=argparse.SUPPRESS,
+                     help="accumulation worker threads")
     rec.add_argument("--out", required=True, help="output directory")
     rec.set_defaults(func=_cmd_reconstruct)
 
@@ -168,30 +171,12 @@ def _cmd_reconstruct(args) -> int:
         mode = manifest.get("mode")
     mode = mode or "near"
 
-    def processing(flag_value, key):
-        if flag_value is not None:
-            return flag_value
-        if run_config is not None:
-            return run_config.processing[key]
-        return DEFAULTS["processing"][key]
-
-    # --threshold none is an explicit choice, distinct from an absent flag
-    threshold = args.threshold
-    if threshold is _UNSET:
-        threshold = processing(None, "threshold")
-    workers = args.workers
-    if workers is None and run_config is not None:
-        workers = run_config.processing["workers"]
-
-    result = reconstruct(
-        frames, mode=mode, camera=camera,
-        band_radius=processing(args.band_radius, "band_radius"),
-        threshold=threshold,
-        normalize=not args.no_normalize if args.no_normalize is not None
-        else processing(None, "normalize"),
-        interpolate=not args.no_interpolate if args.no_interpolate is not None
-        else processing(None, "interpolate"),
-        chunk_size=processing(args.chunk, "chunk"), workers=workers)
+    settings = dict(run_config.processing if run_config is not None
+                    else DEFAULTS["processing"])
+    settings.update((key, value) for key, value in vars(args).items()
+                    if key in settings)
+    result = reconstruct(frames, mode=mode, camera=camera,
+                         chunk_size=settings.pop("chunk"), **settings)
 
     out = _out_dir(args.out)
     write_jpd_snapshot(out / "jpd.bjpd", result.jpd)

@@ -30,8 +30,7 @@ import numpy as np
 from .errors import ConfigurationError
 from .images import GridImage
 from .jpd import accumulate_jpd
-from .pipeline import interpolate_invalid, super_resolve
-from .jpd import apply_separation_policy
+from .pipeline import process_jpd, super_resolve
 from .scenes import Scene, block_mean
 from .simulate import (analytic_jpd, classical_fringe, interference_rate,
                        noon_density, simulate_frames)
@@ -81,16 +80,6 @@ def simulate_pair_phase_stacks(scene: Scene, contrast: float = 1.0,
     return stacks
 
 
-def _sr_image_for_phase(jpd, camera) -> GridImage:
-    if camera is not None:
-        jpd = apply_separation_policy(jpd, camera.invalid_pair_separation)
-        if jpd.mode == "near":
-            jpd = interpolate_invalid(jpd)
-        else:
-            jpd = jpd.with_invalid_excluded()
-    return super_resolve(jpd)
-
-
 def pair_phase_map(stacks, camera=None, band_radius: int = 1,
                    chunk_size: int = 256, workers: int | None = None) -> GridImage:
     """Reconstruct wrap(2 theta) on the half-pixel grid from four stacks
@@ -101,7 +90,8 @@ def pair_phase_map(stacks, camera=None, band_radius: int = 1,
     for frames in stacks:
         jpd = accumulate_jpd(frames, mode="near", band_radius=band_radius,
                              chunk_size=chunk_size, workers=workers)
-        images.append(_sr_image_for_phase(jpd, camera))
+        images.append(super_resolve(process_jpd(
+            jpd, camera, threshold=None, normalize=False)))
     phase = four_step_phase(*(im.values for im in images))
     ref = images[0]
     return GridImage(phase, pitch=ref.pitch, origin=ref.origin, counts=ref.counts)

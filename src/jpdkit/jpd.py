@@ -81,17 +81,17 @@ class Jpd:
             for b in range(2 * k + 1):
                 yield a - k, b - k, a, b
 
-    def plane(self, dy: int, dx: int) -> np.ndarray:
+    def _index(self, dy: int, dx: int) -> tuple[int, int]:
         k = self.band_radius
         if abs(dy) > k or abs(dx) > k:
             raise ConfigurationError(f"displacement ({dy}, {dx}) outside band {k}")
-        return self.planes[dy + k, dx + k]
+        return dy + k, dx + k
+
+    def plane(self, dy: int, dx: int) -> np.ndarray:
+        return self.planes[self._index(dy, dx)]
 
     def plane_valid(self, dy: int, dx: int) -> np.ndarray:
-        k = self.band_radius
-        if abs(dy) > k or abs(dx) > k:
-            raise ConfigurationError(f"displacement ({dy}, {dx}) outside band {k}")
-        return self.valid[dy + k, dx + k]
+        return self.valid[self._index(dy, dx)]
 
     def with_invalid_excluded(self) -> "Jpd":
         """Accept invalid entries as missing; projections will skip them."""
@@ -297,6 +297,8 @@ def accumulate_jpd(frames: np.ndarray, mode: str = "near",
     frames = _check_stack(frames)
     if chunk_size < 1:
         raise ConfigurationError("chunk_size must be >= 1")
+    if workers is not None and workers < 1:
+        raise ConfigurationError("workers must be >= 1 or None")
     n = frames.shape[0]
     spans = [(i, min(i + chunk_size + 1, n)) for i in range(0, n - 1, chunk_size)]
 
@@ -343,31 +345,64 @@ def _require_resolved(jpd: Jpd, what: str) -> None:
             "them or call with_invalid_excluded() first")
 
 
+def plane_masses(jpd: Jpd) -> np.ndarray:
+    """Mass (sum over valid entries) of each plane; inactive planes are NaN."""
+    k = jpd.band_radius
+    masses = np.full((2 * k + 1, 2 * k + 1), np.nan)
+    for dy, dx, a, b in jpd.displacements():
+        if jpd.active[a, b]:
+            masses[a, b] = jpd.planes[a, b][jpd.valid[a, b]].sum()
+    return masses
+
+
+def scatter_half_grid(jpd: Jpd, values) -> GridImage:
+    """Sum *values* (broadcast to the band's shape) of every valid entry of
+    an active plane onto the half-pixel grid of pitch 0.5.
+
+    Near field: entry (r, d) lands on the pair sum coordinate 2r + d, origin
+    0.  Far field: entry (r, u) lands on the difference coordinate
+    2r - c - u, which charts the double field of view from -(H-1, W-1).
+    Entries are added plane by plane in row-major order.
+    """
+    h, w = jpd.shape
+    sh, sw = 2 * h - 1, 2 * w - 1
+    d = np.arange(-jpd.band_radius, jpd.band_radius + 1)[:, None, None]
+    ys, xs = 2 * np.arange(h)[:, None], 2 * np.arange(w)
+    if jpd.mode == "near":
+        sy, sx = ys + d, xs + d
+        origin = (0.0, 0.0)
+    else:
+        sy = ys - d - jpd.center[0] + h - 1
+        sx = xs - d - jpd.center[1] + w - 1
+        origin = (-(h - 1) / 2.0, -(w - 1) / 2.0)
+    sy, sx = sy[:, None], sx[None]
+    ok = (jpd.valid & jpd.active[:, :, None, None]
+          & (sy >= 0) & (sy < sh) & (sx >= 0) & (sx < sw))
+    idx = np.broadcast_to(sy * sw + sx, ok.shape)[ok]
+    weights = np.broadcast_to(values, ok.shape)[ok]
+    img = np.bincount(idx, weights, minlength=sh * sw).reshape(sh, sw)
+    return GridImage(img, pitch=0.5, origin=origin)
+
+
 def sum_projection(jpd: Jpd) -> GridImage:
     """Project plane values onto the pair sum coordinate (r1 + r2).
 
     The sum coordinate lives on a grid twice as dense as the sensor; the
     returned image has pitch 0.5 and covers s in [0, 2M-2] per axis.  Plain
     sums over valid entries of active planes: total image mass equals the
-    total retained JPD mass.
+    total retained JPD mass.  In the far field the sum coordinate is
+    constant across a plane, so each plane's mass lands on one point.
     """
     _require_resolved(jpd, "sum projection")
+    if jpd.mode == "near":
+        return scatter_half_grid(jpd, jpd.planes)
     h, w = jpd.shape
-    sh, sw = h + h - 1, w + w - 1
-    img = np.zeros((sh, sw))
-    ys, xs = np.mgrid[0:h, 0:w]
-    for dy, dx, a, b in jpd.displacements():
-        if not jpd.active[a, b]:
-            continue
-        v = jpd.valid[a, b]
-        if jpd.mode == "near":
-            sy, sx = 2 * ys + dy, 2 * xs + dx
-            ok = v & (sy >= 0) & (sy < sh) & (sx >= 0) & (sx < sw)
-            np.add.at(img, (sy[ok], sx[ok]), jpd.planes[a, b][ok])
-        else:
-            sy, sx = jpd.center[0] + dy, jpd.center[1] + dx
-            if 0 <= sy < sh and 0 <= sx < sw:
-                img[sy, sx] += jpd.planes[a, b][v].sum()
+    img = np.zeros((2 * h - 1, 2 * w - 1))
+    d = np.arange(-jpd.band_radius, jpd.band_radius + 1)
+    sy, sx = jpd.center[0] + d, jpd.center[1] + d
+    oky, okx = (sy >= 0) & (sy < 2 * h - 1), (sx >= 0) & (sx < 2 * w - 1)
+    masses = np.where(jpd.active, plane_masses(jpd), 0.0)
+    img[np.ix_(sy[oky], sx[okx])] += masses[np.ix_(oky, okx)]
     return GridImage(img, pitch=0.5, origin=(0.0, 0.0))
 
 
@@ -379,27 +414,11 @@ def minus_projection(jpd: Jpd) -> GridImage:
     field of view and carries the point-symmetric double image.
     """
     _require_resolved(jpd, "minus projection")
-    h, w = jpd.shape
+    if jpd.mode == "far":
+        return scatter_half_grid(jpd, jpd.planes)
     k = jpd.band_radius
-    if jpd.mode == "near":
-        img = np.zeros((2 * k + 1, 2 * k + 1))
-        for dy, dx, a, b in jpd.displacements():
-            if jpd.active[a, b]:
-                img[a, b] = jpd.planes[a, b][jpd.valid[a, b]].sum()
-        return GridImage(img, pitch=0.5, origin=(-k / 2.0, -k / 2.0))
-    sh, sw = h + h - 1, w + w - 1
-    img = np.zeros((sh, sw))
-    ys, xs = np.mgrid[0:h, 0:w]
-    oy, ox = -(h - 1), -(w - 1)
-    for dy, dx, a, b in jpd.displacements():
-        if not jpd.active[a, b]:
-            continue
-        v = jpd.valid[a, b]
-        sy = 2 * ys - jpd.center[0] - dy - oy
-        sx = 2 * xs - jpd.center[1] - dx - ox
-        ok = v & (sy >= 0) & (sy < sh) & (sx >= 0) & (sx < sw)
-        np.add.at(img, (sy[ok], sx[ok]), jpd.planes[a, b][ok])
-    return GridImage(img, pitch=0.5, origin=(oy / 2.0, ox / 2.0))
+    return GridImage(np.where(jpd.active, plane_masses(jpd), 0.0), pitch=0.5,
+                     origin=(-k / 2.0, -k / 2.0))
 
 
 def diagonal_image(jpd: Jpd) -> GridImage:
@@ -433,6 +452,9 @@ def write_jpd_snapshot(path, jpd: Jpd) -> None:
     little-endian plane values, then the bit-packed validity masks.
     """
     k = jpd.band_radius
+    if k > MAX_BAND_RADIUS:
+        raise ConfigurationError(
+            f"band radius {k} exceeds the snapshot limit {MAX_BAND_RADIUS}")
     h, w = jpd.shape
     recs = [(dy, dx, a, b) for dy, dx, a, b in jpd.displacements()
             if jpd.active[a, b]]

@@ -11,8 +11,10 @@ averages the contributions per grid point.  Averaging, not summing, matters:
 interior points of the dense grid receive 1, 2 or 4 plane contributions
 depending on coordinate parity, and a plain sum would imprint that
 multiplicity comb onto the image as a spurious half-sampling modulation.
-The plain-sum projections (which conserve total mass) remain available in
-:mod:`jpdkit.jpd`.
+The half-pixel index map lives once, in :func:`jpdkit.jpd.scatter_half_grid`:
+``super_resolve`` divides its scatter of the plane values by its scatter of
+ones, and the plain-sum projections of :mod:`jpdkit.jpd` (which conserve
+total mass) use it wherever the coordinate varies across a plane.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ from .jpd import (
     accumulate_jpd,
     apply_separation_policy,
     diagonal_image,
+    plane_masses,
+    scatter_half_grid,
     structural_validity,
 )
 
@@ -93,16 +97,6 @@ def interpolate_invalid(jpd: Jpd) -> Jpd:
         planes, valid = new_planes, new_valid
         holes = structural & ~valid
     return replace(jpd, planes=planes, valid=valid, pending_invalid=False)
-
-
-def plane_masses(jpd: Jpd) -> np.ndarray:
-    """Mass (sum over valid entries) of each plane; inactive planes are NaN."""
-    k = jpd.band_radius
-    masses = np.full((2 * k + 1, 2 * k + 1), np.nan)
-    for dy, dx, a, b in jpd.displacements():
-        if jpd.active[a, b]:
-            masses[a, b] = jpd.planes[a, b][jpd.valid[a, b]].sum()
-    return masses
 
 
 def filter_jpd(jpd: Jpd, threshold: float = 0.5) -> Jpd:
@@ -167,32 +161,11 @@ def super_resolve(jpd: Jpd) -> GridImage:
     """
     if jpd.pending_invalid:
         raise StateError("resolve invalid entries before super-resolving")
-    h, w = jpd.shape
-    sh, sw = 2 * h - 1, 2 * w - 1
-    img = np.zeros((sh, sw))
-    cnt = np.zeros((sh, sw))
-    ys, xs = np.mgrid[0:h, 0:w]
-    if jpd.mode == "near":
-        oy, ox = 0, 0
-        origin = (0.0, 0.0)
-    else:
-        oy, ox = -(h - 1), -(w - 1)
-        origin = (oy / 2.0, ox / 2.0)
-    for dy, dx, a, b in jpd.displacements():
-        if not jpd.active[a, b]:
-            continue
-        v = jpd.valid[a, b]
-        if jpd.mode == "near":
-            sy, sx = 2 * ys + dy, 2 * xs + dx
-        else:
-            sy = 2 * ys - jpd.center[0] - dy - oy
-            sx = 2 * xs - jpd.center[1] - dx - ox
-        ok = v & (sy >= 0) & (sy < sh) & (sx >= 0) & (sx < sw)
-        np.add.at(img, (sy[ok], sx[ok]), jpd.planes[a, b][ok])
-        np.add.at(cnt, (sy[ok], sx[ok]), 1.0)
-    filled = cnt > 0
-    img = np.where(filled, img / np.maximum(cnt, 1.0), 0.0)
-    return GridImage(img, pitch=0.5, origin=origin, counts=cnt)
+    image = scatter_half_grid(jpd, jpd.planes)
+    cnt = scatter_half_grid(jpd, 1.0).values
+    image.values = np.where(cnt > 0, image.values / np.maximum(cnt, 1.0), 0.0)
+    image.counts = cnt
+    return image
 
 
 @dataclass
@@ -230,12 +203,13 @@ def reconstruct(frames: np.ndarray, mode: str = "near", camera=None,
     *camera* supplies the separation validity policy (None treats every
     estimated entry as usable, appropriate only for synthetic data);
     *threshold* None skips the plane filter.  The band radius must lie in
-    [1, min(max(H, W) - 1, MAX_BAND_RADIUS)]; it is checked before any
+    [1, min(min(H, W) - 1, MAX_BAND_RADIUS)], so that every band plane has
+    entries whose partner pixel is on the sensor; it is checked before any
     accumulation.
     """
     frames = np.asarray(frames)
     if frames.ndim == 3:
-        limit = min(max(frames.shape[1:]) - 1, MAX_BAND_RADIUS)
+        limit = min(min(frames.shape[1:]) - 1, MAX_BAND_RADIUS)
         if not 1 <= band_radius <= limit:
             raise ConfigurationError(
                 f"band radius {band_radius} outside [1, {limit}] for "

@@ -204,6 +204,38 @@ def _bin_photons(counts: np.ndarray, frame_of: np.ndarray,
     np.add.at(counts, (frame_of[ok], iy[ok], ix[ok]), 1)
 
 
+def _simulate(scene: Scene, p: np.ndarray, rate: float, n_frames: int,
+              camera, seed, photons) -> np.ndarray:
+    """The chunk loop shared by both simulators: Poisson events per frame and
+    event sites drawn from the normalized density *p*; then
+    ``photons(rng, y, x, emit)`` draws any further randomness and calls
+    ``emit(py, px)`` per photon of an event, which bins those positions at
+    once (one photon's arrays are alive at a time), and the counts render.
+    """
+    camera = camera if camera is not None else IdealCamera()
+    cum = np.cumsum(p)
+    m, f = scene.size, scene.oversample
+    out = None
+    for chunk, start in enumerate(range(0, n_frames, SIM_CHUNK_FRAMES)):
+        n = min(SIM_CHUNK_FRAMES, n_frames - start)
+        rng_e, rng_c = _chunk_rngs(seed, chunk)
+        frame_counts = rng_e.poisson(rate, n)
+        tot = int(frame_counts.sum())
+        idx = np.minimum(np.searchsorted(cum, rng_e.random(tot)), p.size - 1)
+        jy, jx = np.divmod(idx, m * f)
+        y = -0.5 + (jy + rng_e.random(tot)) / f
+        x = -0.5 + (jx + rng_e.random(tot)) / f
+        frame_of = np.repeat(np.arange(n), frame_counts)
+        counts = np.zeros((n, m, m), dtype=np.int32)
+        photons(rng_e, y, x,
+                lambda py, px: _bin_photons(counts, frame_of, py, px, m))
+        rendered = camera.render(counts, rng_c)
+        if out is None:
+            out = np.empty((n_frames, m, m), dtype=rendered.dtype)
+        out[start:start + n] = rendered
+    return out
+
+
 def simulate_frames(scene: Scene, mode: str = "near", sigma: float = 0.25,
                     pair_rate: float = 60.0, n_frames: int = 1000,
                     camera=None, seed: int | tuple = 0,
@@ -218,40 +250,21 @@ def simulate_frames(scene: Scene, mode: str = "near", sigma: float = 0.25,
         raise ConfigurationError(f"mode must be 'near' or 'far', got {mode!r}")
     if sigma < 0 or pair_rate <= 0 or n_frames < 1:
         raise ConfigurationError("sigma >= 0, pair_rate > 0, n_frames >= 1 required")
-    camera = camera if camera is not None else IdealCamera()
-    p = _normalized_density(scene, mode, density)
-    cum = np.cumsum(p)
-    m, f = scene.size, scene.oversample
-    sum_center = float(m - 1)
-    jitter_scale = sigma / math.sqrt(2.0)
-    out = None
-    for chunk, start in enumerate(range(0, n_frames, SIM_CHUNK_FRAMES)):
-        n = min(SIM_CHUNK_FRAMES, n_frames - start)
-        rng_e, rng_c = _chunk_rngs(seed, chunk)
-        frame_counts = rng_e.poisson(pair_rate, n)
-        tot = int(frame_counts.sum())
-        idx = np.minimum(np.searchsorted(cum, rng_e.random(tot)), p.size - 1)
-        jy, jx = np.divmod(idx, m * f)
-        y0 = -0.5 + (jy + rng_e.random(tot)) / f
-        x0 = -0.5 + (jx + rng_e.random(tot)) / f
+    sum_center = float(scene.size - 1)
+
+    def pair(rng, y, x, emit):
         if sigma > 0:
-            jit = rng_e.normal(0.0, jitter_scale, (2, 2, tot))
+            jit = rng.normal(0.0, sigma / math.sqrt(2.0), (2, 2, y.size))
         else:
-            jit = np.zeros((2, 2, tot))
-        frame_of = np.repeat(np.arange(n), frame_counts)
-        counts = np.zeros((n, m, m), dtype=np.int32)
-        _bin_photons(counts, frame_of, y0 + jit[0, 0], x0 + jit[0, 1], m)
-        if mode == "near":
-            _bin_photons(counts, frame_of, y0 + jit[1, 0], x0 + jit[1, 1], m)
+            jit = np.zeros((2, 2, y.size))
+        emit(y + jit[0, 0], x + jit[0, 1])
+        if mode == "far":
+            emit(sum_center - y + jit[1, 0], sum_center - x + jit[1, 1])
         else:
-            _bin_photons(counts, frame_of,
-                         sum_center - y0 + jit[1, 0],
-                         sum_center - x0 + jit[1, 1], m)
-        rendered = camera.render(counts, rng_c)
-        if out is None:
-            out = np.empty((n_frames, m, m), dtype=rendered.dtype)
-        out[start:start + n] = rendered
-    return out
+            emit(y + jit[1, 0], x + jit[1, 1])
+
+    return _simulate(scene, _normalized_density(scene, mode, density),
+                     pair_rate, n_frames, camera, seed, pair)
 
 
 def simulate_intensity_frames(scene: Scene, intensity: np.ndarray,
@@ -261,28 +274,9 @@ def simulate_intensity_frames(scene: Scene, intensity: np.ndarray,
     the oversampled grid; photon_rate is the Poisson mean per frame."""
     if photon_rate <= 0 or n_frames < 1:
         raise ConfigurationError("photon_rate > 0 and n_frames >= 1 required")
-    camera = camera if camera is not None else IdealCamera()
-    p = _normalized_density(scene, "near", intensity)
-    cum = np.cumsum(p)
-    m, f = scene.size, scene.oversample
-    out = None
-    for chunk, start in enumerate(range(0, n_frames, SIM_CHUNK_FRAMES)):
-        n = min(SIM_CHUNK_FRAMES, n_frames - start)
-        rng_e, rng_c = _chunk_rngs(seed, chunk)
-        frame_counts = rng_e.poisson(photon_rate, n)
-        tot = int(frame_counts.sum())
-        idx = np.minimum(np.searchsorted(cum, rng_e.random(tot)), p.size - 1)
-        jy, jx = np.divmod(idx, m * f)
-        py = -0.5 + (jy + rng_e.random(tot)) / f
-        px = -0.5 + (jx + rng_e.random(tot)) / f
-        frame_of = np.repeat(np.arange(n), frame_counts)
-        counts = np.zeros((n, m, m), dtype=np.int32)
-        _bin_photons(counts, frame_of, py, px, m)
-        rendered = camera.render(counts, rng_c)
-        if out is None:
-            out = np.empty((n_frames, m, m), dtype=rendered.dtype)
-        out[start:start + n] = rendered
-    return out
+    return _simulate(scene, _normalized_density(scene, "near", intensity),
+                     photon_rate, n_frames, camera, seed,
+                     lambda rng, y, x, emit: emit(y, x))
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from jpdkit import pipeline
+from jpdkit import cli, pipeline
 from jpdkit.cli import main
+from jpdkit.config import (DEFAULTS, build_manifest, parse_config,
+                           write_manifest)
 from jpdkit.frames import read_frames, write_frames
 from jpdkit.images import read_spectrum_csv
 from jpdkit.jpd import read_jpd_snapshot
@@ -177,6 +179,12 @@ def test_configuration_errors_exit_2(tmp_path, config_path):
                  "--set", "processing.threshold=3",
                  "--out", str(tmp_path / "w")]) == 2
     assert not (tmp_path / "w").exists()
+    stack = tmp_path / "small.bpsr"
+    write_frames(stack, np.ones((5, 4, 4), dtype=np.uint16))
+    for workers in ("0", "-3"):
+        assert main(["reconstruct", "--frames", str(stack), "--camera", "ideal",
+                     "--workers", workers, "--out", str(tmp_path / "r")]) == 2
+    assert not (tmp_path / "r").exists()
 
 
 def test_threshold_flag_above_one_is_a_usage_error(tmp_path):
@@ -186,22 +194,101 @@ def test_threshold_flag_above_one_is_a_usage_error(tmp_path):
     assert info.value.code == 2
 
 
-@pytest.mark.parametrize("flags", [
-    ["--band-radius", "0"],
-    ["--band-radius", "5", "--threshold", "none"],
-    ["--band-radius", "128", "--threshold", "none", "--no-normalize"],
-])
+@pytest.mark.parametrize("shape, flags", [
+    ((4, 4), ["--band-radius", "0"]),
+    ((4, 4), ["--band-radius", "5", "--threshold", "none"]),
+    ((4, 4), ["--band-radius", "128", "--threshold", "none", "--no-normalize"]),
+    ((2, 8), ["--band-radius", "5", "--threshold", "none"]),
+], ids=["zero", "above-side", "above-snapshot-limit", "above-short-side"])
 def test_out_of_range_band_radius_exits_2_before_accumulating(
-        tmp_path, monkeypatch, flags):
+        tmp_path, monkeypatch, shape, flags):
     stack = tmp_path / "small.bpsr"
     write_frames(stack, np.random.default_rng(1).integers(
-        0, 5, (20, 4, 4), dtype=np.uint16))
+        0, 5, (20, *shape), dtype=np.uint16))
     calls = []
     monkeypatch.setattr(pipeline, "accumulate_jpd",
                         lambda *args, **kwargs: calls.append(args))
     assert main(["reconstruct", "--frames", str(stack), "--camera", "ideal",
                  *flags, "--out", str(tmp_path / "r")]) == 2
     assert calls == []
+
+
+class _Captured(Exception):
+    pass
+
+
+# a manifest whose [processing] section differs from DEFAULTS in every key
+MANIFEST_PROCESSING = ["processing.band_radius=2", "processing.threshold=0.25",
+                       "processing.normalize=false",
+                       "processing.interpolate=false", "processing.chunk=64",
+                       "processing.workers=2"]
+FROM_MANIFEST = {"band_radius": 2, "threshold": 0.25, "normalize": False,
+                 "interpolate": False, "chunk_size": 64, "workers": 2}
+
+
+@pytest.fixture()
+def reconstruct_settings(tmp_path, monkeypatch):
+    """Run ``reconstruct`` with the given flags (and optionally a manifest
+    with the given config overrides) and return the processing settings
+    it passes to the pipeline."""
+    stack = tmp_path / "small.bpsr"
+    write_frames(stack, np.ones((3, 4, 4), dtype=np.uint16))
+    seen = []
+
+    def capture(frames, **kwargs):
+        seen.append(kwargs)
+        raise _Captured
+
+    monkeypatch.setattr(cli, "reconstruct", capture)
+
+    def run(flags=(), manifest_overrides=None):
+        argv = ["reconstruct", "--frames", str(stack), *flags,
+                "--out", str(tmp_path / "r")]
+        if manifest_overrides is not None:
+            path = tmp_path / "manifest.json"
+            config = parse_config(INI, list(manifest_overrides))
+            write_manifest(path, build_manifest(
+                "simulate", {}, config_text=config.text, camera="ideal",
+                mode="near"))
+            argv += ["--manifest", str(path)]
+        with pytest.raises(_Captured):
+            main(argv)
+        kwargs = seen.pop()
+        return {key: kwargs[key] for key in FROM_MANIFEST}
+    return run
+
+
+def test_reconstruct_settings_come_from_defaults_or_manifest(
+        reconstruct_settings):
+    defaults = DEFAULTS["processing"]
+    assert reconstruct_settings() == {
+        "band_radius": defaults["band_radius"],
+        "threshold": defaults["threshold"],
+        "normalize": defaults["normalize"],
+        "interpolate": defaults["interpolate"],
+        "chunk_size": defaults["chunk"], "workers": defaults["workers"]}
+    assert reconstruct_settings(
+        manifest_overrides=MANIFEST_PROCESSING) == FROM_MANIFEST
+
+
+@pytest.mark.parametrize("flags, key, value", [
+    (["--band-radius", "1"], "band_radius", 1),
+    (["--threshold", "none"], "threshold", None),
+    (["--no-normalize"], "normalize", False),
+    (["--no-interpolate"], "interpolate", False),
+    (["--chunk", "8"], "chunk_size", 8),
+    (["--workers", "3"], "workers", 3),
+])
+def test_reconstruct_flags_override_manifest(reconstruct_settings, flags,
+                                              key, value):
+    # --no-normalize and --no-interpolate can only turn a setting off, so
+    # their manifest keeps it on
+    manifest = [o for o in MANIFEST_PROCESSING
+                if o != f"processing.{key}=false"]
+    expected = reconstruct_settings(manifest_overrides=manifest)
+    assert expected[key] != value
+    expected[key] = value
+    assert reconstruct_settings(flags, manifest_overrides=manifest) == expected
 
 
 def test_malformed_files_exit_3(tmp_path):

@@ -10,9 +10,10 @@ from hypothesis.extra.numpy import arrays
 from jpdkit.analysis import banded_from_dense, dense_jpd_matrix
 from jpdkit.errors import (ConfigurationError, FileFormatError,
                            FrameShapeError, InsufficientDataError, StateError)
-from jpdkit.jpd import (Jpd, accumulate_jpd, accumulate_partial,
-                        apply_separation_policy, diagonal_image, finalize_jpd,
-                        merge_partials, minus_projection, read_jpd_snapshot,
+from jpdkit.jpd import (MAX_BAND_RADIUS, Jpd, accumulate_jpd,
+                        accumulate_partial, apply_separation_policy,
+                        diagonal_image, finalize_jpd, merge_partials,
+                        minus_projection, read_jpd_snapshot,
                         structural_validity, sum_projection,
                         write_jpd_snapshot)
 
@@ -149,6 +150,9 @@ def test_input_validation():
         accumulate_jpd(TINY, band_radius=-1)
     with pytest.raises(ConfigurationError, match="chunk_size"):
         accumulate_jpd(TINY, chunk_size=0)
+    for workers in (0, -3):
+        with pytest.raises(ConfigurationError, match="workers"):
+            accumulate_jpd(TINY, workers=workers)
     with pytest.raises(ConfigurationError, match="centre"):
         accumulate_jpd(np.zeros((3, 4, 4)), mode="far", center=(1, 1))
     with pytest.raises(InsufficientDataError):
@@ -286,6 +290,18 @@ def test_snapshot_round_trip(tmp_path):
         else:
             assert np.all(back.planes[a, b] == 0.0)
             assert not back.valid[a, b].any()
+
+
+def test_snapshot_rejects_band_beyond_record_limit(tmp_path):
+    # plane records store (dy, dx) as i8 and their count as u16
+    k = MAX_BAND_RADIUS + 1
+    shape = (2 * k + 1, 2 * k + 1, 2, 2)
+    jpd = Jpd("near", k, np.zeros(shape), np.zeros(shape, dtype=bool),
+              np.ones(shape[:2], dtype=bool), (1, 1), 3)
+    path = tmp_path / "snap.bjpd"
+    with pytest.raises(ConfigurationError, match="snapshot limit"):
+        write_jpd_snapshot(path, jpd)
+    assert not path.exists()
 
 
 def test_snapshot_corruption_detection(tmp_path):

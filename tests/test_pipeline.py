@@ -2,11 +2,15 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from jpdkit.errors import (ConfigurationError, DegeneratePlaneError,
                            EmptyFilterError, InterpolationError, StateError)
 from jpdkit.jpd import (Jpd, accumulate_jpd, apply_separation_policy,
-                        structural_validity)
+                        minus_projection, scatter_half_grid,
+                        structural_validity, sum_projection)
 from jpdkit.pipeline import (filter_jpd, interpolate_invalid, normalize_jpd,
                              plane_masses, process_jpd, reconstruct,
                              super_resolve)
@@ -148,6 +152,64 @@ def test_super_resolve_requires_resolved_invalid():
     pending = dataclasses.replace(jpd, pending_invalid=True)
     with pytest.raises(StateError):
         super_resolve(pending)
+
+
+@st.composite
+def random_jpds(draw):
+    """Near or far JPDs with 1-5 px sides, K in 1..3, integer-valued planes
+    (so sums are exact), a random subset of the structurally valid entries
+    and random active planes."""
+    mode = draw(st.sampled_from(["near", "far"]))
+    h, w = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    k = draw(st.integers(1, 3))
+    shape = (2 * k + 1, 2 * k + 1, h, w)
+    center = (h - 1, w - 1)
+    valid = structural_validity(mode, k, (h, w), center) \
+        & draw(arrays(np.bool_, shape))
+    values = draw(arrays(np.int64, shape, elements=st.integers(-1000, 1000)))
+    planes = np.where(valid, values, 0).astype(np.float64)
+    active = draw(arrays(np.bool_, shape[:2]))
+    return Jpd(mode, k, planes, valid, active, center, 0)
+
+
+def scatter_by_loop(jpd, values):
+    """Reference for scatter_half_grid: one np.add.at per active plane."""
+    h, w = jpd.shape
+    sh, sw = 2 * h - 1, 2 * w - 1
+    img = np.zeros((sh, sw))
+    ys, xs = np.mgrid[0:h, 0:w]
+    values = np.broadcast_to(values, jpd.planes.shape)
+    for dy, dx, a, b in jpd.displacements():
+        if not jpd.active[a, b]:
+            continue
+        if jpd.mode == "near":
+            sy, sx = 2 * ys + dy, 2 * xs + dx
+        else:
+            sy = 2 * ys - jpd.center[0] - dy + h - 1
+            sx = 2 * xs - jpd.center[1] - dx + w - 1
+        ok = jpd.valid[a, b] & (sy >= 0) & (sy < sh) & (sx >= 0) & (sx < sw)
+        np.add.at(img, (sy[ok], sx[ok]), values[a, b][ok])
+    return img
+
+
+@settings(max_examples=200, deadline=None)
+@given(jpd=random_jpds())
+def test_half_grid_map_conserves_mass_and_counts_entries(jpd):
+    kept = jpd.valid & jpd.active[:, :, None, None]
+    retained = jpd.planes[kept].sum()
+    assert sum_projection(jpd).values.sum() == retained
+    assert minus_projection(jpd).values.sum() == retained
+    assert super_resolve(jpd).counts.sum() == kept.sum()
+    ones = super_resolve(dataclasses.replace(jpd, planes=np.ones_like(jpd.planes)))
+    assert np.array_equal(ones.values, (ones.counts > 0).astype(np.float64))
+    # non-dyadic values make the sums depend on the order of addition
+    sevenths = dataclasses.replace(jpd, planes=jpd.planes / 7.0)
+    total = scatter_by_loop(sevenths, sevenths.planes)
+    counts = scatter_by_loop(sevenths, 1.0)
+    assert np.array_equal(scatter_half_grid(sevenths, sevenths.planes).values,
+                          total)
+    assert np.array_equal(super_resolve(sevenths).values, np.where(
+        counts > 0, total / np.maximum(counts, 1.0), 0.0))
 
 
 def test_untouched_points_stay_zero():

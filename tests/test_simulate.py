@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -223,6 +224,40 @@ def test_interference_rate_scales_with_pattern_mass():
     assert interference_rate(10.0, 0.0 * ref, ref) == 0.0
     with pytest.raises(DegenerateDensityError):
         interference_rate(10.0, ref, 0.0 * ref)
+
+
+# SHA-256 of small stacks from both simulators: any change to the RNG draw
+# order (poisson, site, y, x, then jitter), the binning or the rendering
+# changes them
+STACK_DIGESTS = {
+    "near_sigma": "ea13815e3f2acdccaf9d16ae065a34bcd4664832541f4777080aaaa8b8bc71f5",
+    "near_zero": "79d7e26ef0847f3b86d893bb48ba3c8acdab79d691e0b00de4bbfea6875910d5",
+    "far_sigma": "d25a0a36b8719e2da23b659241b5549c4984a77b6fea0d60b0b25d84bcca73b3",
+    "far_zero": "eea514b0fa299f8ab042abd0bfc07d1f0817ed1e67da48727ddc0584bb0c4378",
+    "intensity": "e41fee863f66cfd7ef0200f839e6e6cb8d40bad531366b8c2dcc3d63401392c6",
+    "near_emccd": "04cc8ecbde3a5608c8a7297a8b98ed70776030370a68c113e46200eac45c4ef6",
+    "two_chunks": "e2c5652eaaed583381ea7062d038c69c6fbfd05641186a6b64159687664cf668",
+}
+
+
+def test_stack_bytes_are_pinned():
+    scene = grating(8, period=3.0, duty=0.5)
+    emccd = EmccdCamera(gain_mean=50.0, gain_cv=0.1, read_sigma=2.0, smear=0.1)
+    stacks = {
+        "near_sigma": simulate_frames(scene, "near", 0.4, 5.0, 40, seed=7),
+        "near_zero": simulate_frames(scene, "near", 0.0, 5.0, 40, seed=7),
+        "far_sigma": simulate_frames(uniform(8), "far", 0.4, 5.0, 40, seed=7),
+        "far_zero": simulate_frames(uniform(8), "far", 0.0, 5.0, 40, seed=7),
+        "intensity": simulate_intensity_frames(
+            scene, classical_fringe(scene, 0.3), 8.0, 40, seed=7),
+        "near_emccd": simulate_frames(scene, "near", 0.4, 5.0, 40,
+                                      camera=emccd, seed=7),
+        "two_chunks": simulate_frames(uniform(4), "near", 0.3, 1.0,
+                                      SIM_CHUNK_FRAMES + 5, seed=7),
+    }
+    digests = {name: hashlib.sha256(np.ascontiguousarray(frames).tobytes())
+               .hexdigest() for name, frames in stacks.items()}
+    assert digests == STACK_DIGESTS
 
 
 def test_intensity_frames():
