@@ -6,8 +6,8 @@ categories onto distinct exit codes:
 
 * configuration problems (bad scene files, invalid parameter values) exit 2,
 * file format problems (corrupt or truncated stacks, unreadable paths) exit 3,
-* processing problems (shape mismatches, empty filters, degenerate planes)
-  exit 4.
+* processing problems (shape mismatches, empty filters, degenerate planes,
+  stacks too long to accumulate exactly) exit 4.
 """
 
 from __future__ import annotations
@@ -35,6 +35,10 @@ class FrameShapeError(ProcessingError):
 
 class InsufficientDataError(ProcessingError):
     """Fewer frames than the estimator needs (at least two)."""
+
+
+class PrecisionError(ProcessingError):
+    """Integer frame sums could leave the range float64 holds exactly."""
 
 
 class StateError(ProcessingError):

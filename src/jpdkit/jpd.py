@@ -37,12 +37,15 @@ from .errors import (
     FileFormatError,
     FrameShapeError,
     InsufficientDataError,
+    PrecisionError,
     StateError,
 )
 from .images import GridImage
 
 DEFAULT_BAND_RADIUS = 3
 DEFAULT_CHUNK_SIZE = 256
+TILE_WIDTH = 4  # pixel columns per band-kernel GEMM tile, fastest measured
+EXACT_SUM_LIMIT = 2 ** 53  # float64 holds every integer below this exactly
 
 
 @dataclass(frozen=True)
@@ -153,29 +156,73 @@ def accumulate_partial(frames: np.ndarray, mode: str = "near",
         raise ConfigurationError(
             f"only the natural centre {natural} is supported, got {tuple(center)}")
     k = band_radius
-    # Integer frames are exact in float64 under any summation order while
-    # every sum stays below 2**53 (u16 frames: fewer than about 2e6 frames),
-    # so BLAS's reordering gives the same bits and the result does not
-    # depend on chunking or thread count.
-    pix = np.moveaxis(frames, 0, -1).astype(np.float64, order="C")
-    a = pix[..., :-1]
-    d = a - pix[..., 1:]
-    # One batched GEMM per row offset dy gives full[y, x, x'] =
-    # sum_l a_l(y, x) d_l(partner row, x'); plane (dy, dx) is its diagonal at
-    # offset dx.  Far field: plane u pairs r with c - r + u, so reversing the
-    # partner rows and the GEMM's partner columns turns it into offset -u.
+    ky, kx = min(k, h - 1), min(k, w - 1)
+    n = frames.shape[0] - 1
+    b = TILE_WIDTH
+    tiles = -(-w // b)
+    # Pixel-major float64 frames, zero-padded to whole tiles of b columns;
+    # a is a view of them, (h, tiles, b, n).  d_l = a_l - a_{l+1} goes
+    # straight into a partner buffer with kx zero columns on either side,
+    # and each tile's partner columns plus a kx-column halo on either side
+    # are an overlapping strided view of it, (h, tiles, n, b + 2 kx).
+    # Far field: plane u pairs r with c - r + u, so the partner rows and
+    # columns are stored reversed, which turns plane u into offset -u.
+    pix = np.zeros((h, tiles * b, n + 1))
+    pix[:, :w] = np.moveaxis(frames, 0, -1)
+    a = pix[..., :-1].reshape(h, tiles, b, n)
     sign = 1 if mode == "near" else -1
-    d = d[::sign]
+    dpad = np.zeros((h, tiles * b + 2 * kx, n))
+    src = pix[::sign, :w][:, ::sign]
+    np.subtract(src[..., :-1], src[..., 1:], out=dpad[:, kx:kx + w])
+    s0, s1, s2 = dpad.strides
+    halo = np.lib.stride_tricks.as_strided(
+        dpad, (h, tiles, n, b + 2 * kx), (s0, b * s1, s2, s1),
+        writeable=False)
+    # Band-only GEMMs: one batched matmul per row offset dy gives
+    # prod[y, t, i, j] = sum_l a_l(y, tb + i) d_l(partner row, tb + j - kx),
+    # so plane (dy, dx) is the diagonal at offset dx + kx.  Entries whose
+    # pixel or partner lies in the padding are computed as zeros and never
+    # stored.  Integer frames are exact in float64 under any summation order
+    # while every sum stays below 2**53 (accumulate_jpd checks this first),
+    # so the bits depend neither on b, nor on BLAS's blocking, nor on the
+    # chunking and thread count.
     sums = np.zeros((2 * k + 1, 2 * k + 1, h, w))
-    for dy in range(-min(k, h - 1), min(k, h - 1) + 1):
+    for dy in range(-ky, ky + 1):
         ya, yb = max(0, -dy), h - max(0, dy)
-        full = np.matmul(a[ya:yb], d[ya + dy:yb + dy].transpose(0, 2, 1))
-        full = full[:, :, ::sign]
-        for dx in range(-min(k, w - 1), min(k, w - 1) + 1):
+        prod = np.matmul(a[ya:yb], halo[ya + dy:yb + dy])
+        for dx in range(-kx, kx + 1):
             xa, xb = max(0, -dx), w - max(0, dx)
-            sums[sign * dy + k, sign * dx + k, ya:yb, xa:xb] = np.diagonal(
-                full, dx, 1, 2)
-    return PartialJpd(mode, k, tuple(center), (h, w), sums, frames.shape[0] - 1)
+            band = np.diagonal(prod, dx + kx, 2, 3).reshape(yb - ya, -1)
+            sums[sign * dy + k, sign * dx + k, ya:yb, xa:xb] = band[:, xa:xb]
+    return PartialJpd(mode, k, tuple(center), (h, w), sums, n)
+
+
+def _check_exact(frames: np.ndarray) -> None:
+    """Raise PrecisionError if the sums of an integer stack could reach
+    EXACT_SUM_LIMIT, where float64 stops holding integers exactly.
+
+    Every sum is bounded by n_terms * max|a| * max|a - a'|.  The dtype's
+    range decides this without reading the frames for every stack short
+    enough (u16: under about 2e6 frames); only beyond that is the stack's
+    own range used.  Bool stacks cannot get there, and float stacks are not
+    summed exactly in any case.
+    """
+    if frames.dtype == np.bool_ or not np.issubdtype(frames.dtype, np.integer):
+        return
+    n_terms = frames.shape[0] - 1
+
+    def bound(lo, hi):
+        return n_terms * max(-lo, hi) * (hi - lo)
+
+    info = np.iinfo(frames.dtype)
+    if bound(int(info.min), int(info.max)) < EXACT_SUM_LIMIT:
+        return
+    lo, hi = int(frames.min()), int(frames.max())
+    if bound(lo, hi) >= EXACT_SUM_LIMIT:
+        raise PrecisionError(
+            f"{n_terms} frame pairs with values in [{lo}, {hi}] may sum past "
+            f"{EXACT_SUM_LIMIT}, beyond which float64 accumulation is not "
+            "exact; split the stack")
 
 
 def merge_partials(parts) -> PartialJpd:
@@ -199,21 +246,18 @@ def merge_partials(parts) -> PartialJpd:
 
 
 def structural_validity(mode, band_radius, shape, center) -> np.ndarray:
-    k = band_radius
+    """(2K+1, 2K+1, H, W) mask of the entries whose partner pixel is on the
+    sensor; the row and column conditions are separable, so the band is one
+    broadcast of the two."""
     h, w = shape
-    valid = np.zeros((2 * k + 1, 2 * k + 1, h, w), dtype=bool)
-    ys = np.arange(h)[:, None]
-    xs = np.arange(w)[None, :]
-    for dy in range(-k, k + 1):
-        for dx in range(-k, k + 1):
-            if mode == "near":
-                ok = (ys + dy >= 0) & (ys + dy < h) & (xs + dx >= 0) & (xs + dx < w)
-            else:
-                py = center[0] - ys + dy
-                px = center[1] - xs + dx
-                ok = (py >= 0) & (py < h) & (px >= 0) & (px < w)
-            valid[dy + k, dx + k] = ok
-    return valid
+    d = np.arange(-band_radius, band_radius + 1)[:, None]
+    if mode == "near":
+        py, px = np.arange(h) + d, np.arange(w) + d
+    else:
+        py, px = center[0] - np.arange(h) + d, center[1] - np.arange(w) + d
+    oky = (py >= 0) & (py < h)
+    okx = (px >= 0) & (px < w)
+    return oky[:, None, :, None] & okx[None, :, None, :]
 
 
 def _flip_about(arr: np.ndarray, cy: int, cx: int) -> np.ndarray:
@@ -292,13 +336,16 @@ def accumulate_jpd(frames: np.ndarray, mode: str = "near",
     The stack is processed in fixed chunks of ``chunk_size`` consecutive-frame
     terms (optionally on ``workers`` threads) and merged in chunk order as
     the chunks finish, so only one merged sum is held, and the result does
-    not depend on the chunking or the thread count.
+    not depend on the chunking or the thread count.  Integer stacks whose
+    sums could leave float64's exact range raise :class:`PrecisionError`
+    before any chunk is accumulated.
     """
     frames = _check_stack(frames)
     if chunk_size < 1:
         raise ConfigurationError("chunk_size must be >= 1")
     if workers is not None and workers < 1:
         raise ConfigurationError("workers must be >= 1 or None")
+    _check_exact(frames)
     n = frames.shape[0]
     spans = [(i, min(i + chunk_size + 1, n)) for i in range(0, n - 1, chunk_size)]
 
@@ -491,6 +538,12 @@ def read_jpd_snapshot(path) -> Jpd:
         raise FileFormatError(f"{path}: unknown mode code {mode_code}")
     if h < 1 or w < 1:
         raise FileFormatError(f"{path}: bad frame shape {(h, w)}")
+    if k > MAX_BAND_RADIUS:
+        raise FileFormatError(
+            f"{path}: band radius {k} exceeds the limit {MAX_BAND_RADIUS}")
+    if n_recs > (2 * k + 1) ** 2:
+        raise FileFormatError(
+            f"{path}: {n_recs} plane records for {(2 * k + 1) ** 2} planes")
     plane_bytes = h * w * 8
     mask_bytes = (h * w + 7) // 8
     expected = _SNAP_HEADER.size + n_recs * (2 + plane_bytes + mask_bytes)
@@ -505,6 +558,8 @@ def read_jpd_snapshot(path) -> Jpd:
         if abs(dy) > k or abs(dx) > k:
             raise FileFormatError(f"{path}: displacement ({dy}, {dx}) outside band")
         recs.append((dy, dx))
+    if len(set(recs)) != n_recs:
+        raise FileFormatError(f"{path}: duplicate plane records")
     planes = np.zeros((2 * k + 1, 2 * k + 1, h, w))
     valid = np.zeros((2 * k + 1, 2 * k + 1, h, w), dtype=bool)
     active = np.zeros((2 * k + 1, 2 * k + 1), dtype=bool)

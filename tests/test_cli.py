@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from jpdkit import cli, pipeline
+from jpdkit import jpd as jpd_module
 from jpdkit.cli import main
 from jpdkit.config import (DEFAULTS, build_manifest, parse_config,
                            write_manifest)
@@ -210,6 +211,21 @@ def test_out_of_range_band_radius_exits_2_before_accumulating(
                         lambda *args, **kwargs: calls.append(args))
     assert main(["reconstruct", "--frames", str(stack), "--camera", "ideal",
                  *flags, "--out", str(tmp_path / "r")]) == 2
+    assert calls == []
+
+
+def test_stack_beyond_exact_sums_exits_4_before_accumulating(
+        tmp_path, monkeypatch):
+    frames = np.zeros((21, 4, 4), dtype=np.uint16)
+    frames[3, 1, 1] = 65535
+    stack = tmp_path / "long.bpsr"
+    write_frames(stack, frames)
+    monkeypatch.setattr(jpd_module, "EXACT_SUM_LIMIT", 20 * 65535 ** 2)
+    calls = []
+    monkeypatch.setattr(jpd_module, "accumulate_partial",
+                        lambda *args: calls.append(args))
+    assert main(["reconstruct", "--frames", str(stack), "--camera", "ideal",
+                 "--band-radius", "1", "--out", str(tmp_path / "r")]) == 4
     assert calls == []
 
 

@@ -7,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from jpdkit import jpd as jpd_module
 from jpdkit.analysis import banded_from_dense, dense_jpd_matrix
 from jpdkit.errors import (ConfigurationError, FileFormatError,
-                           FrameShapeError, InsufficientDataError, StateError)
-from jpdkit.jpd import (MAX_BAND_RADIUS, Jpd, accumulate_jpd,
+                           FrameShapeError, InsufficientDataError,
+                           PrecisionError, StateError)
+from jpdkit.jpd import (MAX_BAND_RADIUS, TILE_WIDTH, Jpd, accumulate_jpd,
                         accumulate_partial, apply_separation_policy,
                         diagonal_image, finalize_jpd, merge_partials,
                         minus_projection, read_jpd_snapshot,
@@ -103,9 +105,10 @@ def test_result_independent_of_chunking_and_workers():
 
 @st.composite
 def small_stacks(draw):
-    """Stacks with a 1-3 pixel side (so some planes have no partner rows),
-    bool or full-range u16 values."""
-    h, w = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    """Stacks with a 1-3 pixel side (so some planes have no partner rows)
+    and a long side that spans up to three band-kernel column tiles, whole
+    or not, in either orientation; bool or full-range u16 values."""
+    h, w = draw(st.integers(1, 3)), draw(st.integers(1, 2 * TILE_WIDTH + 3))
     if draw(st.booleans()):
         h, w = w, h
     n = draw(st.integers(2, 12))
@@ -139,6 +142,25 @@ def test_banded_equals_dense_on_edge_shapes(frames, data):
     assert np.array_equal(parts[0].sums, first)
 
 
+def test_accumulate_refuses_integer_sums_beyond_exact_range(monkeypatch):
+    # 10 frame pairs reach a limit of 10 * 65535**2 at the u16 dtype bound,
+    # so the stack's own range decides
+    monkeypatch.setattr(jpd_module, "EXACT_SUM_LIMIT", 10 * 65535 ** 2)
+    frames = np.random.default_rng(9).integers(0, 1000, (11, 2, 3),
+                                               dtype=np.uint16)
+    accumulate_jpd(frames, band_radius=1)
+    frames[4, 1, 2], frames[5, 1, 2] = 65535, 0
+    # one pair fewer: the dtype bound alone clears the stack
+    accumulate_jpd(frames[:10], band_radius=1)
+    accumulate_jpd(frames.astype(bool), band_radius=1)
+    calls = []
+    monkeypatch.setattr(jpd_module, "accumulate_partial",
+                        lambda *args: calls.append(args))
+    with pytest.raises(PrecisionError, match="not exact"):
+        accumulate_jpd(frames, band_radius=1)
+    assert calls == []
+
+
 def test_input_validation():
     with pytest.raises(FrameShapeError):
         accumulate_jpd(np.zeros((4, 4)))
@@ -167,6 +189,34 @@ def test_merge_rejects_mismatched_geometry():
     c = accumulate_partial(TINY, mode="far", band_radius=1)
     with pytest.raises(StateError):
         merge_partials([a, c])
+
+
+def _structural_validity_loop(mode, k, shape, center):
+    """The plane-by-plane reference for structural_validity."""
+    h, w = shape
+    valid = np.zeros((2 * k + 1, 2 * k + 1, h, w), dtype=bool)
+    ys = np.arange(h)[:, None]
+    xs = np.arange(w)[None, :]
+    for dy in range(-k, k + 1):
+        for dx in range(-k, k + 1):
+            if mode == "near":
+                py, px = ys + dy, xs + dx
+            else:
+                py, px = center[0] - ys + dy, center[1] - xs + dx
+            valid[dy + k, dx + k] = (py >= 0) & (py < h) & (px >= 0) & (px < w)
+    return valid
+
+
+@pytest.mark.parametrize("mode", ["near", "far"])
+def test_structural_validity_matches_plane_loop(mode):
+    for shape in [(1, 1), (1, 5), (4, 1), (3, 4), (6, 5)]:
+        h, w = shape
+        for k in range(max(shape) + 2):
+            for center in [(h - 1, w - 1), (0, w), (2 * h - 2, 1)]:
+                got = structural_validity(mode, k, shape, center)
+                ref = _structural_validity_loop(mode, k, shape, center)
+                assert got.shape == ref.shape and got.dtype == ref.dtype
+                assert np.array_equal(got, ref), (shape, k, center)
 
 
 def test_structural_validity_edges():
@@ -302,6 +352,37 @@ def test_snapshot_rejects_band_beyond_record_limit(tmp_path):
     with pytest.raises(ConfigurationError, match="snapshot limit"):
         write_jpd_snapshot(path, jpd)
     assert not path.exists()
+
+
+def _snapshot_header(k, h, w, n_recs):
+    return struct.pack("<4sHBBHHIiiBH5x", b"BJPD", 1, 0, k, h, w, 3,
+                       h - 1, w - 1, 0, n_recs)
+
+
+def test_snapshot_rejects_crafted_headers(tmp_path):
+    path = tmp_path / "crafted.bjpd"
+    # a 32-byte header that would ask for (511, 511, 65535, 65535) planes
+    path.write_bytes(_snapshot_header(255, 65535, 65535, 0))
+    with pytest.raises(FileFormatError, match="exceeds the limit"):
+        read_jpd_snapshot(path)
+    # more records than the band has planes
+    record = struct.pack("<bb", 0, 0)
+    body = record * 10 + bytes(10 * 8) + bytes(10)
+    path.write_bytes(_snapshot_header(1, 1, 1, 10) + body)
+    with pytest.raises(FileFormatError, match="10 plane records for 9"):
+        read_jpd_snapshot(path)
+    # two identical (0, 0) records, each with a 1x1 plane and mask
+    body = record * 2 + struct.pack("<dd", 1.0, 2.0) + b"\x80\x80"
+    path.write_bytes(_snapshot_header(1, 1, 1, 2) + body)
+    with pytest.raises(FileFormatError, match="duplicate"):
+        read_jpd_snapshot(path)
+    # zero records stay legal: an all-inactive JPD round-trips
+    jpd = accumulate_jpd(TINY, band_radius=1)
+    jpd = dataclasses.replace(jpd, active=np.zeros_like(jpd.active))
+    write_jpd_snapshot(path, jpd)
+    assert path.stat().st_size == 32
+    back = read_jpd_snapshot(path)
+    assert not back.active.any() and not back.valid.any()
 
 
 def test_snapshot_corruption_detection(tmp_path):
