@@ -14,6 +14,8 @@ coincidence estimator, kept as an independent reference for the banded code.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from .errors import ConfigurationError, ProcessingError
@@ -32,6 +34,9 @@ def spectrum_along_axis(image: GridImage, axis: int = 0,
         raise ConfigurationError("spectrum needs a 2-D image")
     if axis not in (0, 1):
         raise ConfigurationError("axis must be 0 (y) or 1 (x)")
+    pitch = image.pitch
+    if not (isinstance(pitch, numbers.Real) and 0 < pitch < np.inf):
+        raise ConfigurationError(f"pitch must be finite and > 0, got {pitch!r}")
     work = values if axis == 0 else values.T
     n = work.shape[0]
     if window == "hann":
@@ -42,7 +47,7 @@ def spectrum_along_axis(image: GridImage, axis: int = 0,
     if not np.isfinite(amps[0]) or amps[0] <= 0:
         raise ProcessingError(
             "zero-frequency amplitude vanishes; spectrum cannot be normalized")
-    freqs = np.fft.rfftfreq(n, d=image.pitch)
+    freqs = np.fft.rfftfreq(n, d=pitch)
     return freqs, amps / amps[0]
 
 
@@ -134,8 +139,7 @@ def dense_jpd_matrix(frames: np.ndarray, symmetrize: bool = True) -> np.ndarray:
 
 
 def banded_from_dense(dense: np.ndarray, mode: str, band_radius: int,
-                      shape: tuple[int, int],
-                      center: tuple[int, int] | None = None) -> np.ndarray:
+                      shape: tuple[int, int]) -> np.ndarray:
     """Gather the banded planes out of a dense pair matrix, entry by entry.
 
     Independent indexing path used to validate the banded accumulator;
@@ -144,8 +148,6 @@ def banded_from_dense(dense: np.ndarray, mode: str, band_radius: int,
     h, w = shape
     if dense.shape != (h * w, h * w):
         raise ConfigurationError("dense matrix does not match the frame shape")
-    if center is None:
-        center = (h - 1, w - 1)
     k = band_radius
     planes = np.zeros((2 * k + 1, 2 * k + 1, h, w))
     for dy in range(-k, k + 1):
@@ -155,7 +157,7 @@ def banded_from_dense(dense: np.ndarray, mode: str, band_radius: int,
                     if mode == "near":
                         y2, x2 = y + dy, x + dx
                     else:
-                        y2, x2 = center[0] - y + dy, center[1] - x + dx
+                        y2, x2 = h - 1 - y + dy, w - 1 - x + dx
                     if 0 <= y2 < h and 0 <= x2 < w:
                         planes[dy + k, dx + k, y, x] = dense[
                             y * w + x, y2 * w + x2]

@@ -48,6 +48,16 @@ def _threshold_arg(raw: str):
     return value
 
 
+def _pitch_arg(raw: str) -> float:
+    try:
+        value = float(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{raw!r} is not a number") from None
+    if not 0 < value < float("inf"):
+        raise argparse.ArgumentTypeError("pitch must be finite and > 0")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="jpdkit",
@@ -99,7 +109,7 @@ def _build_parser() -> argparse.ArgumentParser:
     spec.add_argument("--input", required=True, help="image array (.npy)")
     spec.add_argument("--manifest",
                       help="reconstruct manifest, supplies the grid pitch")
-    spec.add_argument("--pitch", type=float,
+    spec.add_argument("--pitch", type=_pitch_arg,
                       help="sample spacing in camera pixels (default: "
                            "manifest entry for the input file, else 1)")
     spec.add_argument("--axis", type=int, choices=(0, 1), default=0,

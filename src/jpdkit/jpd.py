@@ -13,7 +13,10 @@ a narrow band of the full 4-D object is kept:
 
 * near field: plane ``d`` holds ``Gamma(r, r + d)`` for ``|d|_inf <= K``;
 * far field: plane ``u`` holds ``Gamma(r, c - r + u)`` where ``c`` is the
-  point-symmetry centre, here always the natural one ``(H - 1, W - 1)``.
+  point-symmetry centre, derived from the frame shape as ``(H - 1, W - 1)``.
+
+That partner map is defined once, in ``_partners``; the structural mask, the
+symmetrization and the separation policy are all built on it.
 
 Each plane comes with a validity mask.  Entries whose partner pixel falls off
 the sensor are structurally invalid and never receive data; camera profiles
@@ -58,7 +61,6 @@ class Jpd:
                     displacement (a - K, b - K)
     valid        -- same shape, False where no usable estimate exists
     active       -- (2K+1, 2K+1) bool, False for planes dropped by a filter
-    center       -- far-field symmetry centre (pixel indices); (H-1, W-1)
     n_frames     -- frames behind the estimate (0 for analytic constructions)
     pending_invalid -- True once a separation policy has flagged entries that
                     the caller has not yet interpolated or accepted
@@ -69,13 +71,17 @@ class Jpd:
     planes: np.ndarray
     valid: np.ndarray
     active: np.ndarray
-    center: tuple[int, int]
     n_frames: int
     pending_invalid: bool = False
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.planes.shape[2], self.planes.shape[3]
+
+    @property
+    def center(self) -> tuple[int, int]:
+        """Far-field symmetry centre (pixel indices), derived: (H-1, W-1)."""
+        return self.shape[0] - 1, self.shape[1] - 1
 
     def displacements(self):
         """Iterate (dy, dx, plane index pair) over the band."""
@@ -113,7 +119,6 @@ class PartialJpd:
 
     mode: str
     band_radius: int
-    center: tuple[int, int]
     shape: tuple[int, int]
     sums: np.ndarray
     n_terms: int
@@ -131,13 +136,8 @@ def _check_stack(frames: np.ndarray) -> np.ndarray:
     return frames
 
 
-def _natural_center(shape) -> tuple[int, int]:
-    return shape[0] - 1, shape[1] - 1
-
-
 def accumulate_partial(frames: np.ndarray, mode: str = "near",
-                       band_radius: int = DEFAULT_BAND_RADIUS,
-                       center: tuple[int, int] | None = None) -> PartialJpd:
+                       band_radius: int = DEFAULT_BAND_RADIUS) -> PartialJpd:
     """Accumulate the estimator numerator over one contiguous chunk.
 
     The chunk contributes ``len(frames) - 1`` consecutive-frame terms; feed
@@ -149,12 +149,6 @@ def accumulate_partial(frames: np.ndarray, mode: str = "near",
     if band_radius < 0:
         raise ConfigurationError("band radius must be >= 0")
     h, w = frames.shape[1:]
-    natural = _natural_center((h, w))
-    if center is None:
-        center = natural
-    elif tuple(center) != natural:
-        raise ConfigurationError(
-            f"only the natural centre {natural} is supported, got {tuple(center)}")
     k = band_radius
     ky, kx = min(k, h - 1), min(k, w - 1)
     n = frames.shape[0] - 1
@@ -194,7 +188,7 @@ def accumulate_partial(frames: np.ndarray, mode: str = "near",
             xa, xb = max(0, -dx), w - max(0, dx)
             band = np.diagonal(prod, dx + kx, 2, 3).reshape(yb - ya, -1)
             sums[sign * dy + k, sign * dx + k, ya:yb, xa:xb] = band[:, xa:xb]
-    return PartialJpd(mode, k, tuple(center), (h, w), sums, n)
+    return PartialJpd(mode, k, (h, w), sums, n)
 
 
 def _check_exact(frames: np.ndarray) -> None:
@@ -236,71 +230,51 @@ def merge_partials(parts) -> PartialJpd:
     sums = first.sums.copy()
     n_terms = first.n_terms
     for p in parts:
-        if (p.mode, p.band_radius, p.center, p.shape) != (
-                first.mode, first.band_radius, first.center, first.shape):
+        if (p.mode, p.band_radius, p.shape) != (
+                first.mode, first.band_radius, first.shape):
             raise StateError("partial accumulators disagree in geometry")
         sums += p.sums
         n_terms += p.n_terms
-    return PartialJpd(first.mode, first.band_radius, first.center,
-                      first.shape, sums, n_terms)
+    return PartialJpd(first.mode, first.band_radius, first.shape, sums, n_terms)
 
 
-def structural_validity(mode, band_radius, shape, center) -> np.ndarray:
+def _partners(mode: str, band_radius: int, n: int) -> np.ndarray:
+    """(2K+1, n) partner coordinate along one axis of side n, indexed by
+    [d + K, r]: r + d in the near field, (n - 1) - r + d in the far field."""
+    d = np.arange(-band_radius, band_radius + 1)[:, None]
+    r = np.arange(n)
+    return r + d if mode == "near" else (n - 1) - r + d
+
+
+def structural_validity(mode, band_radius, shape) -> np.ndarray:
     """(2K+1, 2K+1, H, W) mask of the entries whose partner pixel is on the
     sensor; the row and column conditions are separable, so the band is one
     broadcast of the two."""
     h, w = shape
-    d = np.arange(-band_radius, band_radius + 1)[:, None]
-    if mode == "near":
-        py, px = np.arange(h) + d, np.arange(w) + d
-    else:
-        py, px = center[0] - np.arange(h) + d, center[1] - np.arange(w) + d
+    py, px = _partners(mode, band_radius, h), _partners(mode, band_radius, w)
     oky = (py >= 0) & (py < h)
     okx = (px >= 0) & (px < w)
     return oky[:, None, :, None] & okx[None, :, None, :]
 
 
-def _flip_about(arr: np.ndarray, cy: int, cx: int) -> np.ndarray:
-    """Point reflection q -> (cy, cx) - q, zero where the source is outside."""
-    h, w = arr.shape
-    out = np.zeros_like(arr)
-    ya, yb = max(0, cy - h + 1), min(h - 1, cy)
-    xa, xb = max(0, cx - w + 1), min(w - 1, cx)
-    if ya > yb or xa > xb:
-        return out
-    src = arr[cy - yb:cy - ya + 1, cx - xb:cx - xa + 1]
-    out[ya:yb + 1, xa:xb + 1] = src[::-1, ::-1]
-    return out
-
-
-def _symmetrize(planes: np.ndarray, valid: np.ndarray, mode: str,
-                band_radius: int, center) -> np.ndarray:
-    """Average each entry with its partner-swapped counterpart.
+def _symmetrize(planes: np.ndarray, valid: np.ndarray, mode: str) -> np.ndarray:
+    """Average each structurally valid entry with its partner-swapped
+    counterpart, in one gather.
 
     Near field: Gamma(r, r+d) with Gamma(r+d, r), which lives in plane -d at
     r + d.  Far field: swapping partners stays inside plane u, at the
-    point-reflected position (c + u) - r.
+    point-reflected position c - r + u.  Either way the counterpart sits at
+    the entry's partner pixel.
     """
-    k = band_radius
-    h, w = planes.shape[2:]
-    out = planes.copy()
-    for dy in range(-k, k + 1):
-        for dx in range(-k, k + 1):
-            pd = planes[dy + k, dx + k]
-            if mode == "near":
-                pm = planes[-dy + k, -dx + k]
-                ya, yb = max(0, -dy), h - max(0, dy)
-                xa, xb = max(0, -dx), w - max(0, dx)
-                if ya >= yb or xa >= xb:
-                    continue
-                out[dy + k, dx + k, ya:yb, xa:xb] = 0.5 * (
-                    pd[ya:yb, xa:xb]
-                    + pm[ya + dy:yb + dy, xa + dx:xb + dx])
-            else:
-                swapped = _flip_about(pd, center[0] + dy, center[1] + dx)
-                v = valid[dy + k, dx + k]
-                out[dy + k, dx + k] = np.where(v, 0.5 * (pd + swapped), pd)
-    return out
+    p, _, h, w = planes.shape
+    k = p // 2
+    ab = np.arange(p)[::-1] if mode == "near" else np.arange(p)
+    # off-sensor partners are clipped onto it; np.where drops those entries
+    py = np.clip(_partners(mode, k, h), 0, h - 1)
+    px = np.clip(_partners(mode, k, w), 0, w - 1)
+    swapped = planes[ab[:, None, None, None], ab[None, :, None, None],
+                     py[:, None, :, None], px[None, :, None, :]]
+    return np.where(valid, 0.5 * (planes + swapped), planes)
 
 
 def finalize_jpd(partial: PartialJpd, symmetrize: bool = True) -> Jpd:
@@ -313,21 +287,17 @@ def finalize_jpd(partial: PartialJpd, symmetrize: bool = True) -> Jpd:
     if partial.n_terms < 1:
         raise InsufficientDataError("cannot finalize an empty accumulator")
     planes = partial.sums / partial.n_terms
-    valid = structural_validity(partial.mode, partial.band_radius,
-                              partial.shape, partial.center)
+    valid = structural_validity(partial.mode, partial.band_radius, partial.shape)
     if symmetrize:
-        planes = _symmetrize(planes, valid, partial.mode,
-                             partial.band_radius, partial.center)
+        planes = _symmetrize(planes, valid, partial.mode)
     planes = np.where(valid, planes, 0.0)
     k = partial.band_radius
     active = np.ones((2 * k + 1, 2 * k + 1), dtype=bool)
-    return Jpd(partial.mode, k, planes, valid, active, partial.center,
-               partial.n_terms + 1)
+    return Jpd(partial.mode, k, planes, valid, active, partial.n_terms + 1)
 
 
 def accumulate_jpd(frames: np.ndarray, mode: str = "near",
                    band_radius: int = DEFAULT_BAND_RADIUS,
-                   center: tuple[int, int] | None = None,
                    chunk_size: int = DEFAULT_CHUNK_SIZE,
                    workers: int | None = None,
                    symmetrize: bool = True) -> Jpd:
@@ -350,7 +320,7 @@ def accumulate_jpd(frames: np.ndarray, mode: str = "near",
     spans = [(i, min(i + chunk_size + 1, n)) for i in range(0, n - 1, chunk_size)]
 
     def run(span):
-        return accumulate_partial(frames[span[0]:span[1]], mode, band_radius, center)
+        return accumulate_partial(frames[span[0]:span[1]], mode, band_radius)
 
     if workers is not None and workers > 1 and len(spans) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -364,23 +334,18 @@ def apply_separation_policy(jpd: Jpd, invalid_separation) -> Jpd:
     """Invalidate entries whose pair separation r2 - r1 a camera cannot
     measure reliably.  ``invalid_separation(dy, dx)`` must accept arrays.
 
-    Near-field planes have constant separation, so whole planes drop; in the
-    far field the separation varies across a plane and entries drop
-    individually.  The returned JPD is flagged pending until the caller
-    interpolates or accepts the holes.
+    The separation of every entry is its partner minus its pixel, so the
+    policy is called once on the whole band.  Near-field planes have constant
+    separation, so whole planes drop; in the far field the separation varies
+    across a plane and entries drop individually.  The returned JPD is
+    flagged pending until the caller interpolates or accepts the holes.
     """
     k = jpd.band_radius
     h, w = jpd.shape
-    valid = jpd.valid.copy()
-    for dy, dx, a, b in jpd.displacements():
-        if jpd.mode == "near":
-            if bool(np.asarray(invalid_separation(np.array(dy), np.array(dx)))):
-                valid[a, b] = False
-        else:
-            sy = jpd.center[0] + dy - 2 * np.arange(h)[:, None]
-            sx = jpd.center[1] + dx - 2 * np.arange(w)[None, :]
-            bad = np.broadcast_to(invalid_separation(sy, sx), (h, w))
-            valid[a, b] &= ~bad
+    sy = _partners(jpd.mode, k, h) - np.arange(h)
+    sx = _partners(jpd.mode, k, w) - np.arange(w)
+    bad = invalid_separation(sy[:, None, :, None], sx[None, :, None, :])
+    valid = jpd.valid & ~np.broadcast_to(bad, jpd.valid.shape)
     planes = np.where(valid, jpd.planes, 0.0)
     return replace(jpd, planes=planes, valid=valid, pending_invalid=True)
 
@@ -408,20 +373,16 @@ def scatter_half_grid(jpd: Jpd, values) -> GridImage:
 
     Near field: entry (r, d) lands on the pair sum coordinate 2r + d, origin
     0.  Far field: entry (r, u) lands on the difference coordinate
-    2r - c - u, which charts the double field of view from -(H-1, W-1).
-    Entries are added plane by plane in row-major order.
+    2r - c - u, which charts the double field of view from -(H-1, W-1); on
+    that grid's indices the centre terms cancel, leaving 2r - u.  Entries
+    are added plane by plane in row-major order.
     """
     h, w = jpd.shape
     sh, sw = 2 * h - 1, 2 * w - 1
-    d = np.arange(-jpd.band_radius, jpd.band_radius + 1)[:, None, None]
-    ys, xs = 2 * np.arange(h)[:, None], 2 * np.arange(w)
-    if jpd.mode == "near":
-        sy, sx = ys + d, xs + d
-        origin = (0.0, 0.0)
-    else:
-        sy = ys - d - jpd.center[0] + h - 1
-        sx = xs - d - jpd.center[1] + w - 1
-        origin = (-(h - 1) / 2.0, -(w - 1) / 2.0)
+    sign = 1 if jpd.mode == "near" else -1
+    d = sign * np.arange(-jpd.band_radius, jpd.band_radius + 1)[:, None, None]
+    sy, sx = 2 * np.arange(h)[:, None] + d, 2 * np.arange(w) + d
+    origin = (0.0, 0.0) if sign > 0 else (-(h - 1) / 2.0, -(w - 1) / 2.0)
     sy, sx = sy[:, None], sx[None]
     ok = (jpd.valid & jpd.active[:, :, None, None]
           & (sy >= 0) & (sy < sh) & (sx >= 0) & (sx < sw))
@@ -538,6 +499,9 @@ def read_jpd_snapshot(path) -> Jpd:
         raise FileFormatError(f"{path}: unknown mode code {mode_code}")
     if h < 1 or w < 1:
         raise FileFormatError(f"{path}: bad frame shape {(h, w)}")
+    if (cy, cx) != (h - 1, w - 1):
+        raise FileFormatError(
+            f"{path}: symmetry centre {(cy, cx)} is not {(h - 1, w - 1)}")
     if k > MAX_BAND_RADIUS:
         raise FileFormatError(
             f"{path}: band radius {k} exceeds the limit {MAX_BAND_RADIUS}")
@@ -573,5 +537,5 @@ def read_jpd_snapshot(path) -> Jpd:
             bits, count=h * w).astype(bool).reshape(h, w)
         active[dy + k, dx + k] = True
         off += mask_bytes
-    return Jpd(_CODE_MODES[mode_code], k, planes, valid, active,
-               (cy, cx), n_frames, bool(pending))
+    return Jpd(_CODE_MODES[mode_code], k, planes, valid, active, n_frames,
+               bool(pending))

@@ -65,7 +65,7 @@ def interpolate_invalid(jpd: Jpd) -> Jpd:
             "interpolation is defined for near-field JPDs; use "
             "with_invalid_excluded() for far-field data")
     k = jpd.band_radius
-    structural = structural_validity(jpd.mode, k, jpd.shape, jpd.center)
+    structural = structural_validity(jpd.mode, k, jpd.shape)
     planes = jpd.planes.copy()
     valid = jpd.valid.copy()
     holes = structural & ~valid

@@ -379,8 +379,7 @@ def analytic_jpd(scene: Scene, mode: str = "near",
                 planes[dy + k, dx + k] = pair_weight[dy].T @ rho @ pair_weight[dx]
         # the estimator counts both photon orderings of every pair
         planes *= 2.0
-    center = (m - 1, m - 1)
-    valid = structural_validity(mode, k, (m, m), center)
+    valid = structural_validity(mode, k, (m, m))
     planes = np.where(valid, planes, 0.0)
     active = np.ones((2 * k + 1, 2 * k + 1), dtype=bool)
-    return Jpd(mode, k, planes, valid, active, center, 0)
+    return Jpd(mode, k, planes, valid, active, 0)

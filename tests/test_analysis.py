@@ -53,6 +53,12 @@ def test_spectrum_axis_and_window():
         spectrum_along_axis(GridImage(np.zeros((8, 8))))
 
 
+def test_spectrum_rejects_non_positive_or_non_finite_pitch():
+    for pitch in (0.0, -1.0, np.nan, np.inf, "0.5", None):
+        with pytest.raises(ConfigurationError, match="pitch"):
+            spectrum_along_axis(cosine_image(pitch=pitch))
+
+
 def test_peak_amplitude_search_window():
     freqs = np.linspace(0, 0.5, 33)
     amps = np.zeros(33)

@@ -186,6 +186,21 @@ def test_configuration_errors_exit_2(tmp_path, config_path):
         assert main(["reconstruct", "--frames", str(stack), "--camera", "ideal",
                      "--workers", workers, "--out", str(tmp_path / "r")]) == 2
     assert not (tmp_path / "r").exists()
+    image = tmp_path / "image.npy"
+    np.save(image, np.ones((8, 8)))
+    csv = tmp_path / "s.csv"
+    for pitch in ("0", "-1", "nan"):
+        with pytest.raises(SystemExit) as info:
+            main(["spectrum", "--input", str(image), "--pitch", pitch,
+                  "--out", str(csv)])
+        assert info.value.code == 2
+    manifest = tmp_path / "bad_pitch.json"
+    for pitch in (0, "0.5"):
+        write_manifest(manifest, build_manifest(
+            "reconstruct", {"image.npy": {"pitch": pitch}}))
+        assert main(["spectrum", "--input", str(image), "--manifest",
+                     str(manifest), "--out", str(csv)]) == 2
+    assert not csv.exists()
 
 
 def test_threshold_flag_above_one_is_a_usage_error(tmp_path):

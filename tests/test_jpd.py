@@ -12,12 +12,13 @@ from jpdkit.analysis import banded_from_dense, dense_jpd_matrix
 from jpdkit.errors import (ConfigurationError, FileFormatError,
                            FrameShapeError, InsufficientDataError,
                            PrecisionError, StateError)
-from jpdkit.jpd import (MAX_BAND_RADIUS, TILE_WIDTH, Jpd, accumulate_jpd,
-                        accumulate_partial, apply_separation_policy,
-                        diagonal_image, finalize_jpd, merge_partials,
-                        minus_projection, read_jpd_snapshot,
+from jpdkit.jpd import (MAX_BAND_RADIUS, TILE_WIDTH, Jpd, PartialJpd,
+                        accumulate_jpd, accumulate_partial,
+                        apply_separation_policy, diagonal_image, finalize_jpd,
+                        merge_partials, minus_projection, read_jpd_snapshot,
                         structural_validity, sum_projection,
                         write_jpd_snapshot)
+from jpdkit.simulate import EmccdCamera, IdealCamera, SpadCamera
 
 # three 1x2 frames small enough to run the estimator by hand:
 #   Gamma(r1, r2) = mean_l [I_l(r1) I_l(r2) - I_l(r1) I_{l+1}(r2)]
@@ -175,8 +176,6 @@ def test_input_validation():
     for workers in (0, -3):
         with pytest.raises(ConfigurationError, match="workers"):
             accumulate_jpd(TINY, workers=workers)
-    with pytest.raises(ConfigurationError, match="centre"):
-        accumulate_jpd(np.zeros((3, 4, 4)), mode="far", center=(1, 1))
     with pytest.raises(InsufficientDataError):
         merge_partials([])
 
@@ -191,9 +190,10 @@ def test_merge_rejects_mismatched_geometry():
         merge_partials([a, c])
 
 
-def _structural_validity_loop(mode, k, shape, center):
+def _structural_validity_loop(mode, k, shape):
     """The plane-by-plane reference for structural_validity."""
     h, w = shape
+    center = (h - 1, w - 1)
     valid = np.zeros((2 * k + 1, 2 * k + 1, h, w), dtype=bool)
     ys = np.arange(h)[:, None]
     xs = np.arange(w)[None, :]
@@ -212,19 +212,95 @@ def test_structural_validity_matches_plane_loop(mode):
     for shape in [(1, 1), (1, 5), (4, 1), (3, 4), (6, 5)]:
         h, w = shape
         for k in range(max(shape) + 2):
-            for center in [(h - 1, w - 1), (0, w), (2 * h - 2, 1)]:
-                got = structural_validity(mode, k, shape, center)
-                ref = _structural_validity_loop(mode, k, shape, center)
-                assert got.shape == ref.shape and got.dtype == ref.dtype
-                assert np.array_equal(got, ref), (shape, k, center)
+            got = structural_validity(mode, k, shape)
+            ref = _structural_validity_loop(mode, k, shape)
+            assert got.shape == ref.shape and got.dtype == ref.dtype
+            assert np.array_equal(got, ref), (shape, k)
+
+
+def _flip_about(arr, cy, cx):
+    """Point reflection q -> (cy, cx) - q, zero where the source is outside."""
+    h, w = arr.shape
+    out = np.zeros_like(arr)
+    ya, yb = max(0, cy - h + 1), min(h - 1, cy)
+    xa, xb = max(0, cx - w + 1), min(w - 1, cx)
+    if ya > yb or xa > xb:
+        return out
+    src = arr[cy - yb:cy - ya + 1, cx - xb:cx - xa + 1]
+    out[ya:yb + 1, xa:xb + 1] = src[::-1, ::-1]
+    return out
+
+
+def _symmetrize_loop(planes, valid, mode):
+    """The plane-by-plane reference for the symmetrization in finalize_jpd."""
+    k = planes.shape[0] // 2
+    h, w = planes.shape[2:]
+    center = (h - 1, w - 1)
+    out = planes.copy()
+    for dy in range(-k, k + 1):
+        for dx in range(-k, k + 1):
+            pd = planes[dy + k, dx + k]
+            if mode == "near":
+                pm = planes[-dy + k, -dx + k]
+                ya, yb = max(0, -dy), h - max(0, dy)
+                xa, xb = max(0, -dx), w - max(0, dx)
+                if ya >= yb or xa >= xb:
+                    continue
+                out[dy + k, dx + k, ya:yb, xa:xb] = 0.5 * (
+                    pd[ya:yb, xa:xb]
+                    + pm[ya + dy:yb + dy, xa + dx:xb + dx])
+            else:
+                swapped = _flip_about(pd, center[0] + dy, center[1] + dx)
+                v = valid[dy + k, dx + k]
+                out[dy + k, dx + k] = np.where(v, 0.5 * (pd + swapped), pd)
+    return out
+
+
+def _separation_policy_loop(jpd, invalid_separation):
+    """The plane-by-plane reference for apply_separation_policy's mask."""
+    h, w = jpd.shape
+    valid = jpd.valid.copy()
+    for dy, dx, a, b in jpd.displacements():
+        if jpd.mode == "near":
+            if bool(np.asarray(invalid_separation(np.array(dy), np.array(dx)))):
+                valid[a, b] = False
+        else:
+            sy = jpd.center[0] + dy - 2 * np.arange(h)[:, None]
+            sx = jpd.center[1] + dx - 2 * np.arange(w)[None, :]
+            bad = np.broadcast_to(invalid_separation(sy, sx), (h, w))
+            valid[a, b] &= ~bad
+    return valid
+
+
+@pytest.mark.parametrize("mode", ["near", "far"])
+def test_symmetrize_and_separation_policy_match_plane_loops(mode):
+    # float sums: the exact dense-oracle property covers integer frames only
+    rng = np.random.default_rng(12)
+    policies = [IdealCamera().invalid_pair_separation,
+                EmccdCamera().invalid_pair_separation,
+                SpadCamera().invalid_pair_separation,
+                lambda dy, dx: dx == 0]
+    for shape in [(1, 1), (1, 5), (4, 1), (3, 4), (6, 5)]:
+        for k in range(max(shape) + 2):
+            sums = rng.standard_normal((2 * k + 1, 2 * k + 1, *shape))
+            jpd = finalize_jpd(PartialJpd(mode, k, shape, sums, 1))
+            valid = structural_validity(mode, k, shape)
+            ref = np.where(valid, _symmetrize_loop(sums, valid, mode), 0.0)
+            assert jpd.planes.tobytes() == ref.tobytes(), (shape, k)
+            for policy in policies:
+                out = apply_separation_policy(jpd, policy)
+                ref_valid = _separation_policy_loop(jpd, policy)
+                assert np.array_equal(out.valid, ref_valid), (shape, k)
+                assert out.planes.tobytes() == np.where(
+                    ref_valid, jpd.planes, 0.0).tobytes()
 
 
 def test_structural_validity_edges():
-    near = structural_validity("near", 1, (3, 3), (2, 2))
+    near = structural_validity("near", 1, (3, 3))
     assert near[1, 1].all()                   # zero displacement
     assert not near[1, 2][:, 2].any()         # dx=+1 partner off the right edge
     assert near[1, 2][:, :2].all()
-    far = structural_validity("far", 1, (3, 3), (2, 2))
+    far = structural_validity("far", 1, (3, 3))
     assert far[1, 1].all()                    # u = 0 partner always on sensor
     assert not far[2, 1][0, :].any()          # u=(1,0): partner row 3 - y
     assert far[2, 1][1:, :].all()
@@ -347,16 +423,17 @@ def test_snapshot_rejects_band_beyond_record_limit(tmp_path):
     k = MAX_BAND_RADIUS + 1
     shape = (2 * k + 1, 2 * k + 1, 2, 2)
     jpd = Jpd("near", k, np.zeros(shape), np.zeros(shape, dtype=bool),
-              np.ones(shape[:2], dtype=bool), (1, 1), 3)
+              np.ones(shape[:2], dtype=bool), 3)
     path = tmp_path / "snap.bjpd"
     with pytest.raises(ConfigurationError, match="snapshot limit"):
         write_jpd_snapshot(path, jpd)
     assert not path.exists()
 
 
-def _snapshot_header(k, h, w, n_recs):
+def _snapshot_header(k, h, w, n_recs, center=None):
+    cy, cx = (h - 1, w - 1) if center is None else center
     return struct.pack("<4sHBBHHIiiBH5x", b"BJPD", 1, 0, k, h, w, 3,
-                       h - 1, w - 1, 0, n_recs)
+                       cy, cx, 0, n_recs)
 
 
 def test_snapshot_rejects_crafted_headers(tmp_path):
@@ -375,6 +452,13 @@ def test_snapshot_rejects_crafted_headers(tmp_path):
     body = record * 2 + struct.pack("<dd", 1.0, 2.0) + b"\x80\x80"
     path.write_bytes(_snapshot_header(1, 1, 1, 2) + body)
     with pytest.raises(FileFormatError, match="duplicate"):
+        read_jpd_snapshot(path)
+    # a symmetry centre other than the one the frame shape implies
+    body = record + struct.pack("<d", 1.0) + b"\x80"
+    path.write_bytes(_snapshot_header(1, 1, 1, 1) + body)
+    assert read_jpd_snapshot(path).plane(0, 0)[0, 0] == 1.0
+    path.write_bytes(_snapshot_header(1, 1, 1, 1, center=(1, 0)) + body)
+    with pytest.raises(FileFormatError, match="symmetry centre"):
         read_jpd_snapshot(path)
     # zero records stay legal: an all-inactive JPD round-trips
     jpd = accumulate_jpd(TINY, band_radius=1)

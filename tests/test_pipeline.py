@@ -23,14 +23,13 @@ def constant_plane_jpd(shape, band_radius, value_of, mode="near"):
     """Near/far JPD whose plane (dy, dx) is constant value_of(dy, dx)."""
     k = band_radius
     h, w = shape
-    center = (h - 1, w - 1)
-    valid = structural_validity(mode, k, shape, center)
+    valid = structural_validity(mode, k, shape)
     planes = np.zeros((2 * k + 1, 2 * k + 1, h, w))
     for a in range(2 * k + 1):
         for b in range(2 * k + 1):
             planes[a, b] = np.where(valid[a, b], value_of(a - k, b - k), 0.0)
     active = np.ones((2 * k + 1, 2 * k + 1), dtype=bool)
-    return Jpd(mode, k, planes, valid, active, center, 0)
+    return Jpd(mode, k, planes, valid, active, 0)
 
 
 def test_interpolation_fills_column_dropout_from_neighbours():
@@ -163,13 +162,11 @@ def random_jpds(draw):
     h, w = draw(st.integers(1, 5)), draw(st.integers(1, 5))
     k = draw(st.integers(1, 3))
     shape = (2 * k + 1, 2 * k + 1, h, w)
-    center = (h - 1, w - 1)
-    valid = structural_validity(mode, k, (h, w), center) \
-        & draw(arrays(np.bool_, shape))
+    valid = structural_validity(mode, k, (h, w)) & draw(arrays(np.bool_, shape))
     values = draw(arrays(np.int64, shape, elements=st.integers(-1000, 1000)))
     planes = np.where(valid, values, 0).astype(np.float64)
     active = draw(arrays(np.bool_, shape[:2]))
-    return Jpd(mode, k, planes, valid, active, center, 0)
+    return Jpd(mode, k, planes, valid, active, 0)
 
 
 def scatter_by_loop(jpd, values):
@@ -231,7 +228,7 @@ def test_process_jpd_steps_compose():
     out = process_jpd(raw, camera=EmccdCamera(), threshold=0.2, normalize=True)
     assert not out.pending_invalid
     # interpolation refilled the dropped dx = 0 column planes
-    assert np.array_equal(out.valid, structural_validity("near", 2, (8, 8), (7, 7)))
+    assert np.array_equal(out.valid, structural_validity("near", 2, (8, 8)))
     assert out.active.sum() < raw.active.sum()
     none = process_jpd(raw, camera=None, threshold=None, normalize=False)
     assert np.array_equal(none.planes, raw.planes)
