@@ -19,6 +19,7 @@ import configparser
 import copy
 import hashlib
 import json
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -69,6 +70,8 @@ def _int_min(minimum: int):
 def _float_range(low=None, high=None, low_open=False):
     def parse(raw: str) -> float:
         value = float(raw)
+        if not math.isfinite(value):
+            raise ValueError("must be finite")
         if low is not None and (value <= low if low_open else value < low):
             raise ValueError(f"must be {'>' if low_open else '>='} {low}")
         if high is not None and value > high:
@@ -108,7 +111,7 @@ _PARSERS = {
     ("pairs", "rate"): _float_range(0.0, low_open=True),
     ("pairs", "frames"): _int_min(2),
     ("pairs", "interference"): _choice("none", "noon"),
-    ("pairs", "shift"): float,
+    ("pairs", "shift"): _float_range(),
     ("pairs", "contrast"): _float_range(0.0, 1.0),
     ("camera", "profile"): _choice("ideal", "emccd", "spad"),
     ("camera", "gain_mean"): _float_range(0.0, low_open=True),

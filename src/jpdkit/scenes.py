@@ -19,11 +19,15 @@ subcells, which the analytic constructions rely on; the default is 8.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateDensityError
+
+
+def _subcell_centres(size: int, oversample: int) -> np.ndarray:
+    return -0.5 + (np.arange(size * oversample) + 0.5) / oversample
 
 
 @dataclass
@@ -58,8 +62,7 @@ class Scene:
 
     def subcell_coordinates(self) -> np.ndarray:
         """Physical positions of subcell centres along one axis."""
-        f = self.oversample
-        return -0.5 + (np.arange(self.size * f) + 0.5) / f
+        return _subcell_centres(self.size, self.oversample)
 
     def near_density(self) -> np.ndarray:
         """Unnormalized pair density |t|^4 for the near-field geometry."""
@@ -103,7 +106,7 @@ def half_pixel_average(subgrid: np.ndarray, oversample: int) -> np.ndarray:
 
 
 def _subgrid_mesh(size: int, oversample: int):
-    c = -0.5 + (np.arange(size * oversample) + 0.5) / oversample
+    c = _subcell_centres(size, oversample)
     return np.meshgrid(c, c, indexing="ij")
 
 
@@ -147,8 +150,7 @@ def checkerboard_phase(size: int, blocks: int = 3, oversample: int = 8,
         phases = -np.pi + (np.arange(blocks * blocks) + 0.5) * 2 * np.pi / (blocks ** 2)
     phases = np.asarray(phases, dtype=np.float64).reshape(blocks, blocks)
     edges = -0.5 + (size / blocks) * np.arange(1, blocks) + offset
-    coords = -0.5 + (np.arange(size * oversample) + 0.5) / oversample
-    idx = np.searchsorted(edges, coords)
+    idx = np.searchsorted(edges, _subcell_centres(size, oversample))
     phase = phases[np.ix_(idx, idx)]
     mag2 = np.ones_like(phase)
     return Scene(mag2, phase, size, oversample)

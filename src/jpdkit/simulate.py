@@ -16,15 +16,18 @@ pixel.
 Randomness is drawn per fixed-size frame chunk from
 ``SeedSequence((seed, stage, chunk))`` streams, so a stack is bit-identical
 for a given seed no matter how the generation is batched.
+
+Loading this module imports numpy only: ``erf``, which only the jittered
+(sigma > 0) branch of ``analytic_jpd`` needs, is imported where it is used.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
-from scipy import signal, special
 
 from .errors import ConfigurationError, DegenerateDensityError
 from .jpd import Jpd, structural_validity
@@ -43,7 +46,7 @@ class IdealCamera:
     """Noiseless photon counting.  Only the self-product diagonal (both
     photons in one pixel) is unusable: the estimator cannot debias it."""
 
-    name: str = "ideal"
+    name: ClassVar[str] = "ideal"
 
     def render(self, counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         return counts.astype(np.uint16)
@@ -67,12 +70,14 @@ class EmccdCamera:
     gain_cv: float = 0.0
     read_sigma: float = 8.0
     smear: float = 0.0
-    name: str = "emccd"
+    name: ClassVar[str] = "emccd"
 
     def __post_init__(self):
-        if self.gain_mean <= 0:
-            raise ConfigurationError("EMCCD gain_mean must be positive")
-        if self.gain_cv < 0 or self.read_sigma < 0 or not (0 <= self.smear < 1):
+        # written as range tests so that NaN fails them too
+        if not 0 < self.gain_mean < math.inf:
+            raise ConfigurationError("EMCCD gain_mean must be positive and finite")
+        if not (0 <= self.gain_cv < math.inf and 0 <= self.read_sigma < math.inf
+                and 0 <= self.smear < 1):
             raise ConfigurationError("EMCCD noise parameters out of range")
 
     def render(self, counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -81,7 +86,8 @@ class EmccdCamera:
         analog = counts.astype(np.float64) * gains[:, None, None]
         if self.smear > 0:
             # charge leaks down the readout column: out[y] = in[y] + smear*out[y-1]
-            analog = signal.lfilter([1.0], [1.0, -self.smear], analog, axis=1)
+            for y in range(1, analog.shape[1]):
+                analog[:, y] += self.smear * analog[:, y - 1]
         analog += rng.normal(0.0, self.read_sigma, analog.shape)
         return np.round(np.clip(analog, 0, 65535)).astype(np.uint16)
 
@@ -97,7 +103,7 @@ class SpadCamera:
     Crosstalk contaminates the 8-neighbour ring, so all separations with
     |r2 - r1|_inf <= 1 are flagged invalid."""
 
-    name: str = "spad"
+    name: ClassVar[str] = "spad"
 
     def render(self, counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         return counts >= 1
@@ -108,20 +114,13 @@ class SpadCamera:
 
 def camera_by_name(name: str, **params):
     """Instantiate a camera profile from its config-file name."""
-    if name == "ideal":
-        if params:
-            raise ConfigurationError("ideal camera takes no parameters")
-        return IdealCamera()
-    if name == "emccd":
-        try:
-            return EmccdCamera(**params)
-        except TypeError as exc:
-            raise ConfigurationError(f"bad EMCCD parameter: {exc}") from exc
-    if name == "spad":
-        if params:
-            raise ConfigurationError("spad camera takes no parameters")
-        return SpadCamera()
-    raise ConfigurationError(f"unknown camera profile {name!r}")
+    cls = {c.name: c for c in (IdealCamera, EmccdCamera, SpadCamera)}.get(name)
+    if cls is None:
+        raise ConfigurationError(f"unknown camera profile {name!r}")
+    try:
+        return cls(**params)
+    except TypeError as exc:
+        raise ConfigurationError(f"bad {name.upper()} parameter: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -248,8 +247,8 @@ def simulate_frames(scene: Scene, mode: str = "near", sigma: float = 0.25,
     """
     if mode not in ("near", "far"):
         raise ConfigurationError(f"mode must be 'near' or 'far', got {mode!r}")
-    if sigma < 0 or pair_rate <= 0 or n_frames < 1:
-        raise ConfigurationError("sigma >= 0, pair_rate > 0, n_frames >= 1 required")
+    if not (0 <= sigma < math.inf and 0 < pair_rate < math.inf) or n_frames < 1:
+        raise ConfigurationError("need finite sigma >= 0, pair_rate > 0, n_frames >= 1")
     sum_center = float(scene.size - 1)
 
     def pair(rng, y, x, emit):
@@ -272,8 +271,8 @@ def simulate_intensity_frames(scene: Scene, intensity: np.ndarray,
                               camera=None, seed: int | tuple = 0) -> np.ndarray:
     """Simulate classical (single-photon) frames for an intensity pattern on
     the oversampled grid; photon_rate is the Poisson mean per frame."""
-    if photon_rate <= 0 or n_frames < 1:
-        raise ConfigurationError("photon_rate > 0 and n_frames >= 1 required")
+    if not 0 < photon_rate < math.inf or n_frames < 1:
+        raise ConfigurationError("finite photon_rate > 0 and n_frames >= 1 required")
     return _simulate(scene, _normalized_density(scene, "near", intensity),
                      photon_rate, n_frames, camera, seed,
                      lambda rng, y, x, emit: emit(y, x))
@@ -285,6 +284,7 @@ def simulate_intensity_frames(scene: Scene, intensity: np.ndarray,
 def _axis_capture(offsets: np.ndarray, sigma_photon: float) -> np.ndarray:
     """Probability that a photon born *offsets* away from a pixel centre is
     captured by that unit pixel, for Gaussian jitter sigma_photon."""
+    from scipy import special
     z = 1.0 / (sigma_photon * math.sqrt(2.0))
     return 0.5 * (special.erf((offsets + 0.5) * z)
                   - special.erf((offsets - 0.5) * z))
@@ -295,36 +295,23 @@ def _half_grid_split(scene: Scene, mode: str) -> list[tuple[int, np.ndarray]]:
     perfectly correlated pairs.
 
     Near field: a pair born at x is assigned to the half-pixel sum point
-    s = round(2x); even s maps to the single ordered pixel pair
+    q = s = round(2x); even s maps to the single ordered pixel pair
     (r = s/2, d = 0) with weight 1, odd s splits evenly between
-    ((s-1)/2, +1) and ((s+1)/2, -1).  Far field: the assignment runs on the
-    difference coordinate s = round(2x - C) and the split goes to the two
-    band planes u = +-1 whose parity matches C + s.  Pairs whose pixels fall
-    off the sensor are dropped (structural exclusion).
+    ((s-1)/2, +1) and ((s+1)/2, -1), so r = (q - d) / 2.  Far field: the
+    assignment runs on the difference coordinate s = round(2x - C) and the
+    split goes to the band planes u = d whose parity matches q = C + s, at
+    r = (q + d) / 2.  Pixels off the sensor get no weight; entries whose
+    partner is off the sensor are left to ``structural_validity``.
     """
-    m, f = scene.size, scene.oversample
-    coords = scene.subcell_coordinates()
-    big_c = m - 1
-    target = 2.0 * coords - big_c if mode == "far" else 2.0 * coords
-    s_all = np.round(target).astype(np.int64)
-    mats = {d: np.zeros((m * f, m)) for d in (-1, 0, 1)}
-    for j, s in enumerate(s_all):
-        if mode == "far":
-            parity = (big_c + s) % 2
-            options = ((0, 1.0),) if parity == 0 else ((-1, 0.5), (1, 0.5))
-            for u, weight in options:
-                r1 = (big_c + u + int(s)) // 2
-                r2 = r1 - int(s)
-                if 0 <= r1 < m and 0 <= r2 < m:
-                    mats[u][j, r1] = weight
-        else:
-            options = ((0, 1.0),) if s % 2 == 0 else ((-1, 0.5), (1, 0.5))
-            for d, weight in options:
-                r1 = (int(s) - d) // 2
-                r2 = (int(s) + d) // 2
-                if 0 <= r1 < m and 0 <= r2 < m:
-                    mats[d][j, r1] = weight
-    return [(d, mats[d]) for d in (-1, 0, 1)]
+    m, far = scene.size, mode == "far"
+    two_x = 2.0 * scene.subcell_coordinates()
+    s = np.round(two_x - (m - 1) if far else two_x).astype(np.int64)
+    q = (m - 1) + s if far else s
+    d = np.arange(-1, 2)[:, None]
+    r = (q + d) // 2 if far else (q - d) // 2
+    weight = np.where((q + d) % 2 == 0, np.where(d == 0, 1.0, 0.5), 0.0)
+    mats = np.where(r[..., None] == np.arange(m), weight[..., None], 0.0)
+    return list(zip(range(-1, 2), mats))
 
 
 def analytic_jpd(scene: Scene, mode: str = "near",
@@ -349,36 +336,32 @@ def analytic_jpd(scene: Scene, mode: str = "near",
         raise ConfigurationError(f"mode must be 'near' or 'far', got {mode!r}")
     if band_radius < 1:
         raise ConfigurationError("analytic construction needs band_radius >= 1")
-    if sigma < 0:
-        raise ConfigurationError("sigma must be >= 0")
+    if not (0 <= sigma < math.inf and math.isfinite(pair_rate)):
+        raise ConfigurationError("sigma must be finite and >= 0, pair_rate finite")
     m = scene.size
     n_sub = m * scene.oversample
     rho = pair_rate * _normalized_density(scene, mode, density).reshape(n_sub, n_sub)
     k = band_radius
-    planes = np.zeros((2 * k + 1, 2 * k + 1, m, m))
     if sigma == 0:
         axis_mats = _half_grid_split(scene, mode)
-        for dy, wy in axis_mats:
-            for dx, wx in axis_mats:
-                planes[dy + k, dx + k] = wy.T @ rho @ wx
+        orderings = 1.0
     else:
         sigma_photon = sigma / math.sqrt(2.0)
         coords = scene.subcell_coordinates()
         r = np.arange(m)
         first = _axis_capture(r[None, :] - coords[:, None], sigma_photon)
-        pair_weight = {}
-        for d in range(-k, k + 1):
-            if mode == "near":
-                off = (r[None, :] + d) - coords[:, None]
-            else:
-                # partner pixel C - r + d captures the photon born at C - x
-                off = coords[:, None] - r[None, :] + d
-            pair_weight[d] = first * _axis_capture(off, sigma_photon)
-        for dy in range(-k, k + 1):
-            for dx in range(-k, k + 1):
-                planes[dy + k, dx + k] = pair_weight[dy].T @ rho @ pair_weight[dx]
+        # far field: partner pixel C - r + d captures the photon born at C - x
+        axis_mats = [(d, first * _axis_capture(
+            (r[None, :] + d) - coords[:, None] if mode == "near"
+            else coords[:, None] - r[None, :] + d, sigma_photon))
+            for d in range(-k, k + 1)]
         # the estimator counts both photon orderings of every pair
-        planes *= 2.0
+        orderings = 2.0
+    planes = np.zeros((2 * k + 1, 2 * k + 1, m, m))
+    for dy, wy in axis_mats:
+        for dx, wx in axis_mats:
+            planes[dy + k, dx + k] = wy.T @ rho @ wx
+    planes *= orderings
     valid = structural_validity(mode, k, (m, m))
     planes = np.where(valid, planes, 0.0)
     active = np.ones((2 * k + 1, 2 * k + 1), dtype=bool)

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import jpdkit
 from jpdkit import cli, pipeline
 from jpdkit import jpd as jpd_module
 from jpdkit.cli import main
@@ -180,6 +185,18 @@ def test_configuration_errors_exit_2(tmp_path, config_path):
                  "--set", "processing.threshold=3",
                  "--out", str(tmp_path / "w")]) == 2
     assert not (tmp_path / "w").exists()
+    emccd = ["camera.profile=emccd"]
+    for overrides in (["pairs.rate=nan"], ["pairs.rate=inf"],
+                      ["pairs.sigma=nan"], ["pairs.shift=inf"],
+                      ["processing.threshold=nan"],
+                      emccd + ["camera.gain_mean=inf"],
+                      emccd + ["camera.gain_cv=nan"]):
+        out = tmp_path / "nonfinite"
+        argv = ["simulate", "--config", str(config_path), "--out", str(out)]
+        for assignment in overrides:
+            argv += ["--set", assignment]
+        assert main(argv) == 2, overrides
+        assert not out.exists(), overrides
     stack = tmp_path / "small.bpsr"
     write_frames(stack, np.ones((5, 4, 4), dtype=np.uint16))
     for workers in ("0", "-3"):
@@ -347,6 +364,18 @@ def test_processing_failures_exit_4(tmp_path):
     write_frames(dark, np.zeros((10, 6, 6), dtype=np.uint16))
     assert main(["reconstruct", "--frames", str(dark), "--camera", "ideal",
                  "--out", str(tmp_path / "b")]) == 4
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is for the jittered analytic JPD only; a fresh interpreter
+    # shows what `import jpdkit.cli` alone pulls in
+    src = str(Path(jpdkit.__file__).resolve().parents[1])
+    code = ("import sys, jpdkit.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    result = subprocess.run([sys.executable, "-c", code], check=True,
+                            capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert result.stdout.strip() == "[]"
 
 
 def test_version_flag():

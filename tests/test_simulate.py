@@ -1,16 +1,18 @@
 import hashlib
+import itertools
 import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, signal
 
 from jpdkit.errors import ConfigurationError, DegenerateDensityError
-from jpdkit.jpd import accumulate_jpd, minus_projection, sum_projection
+from jpdkit.jpd import (accumulate_jpd, minus_projection, structural_validity,
+                        sum_projection)
 from jpdkit.scenes import Scene, grating, half_pixel_average, uniform
 from jpdkit.simulate import (SIM_CHUNK_FRAMES, EmccdCamera, IdealCamera,
-                             SpadCamera, _axis_capture, analytic_jpd,
-                             camera_by_name, classical_fringe,
+                             SpadCamera, _axis_capture, _normalized_density,
+                             analytic_jpd, camera_by_name, classical_fringe,
                              interference_rate, noon_density, simulate_frames,
                              simulate_intensity_frames)
 
@@ -25,6 +27,11 @@ def test_simulation_parameter_validation():
         simulate_frames(scene, pair_rate=0.0)
     with pytest.raises(ConfigurationError):
         simulate_frames(scene, n_frames=0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ConfigurationError):
+            simulate_frames(scene, sigma=bad)
+        with pytest.raises(ConfigurationError):
+            simulate_frames(scene, pair_rate=bad)
     with pytest.raises(ConfigurationError, match="density shape"):
         simulate_frames(scene, density=np.ones((4, 4)))
     with pytest.raises(DegenerateDensityError):
@@ -113,6 +120,11 @@ def test_analytic_jpd_validation():
         analytic_jpd(scene, band_radius=0)
     with pytest.raises(ConfigurationError):
         analytic_jpd(scene, sigma=-1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ConfigurationError):
+            analytic_jpd(scene, sigma=bad)
+        with pytest.raises(ConfigurationError):
+            analytic_jpd(scene, pair_rate=bad)
     jpd = analytic_jpd(scene, band_radius=1)
     assert jpd.n_frames == 0
     assert jpd.valid[1, 1].all()
@@ -160,6 +172,28 @@ def test_emccd_smear_decays_down_columns():
     assert out[0, 0, 1] == 0
 
 
+def _render_with_lfilter(cam, counts, rng):
+    """EmccdCamera.render with the readout smear as scipy's IIR filter."""
+    gains = rng.normal(cam.gain_mean, cam.gain_cv * cam.gain_mean, counts.shape[0])
+    analog = counts.astype(np.float64) * gains[:, None, None]
+    analog = signal.lfilter([1.0], [1.0, -cam.smear], analog, axis=1)
+    analog += rng.normal(0.0, cam.read_sigma, analog.shape)
+    return np.round(np.clip(analog, 0, 65535)).astype(np.uint16)
+
+
+def test_emccd_smear_recurrence_matches_lfilter():
+    counts_rng = np.random.default_rng(4)
+    for shape in [(3, 1, 5), (2, 1, 1), (4, 6, 1), (5, 7, 9), (2, 32, 32)]:
+        counts = counts_rng.integers(0, 40, shape).astype(np.int32)
+        for smear in (0.01, 0.1, 0.3, 0.5, 0.9, 0.999):
+            for gain_cv in (0.0, 0.7):
+                cam = EmccdCamera(gain_mean=300.0, gain_cv=gain_cv,
+                                  read_sigma=4.0, smear=smear)
+                out = cam.render(counts, np.random.default_rng(8))
+                ref = _render_with_lfilter(cam, counts, np.random.default_rng(8))
+                assert out.tobytes() == ref.tobytes(), (shape, smear, gain_cv)
+
+
 def test_camera_invalid_separation_masks():
     assert IdealCamera().invalid_pair_separation(0, 0)
     assert not IdealCamera().invalid_pair_separation(0, 1)
@@ -191,6 +225,10 @@ def test_emccd_parameter_validation():
         EmccdCamera(smear=1.0)
     with pytest.raises(ConfigurationError):
         EmccdCamera(read_sigma=-1.0)
+    for bad in (math.nan, math.inf):
+        for key in ("gain_mean", "gain_cv", "read_sigma", "smear"):
+            with pytest.raises(ConfigurationError):
+                EmccdCamera(**{key: bad})
 
 
 def test_camera_by_name():
@@ -224,6 +262,83 @@ def test_interference_rate_scales_with_pattern_mass():
     assert interference_rate(10.0, 0.0 * ref, ref) == 0.0
     with pytest.raises(DegenerateDensityError):
         interference_rate(10.0, ref, 0.0 * ref)
+
+
+def _half_grid_split_loop(scene, mode):
+    """The per-subcell reference for simulate._half_grid_split."""
+    m, f = scene.size, scene.oversample
+    coords = scene.subcell_coordinates()
+    big_c = m - 1
+    target = 2.0 * coords - big_c if mode == "far" else 2.0 * coords
+    s_all = np.round(target).astype(np.int64)
+    mats = {d: np.zeros((m * f, m)) for d in (-1, 0, 1)}
+    for j, s in enumerate(s_all):
+        if mode == "far":
+            parity = (big_c + s) % 2
+            options = ((0, 1.0),) if parity == 0 else ((-1, 0.5), (1, 0.5))
+            for u, weight in options:
+                r1 = (big_c + u + int(s)) // 2
+                r2 = r1 - int(s)
+                if 0 <= r1 < m and 0 <= r2 < m:
+                    mats[u][j, r1] = weight
+        else:
+            options = ((0, 1.0),) if s % 2 == 0 else ((-1, 0.5), (1, 0.5))
+            for d, weight in options:
+                r1 = (int(s) - d) // 2
+                r2 = (int(s) + d) // 2
+                if 0 <= r1 < m and 0 <= r2 < m:
+                    mats[d][j, r1] = weight
+    return [(d, mats[d]) for d in (-1, 0, 1)]
+
+
+def _analytic_planes_two_loops(scene, mode, k, sigma, pair_rate):
+    """The reference for analytic_jpd's planes: one plane loop per branch."""
+    m = scene.size
+    n_sub = m * scene.oversample
+    rho = pair_rate * _normalized_density(scene, mode, None).reshape(n_sub, n_sub)
+    planes = np.zeros((2 * k + 1, 2 * k + 1, m, m))
+    if sigma == 0:
+        axis_mats = _half_grid_split_loop(scene, mode)
+        for dy, wy in axis_mats:
+            for dx, wx in axis_mats:
+                planes[dy + k, dx + k] = wy.T @ rho @ wx
+    else:
+        sigma_photon = sigma / math.sqrt(2.0)
+        coords = scene.subcell_coordinates()
+        r = np.arange(m)
+        first = _axis_capture(r[None, :] - coords[:, None], sigma_photon)
+        pair_weight = {}
+        for d in range(-k, k + 1):
+            if mode == "near":
+                off = (r[None, :] + d) - coords[:, None]
+            else:
+                off = coords[:, None] - r[None, :] + d
+            pair_weight[d] = first * _axis_capture(off, sigma_photon)
+        for dy in range(-k, k + 1):
+            for dx in range(-k, k + 1):
+                planes[dy + k, dx + k] = pair_weight[dy].T @ rho @ pair_weight[dx]
+        planes *= 2.0
+    valid = structural_validity(mode, k, (m, m))
+    return np.where(valid, planes, 0.0), valid
+
+
+def test_analytic_jpd_matches_per_subcell_split_and_branch_loops():
+    # oversample 2 and 6 put subcell centres on round() ties of 2x
+    rng = np.random.default_rng(21)
+    for size in range(2, 18):
+        for oversample in (1, 2, 3, 4, 6, 8):
+            n = size * oversample
+            scene = Scene(rng.uniform(0.05, 1.0, (n, n)), np.zeros((n, n)),
+                          size, oversample)
+            for mode, sigma, k in itertools.product(
+                    ("near", "far"), (0.0, 0.3, 0.84), range(1, 5)):
+                jpd = analytic_jpd(scene, mode, k, sigma, pair_rate=2.5)
+                planes, valid = _analytic_planes_two_loops(
+                    scene, mode, k, sigma, 2.5)
+                case = (size, oversample, mode, sigma, k)
+                assert jpd.planes.tobytes() == planes.tobytes(), case
+                assert jpd.valid.tobytes() == valid.tobytes(), case
+                assert jpd.active.all(), case
 
 
 # SHA-256 of small stacks from both simulators: any change to the RNG draw
@@ -271,3 +386,6 @@ def test_intensity_frames():
         simulate_intensity_frames(scene, scene.magnitude2, 0.0, 10)
     with pytest.raises(ConfigurationError):
         simulate_intensity_frames(scene, scene.magnitude2, 5.0, 0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ConfigurationError):
+            simulate_intensity_frames(scene, scene.magnitude2, bad, 10)
