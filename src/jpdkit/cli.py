@@ -190,20 +190,16 @@ def _cmd_reconstruct(args) -> int:
 
     out = _out_dir(args.out)
     write_jpd_snapshot(out / "jpd.bjpd", result.jpd)
-    np.save(out / "super_resolved.npy", result.image.values)
-    write_pgm16(out / "super_resolved.pgm", result.image.values)
-    artifacts = {
-        "jpd.bjpd": artifact_entry(out / "jpd.bjpd"),
-        "super_resolved.npy": artifact_entry(out / "super_resolved.npy",
-                                             pitch=result.image.pitch),
-        "super_resolved.pgm": artifact_entry(out / "super_resolved.pgm"),
-    }
-    if result.native is not None:
-        np.save(out / "native.npy", result.native.values)
-        write_pgm16(out / "native.pgm", result.native.values)
-        artifacts["native.npy"] = artifact_entry(out / "native.npy",
-                                                 pitch=result.native.pitch)
-        artifacts["native.pgm"] = artifact_entry(out / "native.pgm")
+    artifacts = {"jpd.bjpd": artifact_entry(out / "jpd.bjpd")}
+    for stem, image in (("super_resolved", result.image),
+                        ("native", result.native)):
+        if image is None:
+            continue
+        np.save(out / f"{stem}.npy", image.values)
+        write_pgm16(out / f"{stem}.pgm", image.values)
+        artifacts[f"{stem}.npy"] = artifact_entry(out / f"{stem}.npy",
+                                                  pitch=image.pitch)
+        artifacts[f"{stem}.pgm"] = artifact_entry(out / f"{stem}.pgm")
     payload = build_manifest("reconstruct", artifacts, camera=camera.name,
                              mode=mode, source=Path(args.frames).name)
     write_manifest(out / "manifest.json", payload)

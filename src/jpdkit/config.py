@@ -26,6 +26,7 @@ from pathlib import Path
 
 from ._version import __version__
 from .errors import ConfigurationError, FileFormatError
+from .jpd import DEFAULT_BAND_RADIUS, DEFAULT_CHUNK_SIZE
 from .scenes import Scene, cat_half_plane, checkerboard_phase, grating, uniform
 from .simulate import EmccdCamera, camera_by_name
 
@@ -39,8 +40,9 @@ DEFAULTS = {
               "interference": "none", "shift": 0.0, "contrast": 1.0},
     "camera": {"profile": "ideal", "gain_mean": None, "gain_cv": None,
                "read_sigma": None, "smear": None},
-    "processing": {"band_radius": 3, "threshold": 0.5, "normalize": True,
-                   "interpolate": True, "chunk": 256, "workers": None},
+    "processing": {"band_radius": DEFAULT_BAND_RADIUS, "threshold": 0.5,
+                   "normalize": True, "interpolate": True,
+                   "chunk": DEFAULT_CHUNK_SIZE, "workers": None},
     "rng": {"seed": 0},
 }
 

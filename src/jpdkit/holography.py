@@ -29,8 +29,8 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .images import GridImage
-from .jpd import accumulate_jpd
-from .pipeline import process_jpd, super_resolve
+from .jpd import DEFAULT_CHUNK_SIZE
+from .pipeline import reconstruct, super_resolve
 from .scenes import Scene, block_mean
 from .simulate import (analytic_jpd, classical_fringe, interference_rate,
                        noon_density, simulate_frames)
@@ -80,21 +80,23 @@ def simulate_pair_phase_stacks(scene: Scene, contrast: float = 1.0,
     return stacks
 
 
-def pair_phase_map(stacks, camera=None, band_radius: int = 1,
-                   chunk_size: int = 256, workers: int | None = None) -> GridImage:
-    """Reconstruct wrap(2 theta) on the half-pixel grid from four stacks
-    acquired at the pair-interference shifts."""
-    if len(stacks) != 4:
-        raise ConfigurationError("four phase-shifted stacks are required")
-    images = []
-    for frames in stacks:
-        jpd = accumulate_jpd(frames, mode="near", band_radius=band_radius,
-                             chunk_size=chunk_size, workers=workers)
-        images.append(super_resolve(process_jpd(
-            jpd, camera, threshold=None, normalize=False)))
+def _phase_image(images) -> GridImage:
+    """Four-step phase of four half-pixel images, on the first one's grid."""
     phase = four_step_phase(*(im.values for im in images))
     ref = images[0]
     return GridImage(phase, pitch=ref.pitch, origin=ref.origin, counts=ref.counts)
+
+
+def pair_phase_map(stacks, camera=None, band_radius: int = 1,
+                   chunk_size: int = DEFAULT_CHUNK_SIZE,
+                   workers: int | None = None) -> GridImage:
+    """Reconstruct wrap(2 theta) on the half-pixel grid from four stacks
+    acquired at the pair-interference shifts, each through `reconstruct`."""
+    if len(stacks) != 4:
+        raise ConfigurationError("four phase-shifted stacks are required")
+    return _phase_image([reconstruct(
+        frames, "near", camera, band_radius, threshold=None, normalize=False,
+        chunk_size=chunk_size, workers=workers).image for frames in stacks])
 
 
 def analytic_pair_phase_map(scene: Scene, contrast: float = 1.0,
@@ -102,17 +104,11 @@ def analytic_pair_phase_map(scene: Scene, contrast: float = 1.0,
                             shifts=PAIR_SHIFTS) -> GridImage:
     """Noise-free pair-interference phase map via the analytic JPDs."""
     base = scene.near_density()
-    images = []
-    for alpha in shifts:
-        density = noon_density(scene, alpha, contrast)
-        jpd = analytic_jpd(scene, mode="near", band_radius=band_radius,
-                           sigma=sigma,
-                           pair_rate=interference_rate(1.0, density, base),
-                           density=density)
-        images.append(super_resolve(jpd))
-    phase = four_step_phase(*(im.values for im in images))
-    ref = images[0]
-    return GridImage(phase, pitch=ref.pitch, origin=ref.origin, counts=ref.counts)
+    densities = [noon_density(scene, alpha, contrast) for alpha in shifts]
+    return _phase_image([super_resolve(analytic_jpd(
+        scene, mode="near", band_radius=band_radius, sigma=sigma,
+        pair_rate=interference_rate(1.0, density, base), density=density))
+        for density in densities])
 
 
 def reference_pair_phase(scene: Scene) -> GridImage:

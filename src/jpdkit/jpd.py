@@ -464,20 +464,18 @@ def write_jpd_snapshot(path, jpd: Jpd) -> None:
         raise ConfigurationError(
             f"band radius {k} exceeds the snapshot limit {MAX_BAND_RADIUS}")
     h, w = jpd.shape
-    recs = [(dy, dx, a, b) for dy, dx, a, b in jpd.displacements()
-            if jpd.active[a, b]]
+    recs = np.argwhere(jpd.active)
+    n = len(recs)
     header = _SNAP_HEADER.pack(
         _SNAP_MAGIC, _SNAP_VERSION, _MODE_CODES[jpd.mode], k, h, w,
         jpd.n_frames, jpd.center[0], jpd.center[1],
-        1 if jpd.pending_invalid else 0, len(recs))
+        1 if jpd.pending_invalid else 0, n)
     with open(path, "wb") as fh:
         fh.write(header)
-        for dy, dx, _, _ in recs:
-            fh.write(struct.pack("<bb", dy, dx))
-        for _, _, a, b in recs:
-            fh.write(jpd.planes[a, b].astype("<f8", copy=False).tobytes())
-        for _, _, a, b in recs:
-            fh.write(np.packbits(jpd.valid[a, b]).tobytes())
+        fh.write((recs - k).astype(np.int8).tobytes())
+        fh.write(jpd.planes[jpd.active].astype("<f8", copy=False).tobytes())
+        masks = jpd.valid[jpd.active].reshape(n, h * w)  # not -1: n may be 0
+        fh.write(np.packbits(masks, axis=1).tobytes())
 
 
 def read_jpd_snapshot(path) -> Jpd:
@@ -514,28 +512,29 @@ def read_jpd_snapshot(path) -> Jpd:
     if len(raw) != expected:
         raise FileFormatError(
             f"{path}: expected {expected} bytes, found {len(raw)}")
-    off = _SNAP_HEADER.size
-    recs = []
-    for _ in range(n_recs):
-        dy, dx = struct.unpack_from("<bb", raw, off)
-        off += 2
-        if abs(dy) > k or abs(dx) > k:
-            raise FileFormatError(f"{path}: displacement ({dy}, {dx}) outside band")
-        recs.append((dy, dx))
-    if len(set(recs)) != n_recs:
+    recs, values, bits = np.split(
+        np.frombuffer(raw, np.uint8, offset=_SNAP_HEADER.size),
+        [2 * n_recs, n_recs * (2 + plane_bytes)])
+    # compared as int: abs() of the i8 value -128 wraps
+    recs = recs.view(np.int8).reshape(n_recs, 2).astype(int)
+    outside = (np.abs(recs) > k).any(axis=1)
+    if outside.any():
+        dy, dx = recs[outside.argmax()]
+        raise FileFormatError(f"{path}: displacement ({dy}, {dx}) outside band")
+    if len(np.unique(recs, axis=0)) != n_recs:
         raise FileFormatError(f"{path}: duplicate plane records")
-    planes = np.zeros((2 * k + 1, 2 * k + 1, h, w))
-    valid = np.zeros((2 * k + 1, 2 * k + 1, h, w), dtype=bool)
+    try:
+        planes = np.zeros((2 * k + 1, 2 * k + 1, h, w))
+        valid = np.zeros((2 * k + 1, 2 * k + 1, h, w), dtype=bool)
+    except MemoryError:
+        raise FileFormatError(
+            f"{path}: a radius-{k} band of {h}x{w} planes does not fit in "
+            "memory") from None
     active = np.zeros((2 * k + 1, 2 * k + 1), dtype=bool)
-    for dy, dx in recs:
-        planes[dy + k, dx + k] = np.frombuffer(
-            raw, dtype="<f8", count=h * w, offset=off).reshape(h, w)
-        off += plane_bytes
-    for dy, dx in recs:
-        bits = np.frombuffer(raw, dtype=np.uint8, count=mask_bytes, offset=off)
-        valid[dy + k, dx + k] = np.unpackbits(
-            bits, count=h * w).astype(bool).reshape(h, w)
-        active[dy + k, dx + k] = True
-        off += mask_bytes
+    a, b = (recs + k).T
+    planes[a, b] = values.view("<f8").reshape(n_recs, h, w)
+    valid[a, b] = np.unpackbits(bits.reshape(n_recs, mask_bytes), axis=1,
+                                count=h * w).reshape(n_recs, h, w)
+    active[a, b] = True
     return Jpd(_CODE_MODES[mode_code], k, planes, valid, active, n_frames,
                bool(pending))

@@ -32,6 +32,8 @@ from .errors import (
 )
 from .images import GridImage
 from .jpd import (
+    DEFAULT_BAND_RADIUS,
+    DEFAULT_CHUNK_SIZE,
     MAX_BAND_RADIUS,
     Jpd,
     accumulate_jpd,
@@ -50,9 +52,10 @@ def interpolate_invalid(jpd: Jpd) -> Jpd:
     An invalid entry of plane (dy, dx) at pixel r is replaced by the mean of
     the valid entries at the same r of planes (dy, dx-1) and (dy, dx+1); at
     the band edge, or where only one neighbour is valid, the single available
-    value is used.  Passes repeat so that freshly filled planes can serve as
-    sources (a camera may invalidate several adjacent planes); if a full pass
-    makes no progress while holes remain, interpolation fails.
+    value is used.  Each pass fills, over the whole band at once, every hole
+    with a valid neighbour from the previous pass's values; passes repeat so
+    that freshly filled planes can serve as sources (a camera may invalidate
+    several adjacent planes).  A pass that fills nothing fails.
 
     Only camera-invalidated entries are filled.  Structural holes (partner
     pixel off the sensor) represent measurements that never existed and stay
@@ -65,37 +68,25 @@ def interpolate_invalid(jpd: Jpd) -> Jpd:
             "interpolation is defined for near-field JPDs; use "
             "with_invalid_excluded() for far-field data")
     k = jpd.band_radius
-    structural = structural_validity(jpd.mode, k, jpd.shape)
-    planes = jpd.planes.copy()
-    valid = jpd.valid.copy()
-    holes = structural & ~valid
+    planes, valid = jpd.planes, jpd.valid
+    holes = structural_validity(jpd.mode, k, jpd.shape) & ~valid
     while holes.any():
-        new_planes = planes.copy()
-        new_valid = valid.copy()
-        progress = False
-        for dy, dx, a, b in jpd.displacements():
-            if not holes[a, b].any():
-                continue
-            acc = np.zeros(jpd.shape)
-            cnt = np.zeros(jpd.shape)
-            for nb in (dx - 1, dx + 1):
-                if abs(nb) > k:
-                    continue
-                nv = valid[dy + k, nb + k]
-                acc += np.where(nv, planes[dy + k, nb + k], 0.0)
-                cnt += nv
-            fill = holes[a, b] & (cnt > 0)
-            if fill.any():
-                new_planes[a, b][fill] = (acc / np.maximum(cnt, 1))[fill]
-                new_valid[a, b][fill] = True
-                progress = True
-        if not progress:
-            bad = [(dy, dx) for dy, dx, a, b in jpd.displacements()
-                   if holes[a, b].any()]
+        # valid dx - 1, then dx + 1 neighbours; the order fixes the float bits
+        src = np.where(valid, planes, 0.0)
+        acc, cnt = np.zeros_like(src), np.zeros_like(src)
+        acc[:, 1:] += src[:, :-1]
+        acc[:, :-1] += src[:, 1:]
+        cnt[:, 1:] += valid[:, :-1]
+        cnt[:, :-1] += valid[:, 1:]
+        fill = holes & (cnt > 0)
+        if not fill.any():
+            bad = [(int(a) - k, int(b) - k)
+                   for a, b in np.argwhere(holes.any(axis=(2, 3)))]
             raise InterpolationError(
                 f"no valid neighbouring plane to interpolate from for {bad}")
-        planes, valid = new_planes, new_valid
-        holes = structural & ~valid
+        planes = np.where(fill, acc / np.maximum(cnt, 1), planes)
+        valid = valid | fill
+        holes &= ~fill
     return replace(jpd, planes=planes, valid=valid, pending_invalid=False)
 
 
@@ -195,9 +186,10 @@ def process_jpd(jpd: Jpd, camera=None, threshold: float | None = 0.5,
 
 
 def reconstruct(frames: np.ndarray, mode: str = "near", camera=None,
-                band_radius: int = 3, threshold: float | None = 0.5,
-                normalize: bool = True, interpolate: bool = True,
-                chunk_size: int = 256, workers: int | None = None) -> PipelineResult:
+                band_radius: int = DEFAULT_BAND_RADIUS,
+                threshold: float | None = 0.5, normalize: bool = True,
+                interpolate: bool = True, chunk_size: int = DEFAULT_CHUNK_SIZE,
+                workers: int | None = None) -> PipelineResult:
     """Run the full pipeline on a frame stack.
 
     *camera* supplies the separation validity policy (None treats every

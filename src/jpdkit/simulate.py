@@ -30,7 +30,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateDensityError
-from .jpd import Jpd, structural_validity
+from .jpd import DEFAULT_BAND_RADIUS, Jpd, structural_validity
 from .scenes import Scene
 
 SIM_CHUNK_FRAMES = 4096
@@ -315,7 +315,7 @@ def _half_grid_split(scene: Scene, mode: str) -> list[tuple[int, np.ndarray]]:
 
 
 def analytic_jpd(scene: Scene, mode: str = "near",
-                 band_radius: int = 3, sigma: float = 0.0,
+                 band_radius: int = DEFAULT_BAND_RADIUS, sigma: float = 0.0,
                  pair_rate: float = 1.0,
                  density: np.ndarray | None = None) -> Jpd:
     """Closed-form expectation of the JPD estimator for a scene.

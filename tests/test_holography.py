@@ -11,6 +11,8 @@ from jpdkit.holography import (INTENSITY_SHIFTS, PAIR_SHIFTS,
                                intensity_phase_map, pair_phase_map,
                                reference_intensity_phase, reference_pair_phase,
                                simulate_pair_phase_stacks, wrap_phase)
+from jpdkit.jpd import accumulate_jpd
+from jpdkit.pipeline import process_jpd, super_resolve
 from jpdkit.scenes import checkerboard_phase, uniform
 from jpdkit.simulate import EmccdCamera
 
@@ -95,6 +97,27 @@ def test_pair_phase_map_with_camera_policy():
                                                     read_sigma=1.0))
     assert img.values.shape == (7, 7)
     assert np.all(np.isfinite(img.values))
+
+
+def test_pair_phase_map_equals_hand_composed_pipeline():
+    scene = checkerboard_phase(4, blocks=2, oversample=8,
+                               edge_alignment="quarter")
+    for camera, k, workers in [(None, 1, None),
+                               (EmccdCamera(gain_mean=50.0), 2, 2)]:
+        stacks = simulate_pair_phase_stacks(scene, sigma=0.4, pair_rate=30.0,
+                                            n_frames=300, camera=camera,
+                                            seed=3)
+        got = pair_phase_map(stacks, camera=camera, band_radius=k,
+                             chunk_size=64, workers=workers)
+        images = [super_resolve(process_jpd(
+            accumulate_jpd(frames, "near", k, chunk_size=64, workers=workers),
+            camera, threshold=None, normalize=False)) for frames in stacks]
+        want = four_step_phase(*(im.values for im in images))
+        assert got.values.tobytes() == want.tobytes()
+        assert got.counts.tobytes() == images[0].counts.tobytes()
+        assert (got.pitch, got.origin) == (images[0].pitch, images[0].origin)
+    with pytest.raises(ConfigurationError, match="band radius 0"):
+        pair_phase_map(stacks, band_radius=0)
 
 
 def test_phase_map_input_validation():

@@ -3,7 +3,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -448,6 +448,11 @@ def test_snapshot_rejects_crafted_headers(tmp_path):
     path.write_bytes(_snapshot_header(1, 1, 1, 10) + body)
     with pytest.raises(FileFormatError, match="10 plane records for 9"):
         read_jpd_snapshot(path)
+    # the i8 record -128 lies outside the widest band, K = 127
+    body = struct.pack("<bb", -128, 0) + struct.pack("<d", 1.0) + b"\x80"
+    path.write_bytes(_snapshot_header(127, 1, 1, 1) + body)
+    with pytest.raises(FileFormatError, match=r"\(-128, 0\) outside band"):
+        read_jpd_snapshot(path)
     # two identical (0, 0) records, each with a 1x1 plane and mask
     body = record * 2 + struct.pack("<dd", 1.0, 2.0) + b"\x80\x80"
     path.write_bytes(_snapshot_header(1, 1, 1, 2) + body)
@@ -459,6 +464,10 @@ def test_snapshot_rejects_crafted_headers(tmp_path):
     assert read_jpd_snapshot(path).plane(0, 0)[0, 0] == 1.0
     path.write_bytes(_snapshot_header(1, 1, 1, 1, center=(1, 0)) + body)
     with pytest.raises(FileFormatError, match="symmetry centre"):
+        read_jpd_snapshot(path)
+    # a zero-record header whose band cannot be allocated (1.98 PiB)
+    path.write_bytes(_snapshot_header(127, 65535, 65535, 0))
+    with pytest.raises(FileFormatError, match="does not fit in memory"):
         read_jpd_snapshot(path)
     # zero records stay legal: an all-inactive JPD round-trips
     jpd = accumulate_jpd(TINY, band_radius=1)
@@ -495,3 +504,191 @@ def test_snapshot_corruption_detection(tmp_path):
         read_jpd_snapshot(write_variant(lambda d: d.__delitem__(slice(8, None))))
     with pytest.raises(FileFormatError, match="bytes"):
         read_jpd_snapshot(write_variant(lambda d: d.extend(b"\x00")))
+
+
+def _write_snapshot_records(path, jpd):
+    """The per-record reference for write_jpd_snapshot."""
+    k = jpd.band_radius
+    h, w = jpd.shape
+    recs = [(dy, dx, a, b) for dy, dx, a, b in jpd.displacements()
+            if jpd.active[a, b]]
+    header = jpd_module._SNAP_HEADER.pack(
+        b"BJPD", 1, jpd_module._MODE_CODES[jpd.mode], k, h, w,
+        jpd.n_frames, jpd.center[0], jpd.center[1],
+        1 if jpd.pending_invalid else 0, len(recs))
+    with open(path, "wb") as fh:
+        fh.write(header)
+        for dy, dx, _, _ in recs:
+            fh.write(struct.pack("<bb", dy, dx))
+        for _, _, a, b in recs:
+            fh.write(jpd.planes[a, b].astype("<f8", copy=False).tobytes())
+        for _, _, a, b in recs:
+            fh.write(np.packbits(jpd.valid[a, b]).tobytes())
+
+
+def _read_snapshot_records(path):
+    """The per-record reference for read_jpd_snapshot, header checks
+    included."""
+    raw = path.read_bytes()
+    header = jpd_module._SNAP_HEADER
+    if len(raw) < header.size:
+        raise FileFormatError(f"{path}: too short for a JPD snapshot header")
+    (magic, version, mode_code, k, h, w, n_frames, cy, cx, pending,
+     n_recs) = header.unpack_from(raw, 0)
+    if magic != b"BJPD":
+        raise FileFormatError(f"{path}: bad magic {magic!r}")
+    if version != 1:
+        raise FileFormatError(f"{path}: unsupported version {version}")
+    if mode_code not in (0, 1):
+        raise FileFormatError(f"{path}: unknown mode code {mode_code}")
+    if h < 1 or w < 1:
+        raise FileFormatError(f"{path}: bad frame shape {(h, w)}")
+    if (cy, cx) != (h - 1, w - 1):
+        raise FileFormatError(
+            f"{path}: symmetry centre {(cy, cx)} is not {(h - 1, w - 1)}")
+    if k > MAX_BAND_RADIUS:
+        raise FileFormatError(
+            f"{path}: band radius {k} exceeds the limit {MAX_BAND_RADIUS}")
+    if n_recs > (2 * k + 1) ** 2:
+        raise FileFormatError(
+            f"{path}: {n_recs} plane records for {(2 * k + 1) ** 2} planes")
+    plane_bytes = h * w * 8
+    mask_bytes = (h * w + 7) // 8
+    expected = header.size + n_recs * (2 + plane_bytes + mask_bytes)
+    if len(raw) != expected:
+        raise FileFormatError(
+            f"{path}: expected {expected} bytes, found {len(raw)}")
+    off = header.size
+    recs = []
+    for _ in range(n_recs):
+        dy, dx = struct.unpack_from("<bb", raw, off)
+        off += 2
+        if abs(dy) > k or abs(dx) > k:
+            raise FileFormatError(f"{path}: displacement ({dy}, {dx}) outside band")
+        recs.append((dy, dx))
+    if len(set(recs)) != n_recs:
+        raise FileFormatError(f"{path}: duplicate plane records")
+    planes = np.zeros((2 * k + 1, 2 * k + 1, h, w))
+    valid = np.zeros((2 * k + 1, 2 * k + 1, h, w), dtype=bool)
+    active = np.zeros((2 * k + 1, 2 * k + 1), dtype=bool)
+    for dy, dx in recs:
+        planes[dy + k, dx + k] = np.frombuffer(
+            raw, dtype="<f8", count=h * w, offset=off).reshape(h, w)
+        off += plane_bytes
+    for dy, dx in recs:
+        bits = np.frombuffer(raw, dtype=np.uint8, count=mask_bytes, offset=off)
+        valid[dy + k, dx + k] = np.unpackbits(
+            bits, count=h * w).astype(bool).reshape(h, w)
+        active[dy + k, dx + k] = True
+        off += mask_bytes
+    return Jpd(("near", "far")[mode_code], k, planes, valid, active, n_frames,
+               bool(pending))
+
+
+def _read_outcome(reader, path):
+    try:
+        jpd = reader(path)
+    except FileFormatError as exc:
+        return str(exc)
+    return (jpd.mode, jpd.band_radius, jpd.n_frames, jpd.pending_invalid,
+            jpd.planes.tobytes(), jpd.valid.tobytes(), jpd.active.tobytes())
+
+
+def test_snapshot_io_matches_record_loops(tmp_path):
+    # random JPDs in both modes on 1-9 px sides with K up to max(h, w) + 1,
+    # random active masks (none and all included), camera policies and
+    # negative zeros; then truncations and byte edits of each file
+    rng = np.random.default_rng(5)
+    policies = [IdealCamera().invalid_pair_separation,
+                EmccdCamera().invalid_pair_separation,
+                SpadCamera().invalid_pair_separation]
+    new, ref, bad = (tmp_path / name for name in ("new", "ref", "bad"))
+    for i in range(150):
+        mode = ("near", "far")[i % 2]
+        h, w = rng.integers(1, 10, size=2)
+        k = int(rng.integers(1, max(h, w) + 2))
+        sums = rng.standard_normal((2 * k + 1, 2 * k + 1, h, w))
+        sums[rng.random(sums.shape) < 0.1] = -0.0
+        jpd = finalize_jpd(PartialJpd(mode, k, (h, w), sums, 1))
+        if i % 3:
+            jpd = apply_separation_policy(jpd, policies[i % 3])
+        active = rng.random(jpd.active.shape) < (i % 5) / 4
+        jpd = dataclasses.replace(jpd, active=active,
+                                  n_frames=int(rng.integers(0, 2 ** 32)))
+        write_jpd_snapshot(new, jpd)
+        _write_snapshot_records(ref, jpd)
+        raw = new.read_bytes()
+        assert raw == ref.read_bytes(), (mode, h, w, k)
+        assert (_read_outcome(read_jpd_snapshot, new)
+                == _read_outcome(_read_snapshot_records, new))
+        n_recs = int(active.sum())
+        for _ in range(8):
+            data = bytearray(raw)
+            if rng.random() < 0.3:
+                del data[int(rng.integers(0, len(data))):]
+            else:
+                span = 32 + 2 * n_recs if rng.random() < 0.7 else len(data)
+                for pos in rng.integers(0, span, size=rng.integers(1, 4)):
+                    data[pos] = int(rng.integers(0, 256))
+            bad.write_bytes(bytes(data))
+            assert (_read_outcome(read_jpd_snapshot, bad)
+                    == _read_outcome(_read_snapshot_records, bad))
+
+
+@st.composite
+def snapshot_jpds(draw):
+    """Band JPDs with arbitrary float64 planes (negative zeros, NaN and
+    infinities included), validity, active masks and flags."""
+    mode = draw(st.sampled_from(["near", "far"]))
+    h, w, k = draw(st.integers(1, 5)), draw(st.integers(1, 5)), draw(st.integers(0, 3))
+    shape = (2 * k + 1, 2 * k + 1, h, w)
+    floats = st.one_of(st.just(-0.0), st.floats(width=64))
+    return Jpd(mode, k, draw(arrays(np.float64, shape, elements=floats)),
+               draw(arrays(np.bool_, shape)),
+               draw(arrays(np.bool_, shape[:2])),
+               draw(st.integers(0, 2 ** 32 - 1)), draw(st.booleans()))
+
+
+@settings(max_examples=100, deadline=None)
+@given(jpd=snapshot_jpds())
+def test_snapshot_round_trip_is_exact(tmp_path_factory, jpd):
+    path = tmp_path_factory.mktemp("snap") / "jpd.bjpd"
+    write_jpd_snapshot(path, jpd)
+    back = read_jpd_snapshot(path)
+    assert (back.mode, back.band_radius, back.n_frames, back.pending_invalid) \
+        == (jpd.mode, jpd.band_radius, jpd.n_frames, jpd.pending_invalid)
+    assert np.array_equal(back.active, jpd.active)
+    on = jpd.active
+    assert back.planes[on].tobytes() == jpd.planes[on].tobytes()
+    assert np.array_equal(back.valid[on], jpd.valid[on])
+    assert back.planes[~on].tobytes() == np.zeros_like(back.planes[~on]).tobytes()
+    assert not back.valid[~on].any()
+    again = path.with_suffix(".again")
+    write_jpd_snapshot(again, back)
+    assert again.read_bytes() == path.read_bytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(jpd=snapshot_jpds(), data=st.data())
+def test_snapshot_fuzz_reads_or_raises_file_format_error(tmp_path_factory,
+                                                         jpd, data):
+    path = tmp_path_factory.mktemp("fuzz") / "jpd.bjpd"
+    write_jpd_snapshot(path, jpd)
+    raw = bytearray(path.read_bytes())
+    if data.draw(st.booleans(), label="truncate"):
+        del raw[data.draw(st.integers(0, len(raw) - 1), label="cut"):]
+    else:
+        # at least one record, so a header edit that asks for another
+        # shape or band meets the length check
+        n_recs = int(jpd.active.sum())
+        assume(n_recs > 0)
+        edits = data.draw(st.lists(st.tuples(
+            st.integers(0, 32 + 2 * n_recs - 1), st.integers(0, 255)),
+            min_size=1, max_size=4), label="edits")
+        for pos, value in edits:
+            raw[pos] = value
+    path.write_bytes(bytes(raw))
+    try:
+        assert isinstance(read_jpd_snapshot(path), Jpd)
+    except FileFormatError:
+        pass

@@ -8,7 +8,8 @@ from hypothesis.extra.numpy import arrays
 
 from jpdkit.errors import (ConfigurationError, DegeneratePlaneError,
                            EmptyFilterError, InterpolationError, StateError)
-from jpdkit.jpd import (Jpd, accumulate_jpd, apply_separation_policy,
+from jpdkit.jpd import (Jpd, PartialJpd, accumulate_jpd,
+                        apply_separation_policy, finalize_jpd,
                         minus_projection, scatter_half_grid,
                         structural_validity, sum_projection)
 from jpdkit.pipeline import (filter_jpd, interpolate_invalid, normalize_jpd,
@@ -71,6 +72,76 @@ def test_interpolation_rejects_far_mode():
     jpd = constant_plane_jpd((6, 6), 1, lambda dy, dx: 5.0, mode="far")
     with pytest.raises(StateError, match="near-field"):
         interpolate_invalid(jpd)
+
+
+def _interpolate_invalid_loop(jpd):
+    """The plane-by-plane, double-buffered reference for interpolate_invalid."""
+    k = jpd.band_radius
+    structural = structural_validity(jpd.mode, k, jpd.shape)
+    planes = jpd.planes.copy()
+    valid = jpd.valid.copy()
+    holes = structural & ~valid
+    while holes.any():
+        new_planes = planes.copy()
+        new_valid = valid.copy()
+        progress = False
+        for dy, dx, a, b in jpd.displacements():
+            if not holes[a, b].any():
+                continue
+            acc = np.zeros(jpd.shape)
+            cnt = np.zeros(jpd.shape)
+            for nb in (dx - 1, dx + 1):
+                if abs(nb) > k:
+                    continue
+                nv = valid[dy + k, nb + k]
+                acc += np.where(nv, planes[dy + k, nb + k], 0.0)
+                cnt += nv
+            fill = holes[a, b] & (cnt > 0)
+            if fill.any():
+                new_planes[a, b][fill] = (acc / np.maximum(cnt, 1))[fill]
+                new_valid[a, b][fill] = True
+                progress = True
+        if not progress:
+            bad = [(dy, dx) for dy, dx, a, b in jpd.displacements()
+                   if holes[a, b].any()]
+            raise InterpolationError(
+                f"no valid neighbouring plane to interpolate from for {bad}")
+        planes, valid = new_planes, new_valid
+        holes = structural & ~valid
+    return dataclasses.replace(jpd, planes=planes, valid=valid,
+                               pending_invalid=False)
+
+
+def _outcome(fn, jpd):
+    try:
+        out = fn(jpd)
+    except InterpolationError as exc:
+        return str(exc)
+    return (out.planes.tobytes(), out.valid.tobytes(), out.active.tobytes(),
+            out.pending_invalid)
+
+
+def test_interpolation_matches_plane_loop():
+    # random symmetrized near-field JPDs on 1-9 px sides, K up to
+    # max(h, w) + 1, under the three camera policies and a random per-entry
+    # drop-out that needs several passes or leaves holes without sources
+    rng = np.random.default_rng(21)
+    policies = [IdealCamera().invalid_pair_separation,
+                EmccdCamera().invalid_pair_separation,
+                SpadCamera().invalid_pair_separation]
+    for _ in range(120):
+        h, w = rng.integers(1, 10, size=2)
+        k = int(rng.integers(1, max(h, w) + 2))
+        sums = rng.standard_normal((2 * k + 1, 2 * k + 1, h, w))
+        jpd = finalize_jpd(PartialJpd("near", k, (h, w), sums, 1))
+        dropped = [apply_separation_policy(jpd, p) for p in policies]
+        keep = jpd.valid & (rng.random(jpd.valid.shape) < rng.random())
+        dropped.append(dataclasses.replace(
+            jpd, planes=np.where(keep, jpd.planes, 0.0), valid=keep,
+            pending_invalid=True))
+        for case in dropped:
+            assert (_outcome(interpolate_invalid, case)
+                    == _outcome(_interpolate_invalid_loop, case)), (h, w, k)
 
 
 def test_filter_keeps_dominant_planes():
