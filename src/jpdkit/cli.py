@@ -23,9 +23,9 @@ import numpy as np
 
 from ._version import __version__
 from .analysis import spectrum_along_axis
-from .config import (DEFAULTS, artifact_entry, build_camera, build_manifest,
-                     build_scene, load_config, parse_config, read_manifest,
-                     write_manifest)
+from .config import (_PARSERS, DEFAULTS, _float_range, artifact_entry,
+                     build_camera, build_manifest, build_scene, load_config,
+                     parse_config, read_manifest, write_manifest)
 from .errors import ConfigurationError, FileFormatError, ProcessingError
 from .frames import read_frames, write_frames
 from .images import GridImage, write_pgm16, write_spectrum_csv
@@ -35,27 +35,15 @@ from .simulate import (camera_by_name, interference_rate, noon_density,
                        simulate_frames)
 
 
-def _threshold_arg(raw: str):
-    if raw.lower() == "none":
-        return None
-    try:
-        value = float(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"{raw!r} is not a number or 'none'") from None
-    if not 0 <= value <= 1:
-        raise argparse.ArgumentTypeError("threshold must lie in [0, 1]")
-    return value
-
-
-def _pitch_arg(raw: str) -> float:
-    try:
-        value = float(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{raw!r} is not a number") from None
-    if not 0 < value < float("inf"):
-        raise argparse.ArgumentTypeError("pitch must be finite and > 0")
-    return value
+def _arg(parse):
+    """argparse type from a config value parser: its ValueError, which
+    names the allowed range or the bad value, becomes a usage error."""
+    def convert(raw: str):
+        try:
+            return parse(raw)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return convert
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -88,7 +76,8 @@ def _build_parser() -> argparse.ArgumentParser:
     # processing flags are absent from args unless given, so the manifest's
     # [processing] section (or the defaults) fills in the rest
     rec.add_argument("--band-radius", type=int, default=argparse.SUPPRESS)
-    rec.add_argument("--threshold", type=_threshold_arg,
+    rec.add_argument("--threshold",
+                     type=_arg(_PARSERS["processing", "threshold"]),
                      default=argparse.SUPPRESS, metavar="X|none",
                      help="plane filter threshold relative to the strongest "
                           "plane, or 'none' to keep all planes")
@@ -109,7 +98,7 @@ def _build_parser() -> argparse.ArgumentParser:
     spec.add_argument("--input", required=True, help="image array (.npy)")
     spec.add_argument("--manifest",
                       help="reconstruct manifest, supplies the grid pitch")
-    spec.add_argument("--pitch", type=_pitch_arg,
+    spec.add_argument("--pitch", type=_arg(_float_range(0.0, low_open=True)),
                       help="sample spacing in camera pixels (default: "
                            "manifest entry for the input file, else 1)")
     spec.add_argument("--axis", type=int, choices=(0, 1), default=0,
@@ -160,26 +149,16 @@ def _camera_for_frames(frames: np.ndarray) -> str:
 
 def _cmd_reconstruct(args) -> int:
     frames = read_frames(args.frames)
-    manifest = read_manifest(args.manifest) if args.manifest else None
-    run_config = None
-    if manifest is not None and "config" in manifest:
-        run_config = parse_config(manifest["config"])
-
-    profile = args.camera
-    if profile is None and manifest is not None:
-        profile = manifest.get("camera")
-    if profile is None:
-        profile = _camera_for_frames(frames)
-    if profile == "emccd" and run_config is not None \
-            and run_config.camera["profile"] == "emccd":
+    manifest = read_manifest(args.manifest) if args.manifest else {}
+    run_config = parse_config(manifest["config"]) if "config" in manifest \
+        else None
+    profile = args.camera or manifest.get("camera") \
+        or _camera_for_frames(frames)
+    mode = args.mode or manifest.get("mode") or "near"
+    if run_config is not None and profile == run_config.camera["profile"]:
         camera = build_camera(run_config)
     else:
         camera = camera_by_name(profile)
-
-    mode = args.mode
-    if mode is None and manifest is not None:
-        mode = manifest.get("mode")
-    mode = mode or "near"
 
     settings = dict(run_config.processing if run_config is not None
                     else DEFAULTS["processing"])

@@ -4,19 +4,24 @@ A run is described by an INI file with sections [scene], [pairs], [camera],
 [processing] and [rng].  Parsing is strict: unknown sections or keys, values
 of the wrong type and keys that do not apply to the chosen scene kind or
 camera profile are all configuration errors, reported with the line number
-where possible.  ``--set section.key=value`` overrides are applied on top of
-the file before validation.
+where possible.  ``--set section.key=value`` overrides are checked and
+applied on top of the file before validation.
+
+Every setting is declared once, in ``_SETTINGS``: its default, its value
+parser and, for a key that belongs to one scene kind or camera profile, that
+kind or profile.  ``DEFAULTS``, the parsers, the applicability rule and the
+canonical text all follow from that table.
 
 The parsed configuration carries a canonical text rendering with every
-effective value written out.  Manifests embed that text together with SHA-256
-digests of the run's artifacts, and contain nothing volatile, so repeating a
-run and comparing bytes is a meaningful check.
+effective value that applies written out, in table order.  Manifests embed
+that text together with SHA-256 digests of the run's artifacts, and contain
+nothing volatile, so repeating a run and comparing bytes is a meaningful
+check.
 """
 
 from __future__ import annotations
 
 import configparser
-import copy
 import hashlib
 import json
 import math
@@ -31,24 +36,6 @@ from .scenes import Scene, cat_half_plane, checkerboard_phase, grating, uniform
 from .simulate import EmccdCamera, camera_by_name
 
 TOOL_NAME = "jpdkit"
-
-DEFAULTS = {
-    "scene": {"kind": None, "size": None, "oversample": 8, "period": None,
-              "duty": None, "orientation": "y", "blocks": 3,
-              "edge_alignment": "pixel"},
-    "pairs": {"mode": "near", "sigma": 0.25, "rate": 60.0, "frames": 1000,
-              "interference": "none", "shift": 0.0, "contrast": 1.0},
-    "camera": {"profile": "ideal", "gain_mean": None, "gain_cv": None,
-               "read_sigma": None, "smear": None},
-    "processing": {"band_radius": DEFAULT_BAND_RADIUS, "threshold": 0.5,
-                   "normalize": True, "interpolate": True,
-                   "chunk": DEFAULT_CHUNK_SIZE, "workers": None},
-    "rng": {"seed": 0},
-}
-
-_GRATING_KEYS = {"period", "duty", "orientation"}
-_CHECKER_KEYS = {"blocks", "edge_alignment"}
-_EMCCD_KEYS = {"gain_mean", "gain_cv", "read_sigma", "smear"}
 
 
 def _choice(*names):
@@ -99,35 +86,60 @@ def _or_none(inner):
     return parse
 
 
-_PARSERS = {
-    ("scene", "kind"): _choice("grating", "checkerboard", "cat", "uniform"),
-    ("scene", "size"): _int_min(2),
-    ("scene", "oversample"): _int_min(1),
-    ("scene", "period"): _float_range(0.0, low_open=True),
-    ("scene", "duty"): _float_range(0.0, 1.0, low_open=True),
-    ("scene", "orientation"): _choice("y", "x"),
-    ("scene", "blocks"): _int_min(1),
-    ("scene", "edge_alignment"): _choice("pixel", "quarter"),
-    ("pairs", "mode"): _choice("near", "far"),
-    ("pairs", "sigma"): _float_range(0.0),
-    ("pairs", "rate"): _float_range(0.0, low_open=True),
-    ("pairs", "frames"): _int_min(2),
-    ("pairs", "interference"): _choice("none", "noon"),
-    ("pairs", "shift"): _float_range(),
-    ("pairs", "contrast"): _float_range(0.0, 1.0),
-    ("camera", "profile"): _choice("ideal", "emccd", "spad"),
-    ("camera", "gain_mean"): _float_range(0.0, low_open=True),
-    ("camera", "gain_cv"): _float_range(0.0),
-    ("camera", "read_sigma"): _float_range(0.0),
-    ("camera", "smear"): _float_range(0.0, 1.0),
-    ("processing", "band_radius"): _int_min(1),
-    ("processing", "threshold"): _or_none(_float_range(0.0, 1.0)),
-    ("processing", "normalize"): _bool,
-    ("processing", "interpolate"): _bool,
-    ("processing", "chunk"): _int_min(1),
-    ("processing", "workers"): _or_none(_int_min(1)),
-    ("rng", "seed"): int,
+# (section, key) -> (default, parser[, scene kind or camera profile the key
+# belongs to]).  The canonical text lists the keys in this order.
+_SETTINGS = {
+    ("scene", "kind"): (None, _choice("grating", "checkerboard", "cat",
+                                      "uniform")),
+    ("scene", "size"): (None, _int_min(2)),
+    ("scene", "oversample"): (8, _int_min(1)),
+    ("scene", "period"): (None, _float_range(0.0, low_open=True), "grating"),
+    ("scene", "duty"): (None, _float_range(0.0, 1.0, low_open=True),
+                        "grating"),
+    ("scene", "orientation"): ("y", _choice("y", "x"), "grating"),
+    ("scene", "blocks"): (3, _int_min(1), "checkerboard"),
+    ("scene", "edge_alignment"): ("pixel", _choice("pixel", "quarter"),
+                                  "checkerboard"),
+    ("pairs", "mode"): ("near", _choice("near", "far")),
+    ("pairs", "sigma"): (0.25, _float_range(0.0)),
+    ("pairs", "rate"): (60.0, _float_range(0.0, low_open=True)),
+    ("pairs", "frames"): (1000, _int_min(2)),
+    ("pairs", "interference"): ("none", _choice("none", "noon")),
+    ("pairs", "shift"): (0.0, _float_range()),
+    ("pairs", "contrast"): (1.0, _float_range(0.0, 1.0)),
+    ("camera", "profile"): ("ideal", _choice("ideal", "emccd", "spad")),
+    ("camera", "gain_mean"): (EmccdCamera.gain_mean,
+                              _float_range(0.0, low_open=True), "emccd"),
+    ("camera", "gain_cv"): (EmccdCamera.gain_cv, _float_range(0.0), "emccd"),
+    ("camera", "read_sigma"): (EmccdCamera.read_sigma, _float_range(0.0),
+                               "emccd"),
+    ("camera", "smear"): (EmccdCamera.smear, _float_range(0.0, 1.0), "emccd"),
+    ("processing", "band_radius"): (DEFAULT_BAND_RADIUS, _int_min(1)),
+    ("processing", "threshold"): (0.5, _or_none(_float_range(0.0, 1.0))),
+    ("processing", "normalize"): (True, _bool),
+    ("processing", "interpolate"): (True, _bool),
+    ("processing", "chunk"): (DEFAULT_CHUNK_SIZE, _int_min(1)),
+    ("processing", "workers"): (None, _or_none(_int_min(1))),
+    ("rng", "seed"): (0, _int_min(0)),
 }
+
+DEFAULTS = {section: {key: spec[0] for (other, key), spec in _SETTINGS.items()
+                      if other == section}
+            for section, _ in _SETTINGS}
+_PARSERS = {name: spec[1] for name, spec in _SETTINGS.items()}
+
+# the key that picks the kind or profile of a section, and how a message
+# names the picked one
+_CHOOSER = {"scene": ("kind", "a {} scene"),
+            "camera": ("profile", "the {} profile")}
+
+
+def _applies(values: dict, section: str, key: str) -> bool:
+    """Whether *key* applies given *values*, the settings of its section:
+    a key that belongs to a scene kind or camera profile applies to that
+    one only."""
+    _, _, *owner = _SETTINGS[section, key]
+    return not owner or values[_CHOOSER[section][0]] == owner[0]
 
 
 @dataclass(frozen=True)
@@ -166,15 +178,10 @@ def _fail(text: str, section: str, key: str | None, message: str,
     raise ConfigurationError(f"{where}: {message}{suffix}")
 
 
-def _given_keys(given: set[tuple[str, str]], section: str) -> set[str]:
-    return {key for sec, key in given if sec == section}
-
-
 def apply_overrides(parser: configparser.ConfigParser,
-                    assignments: list[str]) -> set[tuple[str, str]]:
-    """Apply ``section.key=value`` assignments onto a parsed config.
-    Returns the set of (section, key) pairs that were overridden."""
-    touched = set()
+                    assignments: list[str]) -> None:
+    """Apply ``section.key=value`` assignments onto a parsed config,
+    checking each value with its setting's parser."""
     for assignment in assignments:
         target, sep, raw = assignment.partition("=")
         section, dot, key = target.strip().partition(".")
@@ -192,8 +199,6 @@ def apply_overrides(parser: configparser.ConfigParser,
         if not parser.has_section(section):
             parser.add_section(section)
         parser.set(section, key, raw.strip())
-        touched.add((section, key))
-    return touched
 
 
 def _format_value(value) -> str:
@@ -206,19 +211,11 @@ def _format_value(value) -> str:
 
 def _canonical_text(merged: dict) -> str:
     lines = []
-    for section, defaults in DEFAULTS.items():
+    for section, values in merged.items():
         lines.append(f"[{section}]")
-        for key in defaults:
-            if section == "scene":
-                kind = merged["scene"]["kind"]
-                if key in _GRATING_KEYS and kind != "grating":
-                    continue
-                if key in _CHECKER_KEYS and kind != "checkerboard":
-                    continue
-            if section == "camera" and key in _EMCCD_KEYS \
-                    and merged["camera"]["profile"] != "emccd":
-                continue
-            lines.append(f"{key} = {_format_value(merged[section][key])}")
+        lines += [f"{key} = {_format_value(value)}"
+                  for key, value in values.items()
+                  if _applies(values, section, key)]
         lines.append("")
     return "\n".join(lines)
 
@@ -231,10 +228,9 @@ def parse_config(text: str, overrides: list[str] | None = None) -> RunConfig:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigurationError(f"cannot parse config: {exc}") from exc
-    touched = apply_overrides(parser, overrides or [])
+    apply_overrides(parser, overrides or [])
 
-    merged = copy.deepcopy(DEFAULTS)
-    given = set()
+    merged = {section: dict(values) for section, values in DEFAULTS.items()}
     for section in parser.sections():
         if section not in DEFAULTS:
             _fail(text, section, None, "unknown section")
@@ -244,40 +240,25 @@ def parse_config(text: str, overrides: list[str] | None = None) -> RunConfig:
             try:
                 merged[section][key] = _PARSERS[section, key](raw)
             except ValueError as exc:
-                _fail(text, section, key, str(exc),
-                      with_line=(section, key) not in touched)
-            given.add((section, key))
+                _fail(text, section, key, str(exc))
 
-    scene, pairs, camera = merged["scene"], merged["pairs"], merged["camera"]
-    if scene["kind"] is None:
-        _fail(text, "scene", "kind", "required setting is missing")
-    if scene["size"] is None:
-        _fail(text, "scene", "size", "required setting is missing")
+    scene, pairs = merged["scene"], merged["pairs"]
+    for key in ("kind", "size"):
+        if scene[key] is None:
+            _fail(text, "scene", key, "required setting is missing")
     if scene["kind"] == "grating":
         for key in ("period", "duty"):
             if scene[key] is None:
-                _fail(text, "scene", key,
-                      "required for a grating scene", with_line=False)
-    else:
-        for key in _GRATING_KEYS & _given_keys(given, "scene"):
-            _fail(text, "scene", key,
-                  f"does not apply to a {scene['kind']} scene")
-    if scene["kind"] != "checkerboard":
-        for key in _CHECKER_KEYS & _given_keys(given, "scene"):
-            _fail(text, "scene", key,
-                  f"does not apply to a {scene['kind']} scene")
+                _fail(text, "scene", key, "required for a grating scene")
+    for section, key in _SETTINGS:
+        if parser.has_option(section, key) \
+                and not _applies(merged[section], section, key):
+            chooser, phrase = _CHOOSER[section]
+            _fail(text, section, key, "does not apply to "
+                  + phrase.format(merged[section][chooser]))
     if scene["kind"] == "checkerboard" and scene["size"] % scene["blocks"]:
         _fail(text, "scene", "blocks",
               f"size {scene['size']} is not divisible into {scene['blocks']} blocks")
-    if camera["profile"] == "emccd":
-        reference = EmccdCamera()
-        for key in _EMCCD_KEYS:
-            if camera[key] is None:
-                camera[key] = float(getattr(reference, key))
-    else:
-        for key in _EMCCD_KEYS & _given_keys(given, "camera"):
-            _fail(text, "camera", key,
-                  f"does not apply to the {camera['profile']} profile")
     if pairs["interference"] == "noon" and pairs["mode"] != "near":
         _fail(text, "pairs", "interference",
               "the interference model applies to the near-field geometry",
@@ -312,9 +293,9 @@ def build_scene(config: RunConfig) -> Scene:
 
 def build_camera(config: RunConfig):
     spec = config.camera
-    if spec["profile"] == "emccd":
-        return camera_by_name("emccd", **{k: spec[k] for k in _EMCCD_KEYS})
-    return camera_by_name(spec["profile"])
+    return camera_by_name(spec["profile"], **{
+        key: value for key, value in spec.items()
+        if key != "profile" and _applies(spec, "camera", key)})
 
 
 # ---------------------------------------------------------------------------
@@ -356,4 +337,13 @@ def read_manifest(path) -> dict:
         raise FileFormatError(f"manifest {path} is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("tool") != TOOL_NAME:
         raise FileFormatError(f"{path} is not a {TOOL_NAME} manifest")
+    # the fields a later stage reads
+    for key in ("config", "camera", "mode"):
+        if not isinstance(payload.get(key, ""), str):
+            raise FileFormatError(f"{path}: manifest {key!r} is not a string")
+    artifacts = payload.get("artifacts", {})
+    if not (isinstance(artifacts, dict)
+            and all(isinstance(entry, dict) for entry in artifacts.values())):
+        raise FileFormatError(
+            f"{path}: manifest 'artifacts' does not map names to records")
     return payload

@@ -25,6 +25,7 @@ start on a byte boundary.
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -33,8 +34,8 @@ from .errors import FileFormatError, FrameShapeError
 
 MAGIC = b"BPSR"
 VERSION = 1
-_HEADER = struct.Struct("<4sHHIII")
-HEADER_SIZE = 32
+_HEADER = struct.Struct("<4sHHIII12x")
+HEADER_SIZE = _HEADER.size
 
 CODE_U16 = 0
 CODE_F32 = 1
@@ -68,15 +69,13 @@ def write_frames(path, frames: np.ndarray) -> None:
     if height == 0 or width == 0:
         raise FrameShapeError("frames must have non-zero height and width")
     code = _code_for(frames)
-    header = _HEADER.pack(MAGIC, VERSION, code, width, height, count)
     with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(b"\0" * (HEADER_SIZE - _HEADER.size))
+        fh.write(_HEADER.pack(MAGIC, VERSION, code, width, height, count))
         if code == CODE_BITS:
             # packbits along the row axis keeps every row byte-aligned
-            fh.write(np.packbits(frames, axis=-1).tobytes())
+            np.packbits(frames, axis=-1).tofile(fh)
         else:
-            fh.write(frames.astype(_CODE_TO_DTYPE[code], copy=False).tobytes())
+            frames.astype(_CODE_TO_DTYPE[code], copy=False).tofile(fh)
 
 
 def read_frames(path) -> np.ndarray:
@@ -87,36 +86,31 @@ def read_frames(path) -> np.ndarray:
     sample code or a size mismatch (truncated or padded file).
     """
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < HEADER_SIZE:
-        raise FileFormatError(f"{path}: too short for a frame-stack header")
-    magic, version, code, width, height, count = _HEADER.unpack_from(raw, 0)
-    if magic != MAGIC:
-        raise FileFormatError(f"{path}: bad magic {magic!r}")
-    if version != VERSION:
-        raise FileFormatError(f"{path}: unsupported version {version}")
-    if height == 0 or width == 0:
-        raise FileFormatError(f"{path}: zero frame dimensions")
-    body = raw[HEADER_SIZE:]
-    if code == CODE_BITS:
-        row_bytes = (width + 7) // 8
-        expected = count * height * row_bytes
-        if len(body) != expected:
+        header = fh.read(HEADER_SIZE)
+        if len(header) < HEADER_SIZE:
+            raise FileFormatError(f"{path}: too short for a frame-stack header")
+        magic, version, code, width, height, count = _HEADER.unpack_from(header)
+        if magic != MAGIC:
+            raise FileFormatError(f"{path}: bad magic {magic!r}")
+        if version != VERSION:
+            raise FileFormatError(f"{path}: unsupported version {version}")
+        if height == 0 or width == 0:
+            raise FileFormatError(f"{path}: zero frame dimensions")
+        if code == CODE_BITS:
+            dtype, row_items = np.dtype(np.uint8), (width + 7) // 8
+        elif code in _CODE_TO_DTYPE:
+            dtype, row_items = _CODE_TO_DTYPE[code], width
+        else:
+            raise FileFormatError(f"{path}: unknown sample code {code}")
+        items = count * height * row_items
+        # sizes are compared before anything is allocated
+        expected = items * dtype.itemsize
+        found = os.fstat(fh.fileno()).st_size - HEADER_SIZE
+        if found != expected:
             raise FileFormatError(
-                f"{path}: expected {expected} data bytes, found {len(body)}"
-            )
-        packed = np.frombuffer(body, dtype=np.uint8)
-        packed = packed.reshape(count, height, row_bytes)
-        bits = np.unpackbits(packed, axis=-1, count=width)
-        return bits.astype(bool)
-    if code not in _CODE_TO_DTYPE:
-        raise FileFormatError(f"{path}: unknown sample code {code}")
-    dtype = _CODE_TO_DTYPE[code]
-    expected = count * height * width * dtype.itemsize
-    if len(body) != expected:
-        raise FileFormatError(
-            f"{path}: expected {expected} data bytes, found {len(body)}"
-        )
-    data = np.frombuffer(body, dtype=dtype).reshape(count, height, width)
-    # native byte order copy so downstream arithmetic is unconstrained
-    return np.ascontiguousarray(data.astype(dtype.newbyteorder("="), copy=False))
+                f"{path}: expected {expected} data bytes, found {found}")
+        data = np.fromfile(fh, dtype, items).reshape(count, height, row_items)
+    if code == CODE_BITS:
+        return np.unpackbits(data, axis=-1, count=width).view(bool)
+    # native byte order so downstream arithmetic is unconstrained
+    return data.astype(dtype.newbyteorder("="), copy=False)

@@ -181,9 +181,11 @@ def _normalized_density(scene: Scene, mode: str, density) -> np.ndarray:
 
 def _seed_entropy(seed) -> tuple[int, ...]:
     """Accept a plain int or a tuple of ints (stream labels) as a seed."""
-    if isinstance(seed, (int, np.integer)):
-        return (int(seed),)
-    return tuple(int(s) for s in seed)
+    entropy = ((int(seed),) if isinstance(seed, (int, np.integer))
+               else tuple(int(s) for s in seed))
+    if min(entropy, default=0) < 0:
+        raise ConfigurationError(f"seed entries must be >= 0, got {seed!r}")
+    return entropy
 
 
 def _chunk_rngs(seed, chunk: int):

@@ -171,7 +171,7 @@ def test_far_mode_has_no_native_image(tmp_path):
     assert manifest["mode"] == "far"
 
 
-def test_configuration_errors_exit_2(tmp_path, config_path):
+def test_configuration_errors_exit_2(tmp_path, config_path, capsys):
     bad = tmp_path / "bad.ini"
     bad.write_text("[scene]\nsize = 16\n")
     assert main(["simulate", "--config", str(bad),
@@ -186,7 +186,7 @@ def test_configuration_errors_exit_2(tmp_path, config_path):
                  "--out", str(tmp_path / "w")]) == 2
     assert not (tmp_path / "w").exists()
     emccd = ["camera.profile=emccd"]
-    for overrides in (["pairs.rate=nan"], ["pairs.rate=inf"],
+    for overrides in (["rng.seed=-1"], ["pairs.rate=nan"], ["pairs.rate=inf"],
                       ["pairs.sigma=nan"], ["pairs.shift=inf"],
                       ["processing.threshold=nan"],
                       emccd + ["camera.gain_mean=inf"],
@@ -211,6 +211,9 @@ def test_configuration_errors_exit_2(tmp_path, config_path):
             main(["spectrum", "--input", str(image), "--pitch", pitch,
                   "--out", str(csv)])
         assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --pitch" in err
+        assert ("> 0" if pitch != "nan" else "finite") in err
     manifest = tmp_path / "bad_pitch.json"
     for pitch in (0, "0.5"):
         write_manifest(manifest, build_manifest(
@@ -220,11 +223,16 @@ def test_configuration_errors_exit_2(tmp_path, config_path):
     assert not csv.exists()
 
 
-def test_threshold_flag_above_one_is_a_usage_error(tmp_path):
-    with pytest.raises(SystemExit) as info:
-        main(["reconstruct", "--frames", str(tmp_path / "any.bpsr"),
-              "--threshold", "2", "--out", str(tmp_path / "r")])
-    assert info.value.code == 2
+def test_threshold_flag_above_one_is_a_usage_error(tmp_path, capsys):
+    # the message names the range for an out-of-range value and repeats
+    # a value that is not a number
+    for value, named in (("2", "1"), ("abc", "'abc'")):
+        with pytest.raises(SystemExit) as info:
+            main(["reconstruct", "--frames", str(tmp_path / "any.bpsr"),
+                  "--threshold", value, "--out", str(tmp_path / "r")])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert named in err.partition("argument --threshold:")[2]
 
 
 @pytest.mark.parametrize("shape, flags", [
@@ -353,6 +361,19 @@ def test_malformed_files_exit_3(tmp_path):
     assert main(["reconstruct", "--frames", str(stack),
                  "--manifest", str(tmp_path / "absent.json"),
                  "--out", str(tmp_path / "t")]) == 3
+    image = tmp_path / "image.npy"
+    np.save(image, np.ones((8, 8)))
+    crafted = tmp_path / "crafted.json"
+    for command, field in (("reconstruct", {"camera": ["x"]}),
+                           ("reconstruct", {"config": 5}),
+                           ("spectrum", {"artifacts": []}),
+                           ("spectrum", {"artifacts": {"image.npy": 3}})):
+        crafted.write_text(json.dumps({"tool": "jpdkit", **field}))
+        source = (["--frames", str(stack)] if command == "reconstruct"
+                  else ["--input", str(image)])
+        assert main([command, *source, "--manifest", str(crafted),
+                     "--out", str(tmp_path / "u")]) == 3, field
+    assert not (tmp_path / "u").exists()
 
 
 def test_processing_failures_exit_4(tmp_path):

@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -170,3 +172,103 @@ def test_manifest_rejects_foreign_files(tmp_path):
         read_manifest(path)
     with pytest.raises(FileFormatError, match="cannot read"):
         read_manifest(tmp_path / "absent.json")
+    # the fields a later stage reads must have the types it expects
+    for field in ({"camera": ["x"]}, {"config": 5}, {"mode": None},
+                  {"artifacts": []}, {"artifacts": {"image.npy": 3}}):
+        path.write_text(json.dumps({"tool": "jpdkit", **field}))
+        with pytest.raises(FileFormatError, match="manifest"):
+            read_manifest(path)
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+CANONICAL_DIGESTS = {
+    "cat_far_field:ideal": "ecf1d8e58b57ca8ff9da8215fd999a977fcd371c80a51333ab92fb64c4698a1e",
+    "cat_far_field:emccd": "32ca01667a8600a7e5f6385a74522fb51a1e06762a00e4dc479ad2d4f13fb48f",
+    "cat_far_field:spad": "8ca52b597545ba0654242e0112de518ac6e89c7250b9d54da196dd5a9c859fc3",
+    "fine_grating_emccd:ideal": "8c521a1d659f23391212f4005da7b57290e278f82b98a82c7b95c17a69e88243",
+    "fine_grating_emccd:emccd": "a0e0ba4617b80cf9c1fa86ca2983369a16d2866e0bde02cb44f76a7f5daf3914",
+    "fine_grating_emccd:spad": "32adbbc498357b1911f56f5ac6c649e56809adae81f500dcc816ccf8825f7795",
+    "grating_superres:ideal": "4b12318f4b733749e7f2fca0f1ac2c9276e660ab3fdba603010139465af20a7b",
+    "grating_superres:emccd": "94c88e614be3d4ff247e59d1b83cb4797daf1262883e7734d0465baf1033b92e",
+    "grating_superres:spad": "d021cce353dd6eb6e1e44997d1604d7c3be18cd07568732b091fd9a1e2d7ec2f",
+    "noon_phase:ideal": "032989674509f61fe4090611f17371193656502d04b959435d85211d76a54696",
+    "noon_phase:emccd": "3f847be564d3dd8e2c2b61ce2d0db6a980b092344109819378c4cdb6755c8a92",
+    "noon_phase:spad": "8246c52d727615d3da23d9d125533e3cd843d5fd940273766faa5d7c720ea0b7",
+    "checkerboard": "ca3e4fee0b6e9e752a34b398602cca6617f385259ac9207eda21ac05d793f4d2",
+    "uniform_emccd": "250217fd272fd39f918da2dce12506127e3be80e038faaa09fb1b597107243c5",
+}
+
+
+def _canonical_texts():
+    texts = {}
+    for path in sorted(CONFIGS.glob("*.ini")):
+        for profile in ("ideal", "emccd", "spad"):
+            text = path.read_text()
+            if profile != "emccd":
+                text = "".join(line for line in text.splitlines(True)
+                               if not line.startswith("gain_cv"))
+            texts[f"{path.stem}:{profile}"] = parse_config(
+                text, [f"camera.profile={profile}"]).text
+    texts["checkerboard"] = parse_config(
+        "[scene]\nkind = checkerboard\nsize = 12\nblocks = 4\n"
+        "edge_alignment = quarter\n\n[processing]\nworkers = 2\n").text
+    texts["uniform_emccd"] = parse_config(
+        "[scene]\nkind = uniform\nsize = 6\n\n[camera]\nprofile = emccd\n"
+        "gain_mean = 50\ngain_cv = 0.1\nread_sigma = 2\nsmear = 0.25\n\n"
+        "[processing]\nthreshold = none\nnormalize = no\n").text
+    return texts
+
+
+def test_canonical_text_is_pinned():
+    # manifests embed this text, so its bytes are part of every rerun check
+    digests = {name: hashlib.sha256(text.encode()).hexdigest()
+               for name, text in _canonical_texts().items()}
+    assert digests == CANONICAL_DIGESTS
+
+
+# every key that belongs to one scene kind or camera profile, with a legal
+# value, its owner and the other kinds or profiles
+OWNED_KEYS = {
+    ("scene", "period"): ("3", "grating", ("checkerboard", "cat", "uniform")),
+    ("scene", "duty"): ("0.5", "grating", ("checkerboard", "cat", "uniform")),
+    ("scene", "orientation"): ("x", "grating",
+                               ("checkerboard", "cat", "uniform")),
+    ("scene", "blocks"): ("2", "checkerboard", ("grating", "cat", "uniform")),
+    ("scene", "edge_alignment"): ("quarter", "checkerboard",
+                                  ("grating", "cat", "uniform")),
+    ("camera", "gain_mean"): ("10", "emccd", ("ideal", "spad")),
+    ("camera", "gain_cv"): ("0.1", "emccd", ("ideal", "spad")),
+    ("camera", "read_sigma"): ("1", "emccd", ("ideal", "spad")),
+    ("camera", "smear"): ("0.1", "emccd", ("ideal", "spad")),
+}
+
+
+def _scene_text(kind):
+    extra = "period = 3\nduty = 0.5\n" if kind == "grating" else ""
+    return f"[scene]\nkind = {kind}\nsize = 12\n{extra}"
+
+
+def test_keys_of_other_kinds_and_profiles_do_not_apply():
+    for (section, key), (value, owner, others) in OWNED_KEYS.items():
+        for other in others:
+            if section == "scene":
+                base, target = _scene_text(other), f"a {other} scene"
+            else:
+                base = _scene_text("uniform") + f"\n[camera]\nprofile = {other}\n"
+                target = f"the {other} profile"
+            text = base + f"{key} = {value}\n"
+            line = text.count("\n")
+            with pytest.raises(ConfigurationError) as info:
+                parse_config(text)
+            assert str(info.value) == (f"[{section}] {key}: does not apply "
+                                       f"to {target} (line {line})")
+            with pytest.raises(ConfigurationError) as info:
+                parse_config(base, [f"{section}.{key}={value}"])
+            assert str(info.value) == \
+                f"[{section}] {key}: does not apply to {target}"
+        # and under its owner the key is accepted and rendered
+        owned = (_scene_text(owner) if section == "scene" else
+                 _scene_text("uniform") + f"\n[camera]\nprofile = {owner}\n")
+        rendered = parse_config(owned, [f"{section}.{key}={value}"]).text
+        assert f"\n{key} = " in rendered

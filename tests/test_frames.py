@@ -1,5 +1,10 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from jpdkit.errors import FileFormatError, FrameShapeError
 from jpdkit.frames import HEADER_SIZE, MAGIC, read_frames, write_frames
@@ -13,6 +18,7 @@ def test_round_trip_uint16(tmp_path):
     back = read_frames(path)
     assert back.dtype == np.uint16
     assert np.array_equal(back, frames)
+    assert back.flags.writeable
 
 
 def test_round_trip_float32(tmp_path):
@@ -119,3 +125,45 @@ def test_read_rejects_bad_version_and_code(tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.raises(FileFormatError, match="sample code"):
         read_frames(path)
+
+
+# header fields as (offset, struct format): version, sample code, width,
+# height, count
+HEADER_FIELDS = [(4, "<H"), (6, "<H"), (8, "<I"), (12, "<I"), (16, "<I")]
+
+
+@st.composite
+def frame_stacks(draw):
+    dtype = draw(st.sampled_from([np.uint16, np.float32, np.bool_]))
+    shape = (draw(st.integers(0, 4)), draw(st.integers(1, 5)),
+             draw(st.integers(1, 12)))
+    return draw(arrays(dtype, shape))
+
+
+@settings(max_examples=200, deadline=None)
+@given(frames=frame_stacks(), data=st.data())
+def test_fuzz_reads_or_raises_file_format_error(tmp_path_factory, frames,
+                                                data):
+    path = tmp_path_factory.mktemp("fuzz") / "stack.bpsr"
+    write_frames(path, frames)
+    raw = bytearray(path.read_bytes())
+    how = data.draw(st.sampled_from(["truncate", "bytes", "header"]))
+    if how == "truncate":
+        del raw[data.draw(st.integers(0, len(raw) - 1), label="cut"):]
+    elif how == "bytes":
+        for pos, value in data.draw(st.lists(st.tuples(
+                st.integers(0, len(raw) - 1), st.integers(0, 255)),
+                min_size=1, max_size=4), label="edits"):
+            raw[pos] = value
+    else:
+        offset, fmt = data.draw(st.sampled_from(HEADER_FIELDS), label="field")
+        value = data.draw(st.integers(0, 2 ** (8 * struct.calcsize(fmt)) - 1),
+                          label="value")
+        struct.pack_into(fmt, raw, offset, value)
+    path.write_bytes(bytes(raw))
+    try:
+        back = read_frames(path)
+    except FileFormatError:
+        return
+    assert back.ndim == 3
+    assert back.dtype in (np.uint16, np.float32, np.bool_)

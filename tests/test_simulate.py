@@ -32,6 +32,9 @@ def test_simulation_parameter_validation():
             simulate_frames(scene, sigma=bad)
         with pytest.raises(ConfigurationError):
             simulate_frames(scene, pair_rate=bad)
+    for seed in (-1, (3, -2)):
+        with pytest.raises(ConfigurationError, match="seed"):
+            simulate_frames(scene, seed=seed)
     with pytest.raises(ConfigurationError, match="density shape"):
         simulate_frames(scene, density=np.ones((4, 4)))
     with pytest.raises(DegenerateDensityError):
