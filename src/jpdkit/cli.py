@@ -29,10 +29,10 @@ from .config import (_PARSERS, DEFAULTS, _float_range, artifact_entry,
 from .errors import ConfigurationError, FileFormatError, ProcessingError
 from .frames import read_frames, write_frames
 from .images import GridImage, write_pgm16, write_spectrum_csv
-from .jpd import write_jpd_snapshot
+from .jpd import MODES, write_jpd_snapshot
 from .pipeline import reconstruct
-from .simulate import (camera_by_name, interference_rate, noon_density,
-                       simulate_frames)
+from .simulate import (CAMERAS, camera_by_name, interference_rate,
+                       noon_density, simulate_frames)
 
 
 def _arg(parse):
@@ -68,10 +68,10 @@ def _build_parser() -> argparse.ArgumentParser:
     rec.add_argument("--manifest",
                      help="manifest of the simulate run that produced the stack; "
                           "supplies camera, geometry and processing defaults")
-    rec.add_argument("--camera", choices=("ideal", "emccd", "spad"),
+    rec.add_argument("--camera", choices=tuple(CAMERAS),
                      help="camera profile (default: manifest, else guessed "
                           "from the frame dtype)")
-    rec.add_argument("--mode", choices=("near", "far"),
+    rec.add_argument("--mode", choices=MODES,
                      help="imaging geometry (default: manifest, else near)")
     # processing flags are absent from args unless given, so the manifest's
     # [processing] section (or the defaults) fills in the rest
@@ -150,18 +150,13 @@ def _camera_for_frames(frames: np.ndarray) -> str:
 def _cmd_reconstruct(args) -> int:
     frames = read_frames(args.frames)
     manifest = read_manifest(args.manifest) if args.manifest else {}
-    run_config = parse_config(manifest["config"]) if "config" in manifest \
-        else None
-    profile = args.camera or manifest.get("camera") \
-        or _camera_for_frames(frames)
+    # reconstruct reads only a profile's separation policy, which no camera
+    # parameter changes, so the profile's name is all it needs
+    camera = camera_by_name(args.camera or manifest.get("camera")
+                            or _camera_for_frames(frames))
     mode = args.mode or manifest.get("mode") or "near"
-    if run_config is not None and profile == run_config.camera["profile"]:
-        camera = build_camera(run_config)
-    else:
-        camera = camera_by_name(profile)
-
-    settings = dict(run_config.processing if run_config is not None
-                    else DEFAULTS["processing"])
+    settings = dict(parse_config(manifest["config"]).processing
+                    if "config" in manifest else DEFAULTS["processing"])
     settings.update((key, value) for key, value in vars(args).items()
                     if key in settings)
     result = reconstruct(frames, mode=mode, camera=camera,

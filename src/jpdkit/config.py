@@ -31,9 +31,9 @@ from pathlib import Path
 
 from ._version import __version__
 from .errors import ConfigurationError, FileFormatError
-from .jpd import DEFAULT_BAND_RADIUS, DEFAULT_CHUNK_SIZE
-from .scenes import Scene, cat_half_plane, checkerboard_phase, grating, uniform
-from .simulate import EmccdCamera, camera_by_name
+from .jpd import DEFAULT_BAND_RADIUS, DEFAULT_CHUNK_SIZE, MODES
+from .scenes import SCENES, Scene
+from .simulate import CAMERAS, EmccdCamera, camera_by_name
 
 TOOL_NAME = "jpdkit"
 
@@ -56,15 +56,15 @@ def _int_min(minimum: int):
     return parse
 
 
-def _float_range(low=None, high=None, low_open=False):
+def _float_range(low=None, high=None, low_open=False, high_open=False):
     def parse(raw: str) -> float:
         value = float(raw)
         if not math.isfinite(value):
             raise ValueError("must be finite")
         if low is not None and (value <= low if low_open else value < low):
             raise ValueError(f"must be {'>' if low_open else '>='} {low}")
-        if high is not None and value > high:
-            raise ValueError(f"must be <= {high}")
+        if high is not None and (value >= high if high_open else value > high):
+            raise ValueError(f"must be {'<' if high_open else '<='} {high}")
         return value
     return parse
 
@@ -89,31 +89,31 @@ def _or_none(inner):
 # (section, key) -> (default, parser[, scene kind or camera profile the key
 # belongs to]).  The canonical text lists the keys in this order.
 _SETTINGS = {
-    ("scene", "kind"): (None, _choice("grating", "checkerboard", "cat",
-                                      "uniform")),
+    ("scene", "kind"): (None, _choice(*SCENES)),
     ("scene", "size"): (None, _int_min(2)),
-    ("scene", "oversample"): (8, _int_min(1)),
+    ("scene", "oversample"): (Scene.oversample, _int_min(1)),
     ("scene", "period"): (None, _float_range(0.0, low_open=True), "grating"),
-    ("scene", "duty"): (None, _float_range(0.0, 1.0, low_open=True),
-                        "grating"),
+    ("scene", "duty"): (None, _float_range(0.0, 1.0, low_open=True,
+                                           high_open=True), "grating"),
     ("scene", "orientation"): ("y", _choice("y", "x"), "grating"),
     ("scene", "blocks"): (3, _int_min(1), "checkerboard"),
     ("scene", "edge_alignment"): ("pixel", _choice("pixel", "quarter"),
                                   "checkerboard"),
-    ("pairs", "mode"): ("near", _choice("near", "far")),
+    ("pairs", "mode"): ("near", _choice(*MODES)),
     ("pairs", "sigma"): (0.25, _float_range(0.0)),
     ("pairs", "rate"): (60.0, _float_range(0.0, low_open=True)),
     ("pairs", "frames"): (1000, _int_min(2)),
     ("pairs", "interference"): ("none", _choice("none", "noon")),
     ("pairs", "shift"): (0.0, _float_range()),
     ("pairs", "contrast"): (1.0, _float_range(0.0, 1.0)),
-    ("camera", "profile"): ("ideal", _choice("ideal", "emccd", "spad")),
+    ("camera", "profile"): ("ideal", _choice(*CAMERAS)),
     ("camera", "gain_mean"): (EmccdCamera.gain_mean,
                               _float_range(0.0, low_open=True), "emccd"),
     ("camera", "gain_cv"): (EmccdCamera.gain_cv, _float_range(0.0), "emccd"),
     ("camera", "read_sigma"): (EmccdCamera.read_sigma, _float_range(0.0),
                                "emccd"),
-    ("camera", "smear"): (EmccdCamera.smear, _float_range(0.0, 1.0), "emccd"),
+    ("camera", "smear"): (EmccdCamera.smear,
+                          _float_range(0.0, 1.0, high_open=True), "emccd"),
     ("processing", "band_radius"): (DEFAULT_BAND_RADIUS, _int_min(1)),
     ("processing", "threshold"): (0.5, _or_none(_float_range(0.0, 1.0))),
     ("processing", "normalize"): (True, _bool),
@@ -140,6 +140,14 @@ def _applies(values: dict, section: str, key: str) -> bool:
     one only."""
     _, _, *owner = _SETTINGS[section, key]
     return not owner or values[_CHOOSER[section][0]] == owner[0]
+
+
+def _applicable(values: dict, section: str) -> dict:
+    """The settings in *values* that apply, without the key that picks the
+    kind or profile: the keyword arguments of the scene or camera builder."""
+    chooser = _CHOOSER[section][0]
+    return {key: value for key, value in values.items()
+            if key != chooser and _applies(values, section, key)}
 
 
 @dataclass(frozen=True)
@@ -278,24 +286,12 @@ def load_config(path, overrides: list[str] | None = None) -> RunConfig:
 
 
 def build_scene(config: RunConfig) -> Scene:
-    spec = config.scene
-    kind, size, oversample = spec["kind"], spec["size"], spec["oversample"]
-    if kind == "grating":
-        return grating(size, spec["period"], spec["duty"], oversample,
-                       spec["orientation"])
-    if kind == "checkerboard":
-        return checkerboard_phase(size, spec["blocks"], oversample,
-                                  spec["edge_alignment"])
-    if kind == "cat":
-        return cat_half_plane(size, oversample)
-    return uniform(size, oversample)
+    return SCENES[config.scene["kind"]](**_applicable(config.scene, "scene"))
 
 
 def build_camera(config: RunConfig):
-    spec = config.camera
-    return camera_by_name(spec["profile"], **{
-        key: value for key, value in spec.items()
-        if key != "profile" and _applies(spec, "camera", key)})
+    return camera_by_name(config.camera["profile"],
+                          **_applicable(config.camera, "camera"))
 
 
 # ---------------------------------------------------------------------------
@@ -304,8 +300,12 @@ def build_camera(config: RunConfig):
 def artifact_entry(path, pitch: float | None = None) -> dict:
     """Digest record for one output file; *pitch* tags image grids with
     their sample spacing in camera pixels."""
-    data = Path(path).read_bytes()
-    entry = {"sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        # in 1 MiB blocks, so the file is never held whole
+        while block := fh.read(1 << 20):
+            digest.update(block)
+        entry = {"sha256": digest.hexdigest(), "bytes": fh.tell()}
     if pitch is not None:
         entry["pitch"] = pitch
     return entry

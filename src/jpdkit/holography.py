@@ -61,8 +61,7 @@ def four_step_phase(s0, s1, s2, s3) -> np.ndarray:
 def simulate_pair_phase_stacks(scene: Scene, contrast: float = 1.0,
                                sigma: float = 0.25, pair_rate: float = 60.0,
                                n_frames: int = 1000, camera=None,
-                               seed: int = 0,
-                               shifts=PAIR_SHIFTS) -> list[np.ndarray]:
+                               seed: int = 0) -> list[np.ndarray]:
     """Simulate one frame stack per reference shift; each stack gets an
     independent deterministic random stream derived from (seed, shift index).
 
@@ -70,7 +69,7 @@ def simulate_pair_phase_stacks(scene: Scene, contrast: float = 1.0,
     interference pattern (*pair_rate* refers to the bare object)."""
     base = scene.near_density()
     stacks = []
-    for i, alpha in enumerate(shifts):
+    for i, alpha in enumerate(PAIR_SHIFTS):
         density = noon_density(scene, alpha, contrast)
         stacks.append(simulate_frames(
             scene, mode="near", sigma=sigma,
@@ -100,11 +99,11 @@ def pair_phase_map(stacks, camera=None, band_radius: int = 1,
 
 
 def analytic_pair_phase_map(scene: Scene, contrast: float = 1.0,
-                            sigma: float = 0.0, band_radius: int = 1,
-                            shifts=PAIR_SHIFTS) -> GridImage:
+                            sigma: float = 0.0,
+                            band_radius: int = 1) -> GridImage:
     """Noise-free pair-interference phase map via the analytic JPDs."""
     base = scene.near_density()
-    densities = [noon_density(scene, alpha, contrast) for alpha in shifts]
+    densities = [noon_density(scene, alpha, contrast) for alpha in PAIR_SHIFTS]
     return _phase_image([super_resolve(analytic_jpd(
         scene, mode="near", band_radius=band_radius, sigma=sigma,
         pair_rate=interference_rate(1.0, density, base), density=density))
@@ -137,11 +136,11 @@ def intensity_phase_map(stacks) -> np.ndarray:
     return four_step_phase(*means)
 
 
-def analytic_intensity_phase_map(scene: Scene, contrast: float = 1.0,
-                                 shifts=INTENSITY_SHIFTS) -> np.ndarray:
+def analytic_intensity_phase_map(scene: Scene,
+                                 contrast: float = 1.0) -> np.ndarray:
     """Noise-free intensity-interference phase map (pixel-integrated)."""
     images = [block_mean(classical_fringe(scene, alpha, contrast),
-                         scene.oversample) for alpha in shifts]
+                         scene.oversample) for alpha in INTENSITY_SHIFTS]
     return four_step_phase(*images)
 
 

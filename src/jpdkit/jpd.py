@@ -45,6 +45,7 @@ from .errors import (
 )
 from .images import GridImage
 
+MODES = ("near", "far")  # the imaging geometries
 DEFAULT_BAND_RADIUS = 3
 DEFAULT_CHUNK_SIZE = 256
 TILE_WIDTH = 4  # pixel columns per band-kernel GEMM tile, fastest measured
@@ -144,7 +145,7 @@ def accumulate_partial(frames: np.ndarray, mode: str = "near",
     overlapping chunks (repeat the boundary frame) to cover a long stream.
     """
     frames = _check_stack(frames)
-    if mode not in ("near", "far"):
+    if mode not in MODES:
         raise ConfigurationError(f"mode must be 'near' or 'far', got {mode!r}")
     if band_radius < 0:
         raise ConfigurationError("band radius must be >= 0")
@@ -158,7 +159,7 @@ def accumulate_partial(frames: np.ndarray, mode: str = "near",
     # a is a view of them, (h, tiles, b, n).  d_l = a_l - a_{l+1} goes
     # straight into a partner buffer with kx zero columns on either side,
     # and each tile's partner columns plus a kx-column halo on either side
-    # are an overlapping strided view of it, (h, tiles, n, b + 2 kx).
+    # are an overlapping window view of it, (h, tiles, n, b + 2 kx).
     # Far field: plane u pairs r with c - r + u, so the partner rows and
     # columns are stored reversed, which turns plane u into offset -u.
     pix = np.zeros((h, tiles * b, n + 1))
@@ -168,10 +169,8 @@ def accumulate_partial(frames: np.ndarray, mode: str = "near",
     dpad = np.zeros((h, tiles * b + 2 * kx, n))
     src = pix[::sign, :w][:, ::sign]
     np.subtract(src[..., :-1], src[..., 1:], out=dpad[:, kx:kx + w])
-    s0, s1, s2 = dpad.strides
-    halo = np.lib.stride_tricks.as_strided(
-        dpad, (h, tiles, n, b + 2 * kx), (s0, b * s1, s2, s1),
-        writeable=False)
+    halo = np.lib.stride_tricks.sliding_window_view(
+        dpad, b + 2 * kx, axis=1)[:, ::b]
     # Band-only GEMMs: one batched matmul per row offset dy gives
     # prod[y, t, i, j] = sum_l a_l(y, tb + i) d_l(partner row, tb + j - kx),
     # so plane (dy, dx) is the diagonal at offset dx + kx.  Entries whose
@@ -447,9 +446,7 @@ def diagonal_image(jpd: Jpd) -> GridImage:
 MAX_BAND_RADIUS = 127  # plane records store (dy, dx) as i8
 _SNAP_MAGIC = b"BJPD"
 _SNAP_VERSION = 1
-_SNAP_HEADER = struct.Struct("<4sHBBHHIiiBH5x")  # 32 bytes
-_MODE_CODES = {"near": 0, "far": 1}
-_CODE_MODES = {v: k for k, v in _MODE_CODES.items()}
+_SNAP_HEADER = struct.Struct("<4sHBBHHIiiBH5x")  # 32 bytes; mode as MODES index
 
 
 def write_jpd_snapshot(path, jpd: Jpd) -> None:
@@ -467,7 +464,7 @@ def write_jpd_snapshot(path, jpd: Jpd) -> None:
     recs = np.argwhere(jpd.active)
     n = len(recs)
     header = _SNAP_HEADER.pack(
-        _SNAP_MAGIC, _SNAP_VERSION, _MODE_CODES[jpd.mode], k, h, w,
+        _SNAP_MAGIC, _SNAP_VERSION, MODES.index(jpd.mode), k, h, w,
         jpd.n_frames, jpd.center[0], jpd.center[1],
         1 if jpd.pending_invalid else 0, n)
     with open(path, "wb") as fh:
@@ -493,7 +490,7 @@ def read_jpd_snapshot(path) -> Jpd:
         raise FileFormatError(f"{path}: bad magic {magic!r}")
     if version != _SNAP_VERSION:
         raise FileFormatError(f"{path}: unsupported version {version}")
-    if mode_code not in _CODE_MODES:
+    if mode_code >= len(MODES):
         raise FileFormatError(f"{path}: unknown mode code {mode_code}")
     if h < 1 or w < 1:
         raise FileFormatError(f"{path}: bad frame shape {(h, w)}")
@@ -536,5 +533,5 @@ def read_jpd_snapshot(path) -> Jpd:
     valid[a, b] = np.unpackbits(bits.reshape(n_recs, mask_bytes), axis=1,
                                 count=h * w).reshape(n_recs, h, w)
     active[a, b] = True
-    return Jpd(_CODE_MODES[mode_code], k, planes, valid, active, n_frames,
+    return Jpd(MODES[mode_code], k, planes, valid, active, n_frames,
                bool(pending))

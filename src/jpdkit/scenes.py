@@ -198,3 +198,9 @@ def uniform(size: int, oversample: int = 8) -> Scene:
     """Fully transmissive flat scene."""
     n = size * oversample
     return Scene(np.ones((n, n)), np.zeros((n, n)), size, oversample)
+
+
+# the scene kinds a run can name; each builder's parameters are the [scene]
+# keys that apply to its kind
+SCENES = {"grating": grating, "checkerboard": checkerboard_phase,
+          "cat": cat_half_plane, "uniform": uniform}

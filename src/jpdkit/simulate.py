@@ -30,7 +30,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateDensityError
-from .jpd import DEFAULT_BAND_RADIUS, Jpd, structural_validity
+from .jpd import DEFAULT_BAND_RADIUS, MODES, Jpd, structural_validity
 from .scenes import Scene
 
 SIM_CHUNK_FRAMES = 4096
@@ -83,13 +83,14 @@ class EmccdCamera:
     def render(self, counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         n = counts.shape[0]
         gains = rng.normal(self.gain_mean, self.gain_cv * self.gain_mean, n)
-        analog = counts.astype(np.float64) * gains[:, None, None]
+        analog = counts * gains[:, None, None]
         if self.smear > 0:
             # charge leaks down the readout column: out[y] = in[y] + smear*out[y-1]
             for y in range(1, analog.shape[1]):
                 analog[:, y] += self.smear * analog[:, y - 1]
         analog += rng.normal(0.0, self.read_sigma, analog.shape)
-        return np.round(np.clip(analog, 0, 65535)).astype(np.uint16)
+        np.clip(analog, 0, 65535, out=analog)
+        return np.round(analog, out=analog).astype(np.uint16)
 
     def invalid_pair_separation(self, dy, dx):
         dy = np.asarray(dy)
@@ -112,9 +113,13 @@ class SpadCamera:
         return (np.abs(dy) <= 1) & (np.abs(dx) <= 1)
 
 
+# the camera profiles a run can name
+CAMERAS = {c.name: c for c in (IdealCamera, EmccdCamera, SpadCamera)}
+
+
 def camera_by_name(name: str, **params):
     """Instantiate a camera profile from its config-file name."""
-    cls = {c.name: c for c in (IdealCamera, EmccdCamera, SpadCamera)}.get(name)
+    cls = CAMERAS.get(name)
     if cls is None:
         raise ConfigurationError(f"unknown camera profile {name!r}")
     try:
@@ -164,6 +169,8 @@ def interference_rate(base_rate: float, pattern: np.ndarray,
 # frame simulation
 
 def _normalized_density(scene: Scene, mode: str, density) -> np.ndarray:
+    if mode not in MODES:
+        raise ConfigurationError(f"mode must be 'near' or 'far', got {mode!r}")
     if density is None:
         density = scene.near_density() if mode == "near" else scene.far_density()
     density = np.asarray(density, dtype=np.float64)
@@ -247,8 +254,6 @@ def simulate_frames(scene: Scene, mode: str = "near", sigma: float = 0.25,
     geometry's default pair density (used for interference thinning).
     Photons falling off the sensor are lost individually.
     """
-    if mode not in ("near", "far"):
-        raise ConfigurationError(f"mode must be 'near' or 'far', got {mode!r}")
     if not (0 <= sigma < math.inf and 0 < pair_rate < math.inf) or n_frames < 1:
         raise ConfigurationError("need finite sigma >= 0, pair_rate > 0, n_frames >= 1")
     sum_center = float(scene.size - 1)
@@ -334,8 +339,6 @@ def analytic_jpd(scene: Scene, mode: str = "near",
     Analytic JPDs model ideal lossless detection: every in-band entry whose
     partner pixel is on the sensor is valid.
     """
-    if mode not in ("near", "far"):
-        raise ConfigurationError(f"mode must be 'near' or 'far', got {mode!r}")
     if band_radius < 1:
         raise ConfigurationError("analytic construction needs band_radius >= 1")
     if not (0 <= sigma < math.inf and math.isfinite(pair_rate)):

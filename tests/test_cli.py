@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -197,6 +198,13 @@ def test_configuration_errors_exit_2(tmp_path, config_path, capsys):
             argv += ["--set", assignment]
         assert main(argv) == 2, overrides
         assert not out.exists(), overrides
+    # the config states the camera's own range, and names the override
+    capsys.readouterr()
+    assert main(["simulate", "--config", str(config_path),
+                 "--set", "camera.profile=emccd", "--set", "camera.smear=1",
+                 "--out", str(tmp_path / "v")]) == 2
+    assert "override 'camera.smear=1': must be < 1.0" in capsys.readouterr().err
+    assert not (tmp_path / "v").exists()
     stack = tmp_path / "small.bpsr"
     write_frames(stack, np.ones((5, 4, 4), dtype=np.uint16))
     for workers in ("0", "-3"):
@@ -385,6 +393,97 @@ def test_processing_failures_exit_4(tmp_path):
     write_frames(dark, np.zeros((10, 6, 6), dtype=np.uint16))
     assert main(["reconstruct", "--frames", str(dark), "--camera", "ideal",
                  "--out", str(tmp_path / "b")]) == 4
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+# run -> (config, overrides): every configs/*.ini, plus the runs that put
+# the SPAD profile and the checkerboard scene through the CLI; all at 200
+# frames
+PINNED_RUNS = {
+    "cat_far_field": ("cat_far_field.ini",),
+    "cat_far_field_spad": ("cat_far_field.ini", "camera.profile=spad"),
+    "fine_grating_emccd": ("fine_grating_emccd.ini",),
+    "grating_superres": ("grating_superres.ini",),
+    "noon_phase": ("noon_phase.ini",),
+    "noon_phase_checkerboard": ("noon_phase.ini", "scene.kind=checkerboard",
+                                "scene.size=9"),
+}
+
+PINNED_RUN_DIGESTS = {
+    "cat_far_field": {
+        "rec/jpd.bjpd": "1b3e92e9692d7cc40f8b0b30bc27f30971ebabe46ea9808ebb004de2d7a1d592",
+        "rec/manifest.json": "b5e3a427a5fb0989945b01fe917041f289bcd81357d5f42956148b6a5f815430",
+        "rec/super_resolved.npy": "4f94fd80d9cb739784eaf8da94c9366a11e0eabc69892c6eecd0c664fdf13528",
+        "rec/super_resolved.pgm": "4f025bbe1e1b0d15392d2b0273686b85656621c9028b1f4421b374939e32c614",
+        "sim/frames.bpsr": "71aceb6627d21f9a5582547248e12d5a71b11b1fa577ac205a0e5b8be6fb1768",
+        "sim/manifest.json": "a3140dfb024158c2b4224c80e19e94c866ef31b5ff15f6b35f9d84cecb762d4a",
+    },
+    "cat_far_field_spad": {
+        "rec/jpd.bjpd": "f99783a0f3db7a473386393674abdcf8032618b77af43e55a78f36922e35362e",
+        "rec/manifest.json": "3d05cda2faaf6d8f95be0f910848a70590eda97433b2444bbe3e817f6f0e41bc",
+        "rec/super_resolved.npy": "91093e2219ee00713cfb272bd1411d77d803e4b8640aa544bdde429c0714bb34",
+        "rec/super_resolved.pgm": "c0693afcc8ed8e0e5891f8c7b0d12a002595e3d7522118ff183851c3bc997cc0",
+        "sim/frames.bpsr": "73e3011ed78d7582831ad7a5c70f71010186da9e106cc6607225d7a222d476b8",
+        "sim/manifest.json": "c92b2d3b237e49fd96b39c18ca43b04242d3507b9bad44a525e7b356c33b2477",
+    },
+    "fine_grating_emccd": {
+        "rec/jpd.bjpd": "de1fb1cd62012f4da8c69d15f423f0b0c743cdb0fa94fc1964fb051513181091",
+        "rec/manifest.json": "80c7bf3af59be22f48c8cbd7b50e224ed20dde8d598377d7cf2bf95d8cc6903e",
+        "rec/native.npy": "dc14c4e61d726c97c93c4010669a8a93a7e88e5d0288b981cc1f2d99a48f0b9f",
+        "rec/native.pgm": "1c92a7bcf182f5779f49a4e93f2a5f0f8e8ec18eeece12ee0b789b1aa0d177d3",
+        "rec/super_resolved.npy": "dea4f3b071ff017459b5cbb57ee4818626e76d1026fa1d70c8590108f4872040",
+        "rec/super_resolved.pgm": "bbf89eed0c89419fd707b7e40bf8b1a17b292b7f5d94b1381485daa1948eee61",
+        "sim/frames.bpsr": "2ad8076157fce8ef1603028e105d9bda94f13ae92b7925290cd35cbed9668668",
+        "sim/manifest.json": "227ee1a649b35272094b796c20b4a77ecad371cbd9369197e899362cff453d00",
+    },
+    "grating_superres": {
+        "rec/jpd.bjpd": "797d79fb6cfd1b306453000ce8f6a4a6d0d7ed19bdf702c635ba044fee50ca6a",
+        "rec/manifest.json": "0bdc3ff6a5bf9a06ff99cce1a0f53c44fd0ded8b1812f3aff56310c65dca279e",
+        "rec/native.npy": "da00602003a90b64d5f021be58ce9eccd01704cde1ae96aec4441eb365dda968",
+        "rec/native.pgm": "4b604e1406725610a54520de80fa7d284953113c7873cbe8d608319d587482ff",
+        "rec/super_resolved.npy": "ba95d8ea811cc467935c704058ba1820ba345d483f7734e0723843c33aefecd3",
+        "rec/super_resolved.pgm": "9b4e31961966bf634f958910b35497f6011f3677e18d446c17af3508d7f5562e",
+        "sim/frames.bpsr": "e00588843019fae9774c12896ab14fa0ab01699a5d69fb62593b563a774cbe1d",
+        "sim/manifest.json": "9c12fdcb5235bd6383abf6d74b644736973f38f2c76a13237eaa4dc8a4247d27",
+    },
+    "noon_phase": {
+        "rec/jpd.bjpd": "471b69d0267db7e0e7cce196188891cf74f6a2853a35e7337b127f1fc2670b99",
+        "rec/manifest.json": "31745d49b2d82695e2075bb63c9cc211080ba182ec0cea3525a73724be77e693",
+        "rec/native.npy": "0d5beecdfab98ba1e544d8db2434b7a503aa4e6d14f883cb7ab0e50ec78bce5a",
+        "rec/native.pgm": "c2cdae02e73499587840e894f887fc063e6abefe23533c13a076202077c5ff0b",
+        "rec/super_resolved.npy": "25d2a56b75cddf76ddbf358631ef0b1d4c14c3029404fddce8babd0136b1595c",
+        "rec/super_resolved.pgm": "47c65ee91be08faafab4bd23c384168a387eb75e6116fbdf56ac22aa647a1a68",
+        "sim/frames.bpsr": "2c818f6654f8f62fca1df88f0c8bb84675d8d344b065b70f3c29789767f27e9a",
+        "sim/manifest.json": "f0039a6a246f4756ababaf27ed7aa7012c1ae9bfbc729e6a6cd67db3e22ba7b8",
+    },
+    "noon_phase_checkerboard": {
+        "rec/jpd.bjpd": "0bba6d45d63c03abe650c70ef2df2f9343f41296918ef30a6ef1bbe5f3b3e69a",
+        "rec/manifest.json": "b32c2fe3ef0b932120086df09a691e43186ae3bd8344f5257fe7824ead36b0e0",
+        "rec/native.npy": "8fea8399550213ff0304b660951710872545df9b347b92d5850ace1aa7f82acf",
+        "rec/native.pgm": "da7d5f64e058e84e2e23ae6dd86961574c16fcafd8d1d383ef9a616d9c0d284e",
+        "rec/super_resolved.npy": "ac9e9c50f1a62d2d04ffc77f01bbc5545a623c899e9173bca3bbb0af1f762b30",
+        "rec/super_resolved.pgm": "04b56061396966eaa48522795c8309a1976810e19c19627bea7785bab9cc60a6",
+        "sim/frames.bpsr": "5a358541d3b58caf19bc052578b78ca9f2c991d0584368afd496fef7f3922b9e",
+        "sim/manifest.json": "53949eade850a061906fe429bf727ea5ff62c7cf7f2e0e137634a3a00643cbeb",
+    },
+}
+
+
+@pytest.mark.parametrize("run", sorted(PINNED_RUNS))
+def test_config_runs_are_pinned(tmp_path, run):
+    # SHA-256 of every file simulate and reconstruct write
+    config, *overrides = PINNED_RUNS[run]
+    sim = run_simulate(tmp_path, CONFIGS / config,
+                       overrides=["pairs.frames=200", *overrides])
+    rec = tmp_path / "rec"
+    assert main(["reconstruct", "--frames", str(sim / "frames.bpsr"),
+                 "--manifest", str(sim / "manifest.json"),
+                 "--out", str(rec)]) == 0
+    digests = {f"{out.name}/{path.name}":
+               hashlib.sha256(path.read_bytes()).hexdigest()
+               for out in (sim, rec) for path in sorted(out.iterdir())}
+    assert digests == PINNED_RUN_DIGESTS[run]
 
 
 def test_cli_import_loads_no_scipy():

@@ -9,7 +9,7 @@ from jpdkit.config import (artifact_entry, build_camera, build_manifest,
                            build_scene, load_config, parse_config,
                            read_manifest, write_manifest)
 from jpdkit.errors import ConfigurationError, FileFormatError
-from jpdkit.scenes import grating
+from jpdkit.scenes import cat_half_plane, checkerboard_phase, grating, uniform
 from jpdkit.simulate import EmccdCamera, IdealCamera, SpadCamera
 
 GRATING_INI = """\
@@ -83,6 +83,17 @@ def test_errors_carry_line_numbers():
         parse_config(extra_key)
     with pytest.raises(ConfigurationError, match="unknown section"):
         parse_config(GRATING_INI + "\n[detector]\nx = 1\n")
+    # grating duty and EMCCD smear must be < 1, in the builders too, so
+    # the config states that bound and names the key and its line
+    emccd = GRATING_INI + "\n[camera]\nprofile = emccd\nsmear = 1\n"
+    full_duty = GRATING_INI.replace("duty = 0.1", "duty = 1")
+    for text, where, line in ((emccd, "[camera] smear", emccd.count("\n")),
+                              (full_duty, "[scene] duty", 5)):
+        with pytest.raises(ConfigurationError) as info:
+            parse_config(text)
+        assert str(info.value) == f"{where}: must be < 1.0 (line {line})"
+    assert parse_config(emccd.replace("smear = 1", "smear = 0.99")) \
+        .camera["smear"] == 0.99
 
 
 def test_required_settings():
@@ -132,6 +143,19 @@ def test_build_scene_matches_direct_construction():
     scene = build_scene(cfg)
     direct = grating(32, 5.0, 0.1)
     assert np.array_equal(scene.magnitude2, direct.magnitude2)
+    # every kind, with its owned keys away from their defaults
+    for kind, keys, direct in (
+            ("grating", "size = 12\nperiod = 3\nduty = 0.5\norientation = x",
+             grating(12, 3.0, 0.5, orientation="x")),
+            ("checkerboard", "size = 8\nblocks = 2\nedge_alignment = quarter",
+             checkerboard_phase(8, 2, edge_alignment="quarter")),
+            ("cat", "size = 16\noversample = 4", cat_half_plane(16, 4)),
+            ("uniform", "size = 6", uniform(6))):
+        scene = build_scene(parse_config(f"[scene]\nkind = {kind}\n{keys}\n"))
+        assert (scene.size, scene.oversample) == \
+            (direct.size, direct.oversample), kind
+        assert np.array_equal(scene.magnitude2, direct.magnitude2), kind
+        assert np.array_equal(scene.phase, direct.phase), kind
     assert isinstance(build_camera(cfg), IdealCamera)
     spad = parse_config(GRATING_INI + "\n[camera]\nprofile = spad\n")
     assert isinstance(build_camera(spad), SpadCamera)
@@ -160,6 +184,14 @@ def test_manifest_round_trip(tmp_path):
     # canonical rendering: stable key order, no timestamps
     assert path.read_text() == json.dumps(manifest, indent=2, sort_keys=True) + "\n"
     assert "time" not in path.read_text().lower()
+
+
+def test_artifact_entry_hashes_files_longer_than_a_block(tmp_path):
+    data = np.random.default_rng(0).bytes(3 * 2 ** 20 + 5)
+    artifact = tmp_path / "stack.bpsr"
+    artifact.write_bytes(data)
+    assert artifact_entry(artifact) == {
+        "sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
 
 
 def test_manifest_rejects_foreign_files(tmp_path):

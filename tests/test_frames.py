@@ -167,3 +167,13 @@ def test_fuzz_reads_or_raises_file_format_error(tmp_path_factory, frames,
         return
     assert back.ndim == 3
     assert back.dtype in (np.uint16, np.float32, np.bool_)
+
+
+@settings(max_examples=200, deadline=None)
+@given(frames=frame_stacks())
+def test_round_trip_is_exact(tmp_path_factory, frames):
+    path = tmp_path_factory.mktemp("round_trip") / "stack.bpsr"
+    write_frames(path, frames)
+    back = read_frames(path)
+    assert (back.dtype, back.shape) == (frames.dtype, frames.shape)
+    assert back.tobytes() == frames.tobytes()

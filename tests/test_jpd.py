@@ -88,6 +88,57 @@ def test_far_symmetrized_planes_are_point_symmetric():
                     assert plane[y, x] == pytest.approx(plane[py, px])
 
 
+@st.composite
+def partial_sums(draw):
+    """Near or far accumulators with 1-5 px sides, K in 0..3 and
+    integer-valued sums over 1-50 terms."""
+    mode = draw(st.sampled_from(["near", "far"]))
+    h, w = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    k = draw(st.integers(0, 3))
+    sums = draw(arrays(np.int64, (2 * k + 1, 2 * k + 1, h, w),
+                       elements=st.integers(-1000, 1000)))
+    return PartialJpd(mode, k, (h, w), sums.astype(np.float64),
+                      draw(st.integers(1, 50)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(partial=partial_sums())
+def test_finalized_jpd_is_symmetric_under_partner_exchange(partial):
+    # Gamma(r, r') == Gamma(r', r) for every valid entry: near field the
+    # swapped entry sits in plane -d at r + d, far field in plane u at the
+    # point-reflected position c - r + u
+    jpd = finalize_jpd(partial)
+    cy, cx = jpd.center
+    for dy, dx, a, b in jpd.displacements():
+        for y, x in zip(*np.nonzero(jpd.valid[a, b])):
+            if jpd.mode == "near":
+                sy, sx, sa, sb = y + dy, x + dx, -dy, -dx
+            else:
+                sy, sx, sa, sb = cy - y + dy, cx - x + dx, dy, dx
+            assert jpd.plane_valid(sa, sb)[sy, sx]
+            assert jpd.plane(sa, sb)[sy, sx] == jpd.planes[a, b, y, x]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_merge_is_associative_on_integer_chunks(data):
+    mode = data.draw(st.sampled_from(["near", "far"]), label="mode")
+    h = data.draw(st.integers(1, 5), label="h")
+    w = data.draw(st.integers(1, 2 * TILE_WIDTH + 1), label="w")
+    k = data.draw(st.integers(0, 3), label="band_radius")
+    lengths = data.draw(st.lists(st.integers(2, 6), min_size=3, max_size=3),
+                        label="lengths")
+    chunks = [accumulate_partial(data.draw(arrays(
+        np.uint16, (n, h, w), elements=st.integers(0, 65535)), label="chunk"),
+        mode, k) for n in lengths]
+    p, q, r = chunks
+    flat = merge_partials(chunks)
+    for merged in (merge_partials([merge_partials([p, q]), r]),
+                   merge_partials([p, merge_partials([q, r])])):
+        assert merged.sums.tobytes() == flat.sums.tobytes()
+        assert merged.n_terms == flat.n_terms == sum(lengths) - 3
+
+
 def test_result_independent_of_chunking_and_workers():
     rng = np.random.default_rng(7)
     frames = rng.integers(0, 50, size=(41, 6, 6), dtype=np.uint16)
@@ -513,7 +564,7 @@ def _write_snapshot_records(path, jpd):
     recs = [(dy, dx, a, b) for dy, dx, a, b in jpd.displacements()
             if jpd.active[a, b]]
     header = jpd_module._SNAP_HEADER.pack(
-        b"BJPD", 1, jpd_module._MODE_CODES[jpd.mode], k, h, w,
+        b"BJPD", 1, jpd_module.MODES.index(jpd.mode), k, h, w,
         jpd.n_frames, jpd.center[0], jpd.center[1],
         1 if jpd.pending_invalid else 0, len(recs))
     with open(path, "wb") as fh:

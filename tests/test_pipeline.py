@@ -280,6 +280,25 @@ def test_half_grid_map_conserves_mass_and_counts_entries(jpd):
         counts > 0, total / np.maximum(counts, 1.0), 0.0))
 
 
+@settings(max_examples=200, deadline=None)
+@given(jpd=random_jpds(), thresholds=st.lists(st.floats(0.0, 1.0), min_size=2,
+                                              max_size=2))
+def test_filter_is_idempotent_and_monotone(jpd, thresholds):
+    low, high = sorted(thresholds)
+    try:
+        loose = filter_jpd(jpd, low)
+    except EmptyFilterError:
+        # no plane with positive mass: every threshold finds none
+        with pytest.raises(EmptyFilterError):
+            filter_jpd(jpd, high)
+        return
+    strict = filter_jpd(jpd, high)
+    for kept, threshold in ((loose, low), (strict, high)):
+        assert np.array_equal(filter_jpd(kept, threshold).active, kept.active)
+    assert not (strict.active & ~loose.active).any()
+    assert not (loose.active & ~jpd.active).any()
+
+
 def test_untouched_points_stay_zero():
     jpd = constant_plane_jpd((3, 3), 1, lambda dy, dx: 1.0)
     active = np.zeros((3, 3), dtype=bool)
