@@ -74,23 +74,25 @@ def _build_parser() -> argparse.ArgumentParser:
     rec.add_argument("--mode", choices=MODES,
                      help="imaging geometry (default: manifest, else near)")
     # processing flags are absent from args unless given, so the manifest's
-    # [processing] section (or the defaults) fills in the rest
-    rec.add_argument("--band-radius", type=int, default=argparse.SUPPRESS)
-    rec.add_argument("--threshold",
-                     type=_arg(_PARSERS["processing", "threshold"]),
-                     default=argparse.SUPPRESS, metavar="X|none",
-                     help="plane filter threshold relative to the strongest "
-                          "plane, or 'none' to keep all planes")
+    # [processing] section (or the defaults) fills in the rest; a value flag
+    # is checked by its setting's parser
+    def processing(key, **kwargs):
+        rec.add_argument("--" + key.replace("_", "-"), default=argparse.SUPPRESS,
+                         type=_arg(_PARSERS["processing", key]), **kwargs)
+
+    processing("band_radius")
+    processing("threshold", metavar="X|none",
+               help="plane filter threshold relative to the strongest "
+                    "plane, or 'none' to keep all planes")
     rec.add_argument("--no-normalize", dest="normalize", action="store_false",
                      default=argparse.SUPPRESS,
                      help="skip per-plane normalization")
     rec.add_argument("--no-interpolate", dest="interpolate",
                      action="store_false", default=argparse.SUPPRESS,
                      help="exclude invalid entries instead of interpolating")
-    rec.add_argument("--chunk", type=int, default=argparse.SUPPRESS,
-                     help="frames per accumulation chunk")
-    rec.add_argument("--workers", type=int, default=argparse.SUPPRESS,
-                     help="accumulation worker threads")
+    processing("chunk", help="frames per accumulation chunk")
+    processing("workers", metavar="N|none",
+               help="accumulation worker threads, or 'none' for one")
     rec.add_argument("--out", required=True, help="output directory")
     rec.set_defaults(func=_cmd_reconstruct)
 

@@ -32,7 +32,7 @@ from pathlib import Path
 from ._version import __version__
 from .errors import ConfigurationError, FileFormatError
 from .jpd import DEFAULT_BAND_RADIUS, DEFAULT_CHUNK_SIZE, MODES
-from .scenes import SCENES, Scene
+from .scenes import CAT_MIN_SIZE, SCENES, Scene
 from .simulate import CAMERAS, EmccdCamera, camera_by_name
 
 TOOL_NAME = "jpdkit"
@@ -264,6 +264,8 @@ def parse_config(text: str, overrides: list[str] | None = None) -> RunConfig:
             chooser, phrase = _CHOOSER[section]
             _fail(text, section, key, "does not apply to "
                   + phrase.format(merged[section][chooser]))
+    if scene["kind"] == "cat" and scene["size"] < CAT_MIN_SIZE:
+        _fail(text, "scene", "size", f"a cat scene needs size >= {CAT_MIN_SIZE}")
     if scene["kind"] == "checkerboard" and scene["size"] % scene["blocks"]:
         _fail(text, "scene", "blocks",
               f"size {scene['size']} is not divisible into {scene['blocks']} blocks")

@@ -37,23 +37,8 @@ VERSION = 1
 _HEADER = struct.Struct("<4sHHIII12x")
 HEADER_SIZE = _HEADER.size
 
-CODE_U16 = 0
-CODE_F32 = 1
-CODE_BITS = 2
-
-_CODE_TO_DTYPE = {CODE_U16: np.dtype("<u2"), CODE_F32: np.dtype("<f4")}
-
-
-def _code_for(frames: np.ndarray) -> int:
-    if frames.dtype == np.bool_:
-        return CODE_BITS
-    if frames.dtype == np.uint16:
-        return CODE_U16
-    if frames.dtype == np.float32:
-        return CODE_F32
-    raise FrameShapeError(
-        f"unsupported frame dtype {frames.dtype}; use uint16, float32 or bool"
-    )
+# the sample dtypes, indexed by the header's sample code
+_SAMPLES = (np.dtype("<u2"), np.dtype("<f4"), np.dtype(bool))
 
 
 def write_frames(path, frames: np.ndarray) -> None:
@@ -68,14 +53,19 @@ def write_frames(path, frames: np.ndarray) -> None:
     count, height, width = frames.shape
     if height == 0 or width == 0:
         raise FrameShapeError("frames must have non-zero height and width")
-    code = _code_for(frames)
+    try:
+        code = _SAMPLES.index(frames.dtype)
+    except ValueError:
+        raise FrameShapeError(
+            f"unsupported frame dtype {frames.dtype}; use uint16, float32 or bool"
+        ) from None
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, VERSION, code, width, height, count))
-        if code == CODE_BITS:
+        if frames.dtype == bool:
             # packbits along the row axis keeps every row byte-aligned
             np.packbits(frames, axis=-1).tofile(fh)
         else:
-            frames.astype(_CODE_TO_DTYPE[code], copy=False).tofile(fh)
+            frames.tofile(fh)
 
 
 def read_frames(path) -> np.ndarray:
@@ -96,12 +86,11 @@ def read_frames(path) -> np.ndarray:
             raise FileFormatError(f"{path}: unsupported version {version}")
         if height == 0 or width == 0:
             raise FileFormatError(f"{path}: zero frame dimensions")
-        if code == CODE_BITS:
-            dtype, row_items = np.dtype(np.uint8), (width + 7) // 8
-        elif code in _CODE_TO_DTYPE:
-            dtype, row_items = _CODE_TO_DTYPE[code], width
-        else:
+        if code >= len(_SAMPLES):
             raise FileFormatError(f"{path}: unknown sample code {code}")
+        bits = _SAMPLES[code] == bool
+        dtype = np.dtype(np.uint8) if bits else _SAMPLES[code]
+        row_items = (width + 7) // 8 if bits else width
         items = count * height * row_items
         # sizes are compared before anything is allocated
         expected = items * dtype.itemsize
@@ -110,7 +99,7 @@ def read_frames(path) -> np.ndarray:
             raise FileFormatError(
                 f"{path}: expected {expected} data bytes, found {found}")
         data = np.fromfile(fh, dtype, items).reshape(count, height, row_items)
-    if code == CODE_BITS:
+    if bits:
         return np.unpackbits(data, axis=-1, count=width).view(bool)
     # native byte order so downstream arithmetic is unconstrained
     return data.astype(dtype.newbyteorder("="), copy=False)

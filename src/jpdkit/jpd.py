@@ -16,7 +16,8 @@ a narrow band of the full 4-D object is kept:
   point-symmetry centre, derived from the frame shape as ``(H - 1, W - 1)``.
 
 That partner map is defined once, in ``_partners``; the structural mask, the
-symmetrization and the separation policy are all built on it.
+symmetrization, the separation policy and the half-pixel index of the pair
+sum and difference coordinates (``half_grid_index``) are all built on it.
 
 Each plane comes with a validity mask.  Entries whose partner pixel falls off
 the sensor are structurally invalid and never receive data; camera profiles
@@ -245,6 +246,17 @@ def _partners(mode: str, band_radius: int, n: int) -> np.ndarray:
     return r + d if mode == "near" else (n - 1) - r + d
 
 
+def half_grid_index(mode: str, coordinate: str, band_radius: int,
+                    n: int) -> np.ndarray:
+    """(2K+1, n) index on the half-pixel grid of one axis of side n, indexed
+    like :func:`_partners`, of the pair coordinate of pixel r and its
+    partner p: r + p for the "sum" coordinate (origin 0), r - p + (n - 1)
+    for the "difference" coordinate (origin -(n - 1) / 2)."""
+    p = _partners(mode, band_radius, n)
+    r = np.arange(n)
+    return r + p if coordinate == "sum" else r - p + (n - 1)
+
+
 def structural_validity(mode, band_radius, shape) -> np.ndarray:
     """(2K+1, 2K+1, H, W) mask of the entries whose partner pixel is on the
     sensor; the row and column conditions are separable, so the band is one
@@ -366,28 +378,26 @@ def plane_masses(jpd: Jpd) -> np.ndarray:
     return masses
 
 
-def scatter_half_grid(jpd: Jpd, values) -> GridImage:
+def scatter_half_grid(jpd: Jpd, values, coordinate: str) -> GridImage:
     """Sum *values* (broadcast to the band's shape) of every valid entry of
-    an active plane onto the half-pixel grid of pitch 0.5.
-
-    Near field: entry (r, d) lands on the pair sum coordinate 2r + d, origin
-    0.  Far field: entry (r, u) lands on the difference coordinate
-    2r - c - u, which charts the double field of view from -(H-1, W-1); on
-    that grid's indices the centre terms cancel, leaving 2r - u.  Entries
-    are added plane by plane in row-major order.
+    an active plane onto the half-pixel grid of pitch 0.5, at the index
+    :func:`half_grid_index` gives the entry's pair *coordinate* ("sum" or
+    "difference").  The difference grid charts the double field of view.
+    Entries are added plane by plane in row-major order; indices off the
+    grid, which only a crafted validity mask can produce, are skipped.
     """
     h, w = jpd.shape
     sh, sw = 2 * h - 1, 2 * w - 1
-    sign = 1 if jpd.mode == "near" else -1
-    d = sign * np.arange(-jpd.band_radius, jpd.band_radius + 1)[:, None, None]
-    sy, sx = 2 * np.arange(h)[:, None] + d, 2 * np.arange(w) + d
-    origin = (0.0, 0.0) if sign > 0 else (-(h - 1) / 2.0, -(w - 1) / 2.0)
-    sy, sx = sy[:, None], sx[None]
+    k = jpd.band_radius
+    sy = half_grid_index(jpd.mode, coordinate, k, h)[:, None, :, None]
+    sx = half_grid_index(jpd.mode, coordinate, k, w)[None, :, None, :]
     ok = (jpd.valid & jpd.active[:, :, None, None]
           & (sy >= 0) & (sy < sh) & (sx >= 0) & (sx < sw))
     idx = np.broadcast_to(sy * sw + sx, ok.shape)[ok]
     weights = np.broadcast_to(values, ok.shape)[ok]
     img = np.bincount(idx, weights, minlength=sh * sw).reshape(sh, sw)
+    origin = ((0.0, 0.0) if coordinate == "sum"
+              else (-(h - 1) / 2.0, -(w - 1) / 2.0))
     return GridImage(img, pitch=0.5, origin=origin)
 
 
@@ -401,16 +411,7 @@ def sum_projection(jpd: Jpd) -> GridImage:
     constant across a plane, so each plane's mass lands on one point.
     """
     _require_resolved(jpd, "sum projection")
-    if jpd.mode == "near":
-        return scatter_half_grid(jpd, jpd.planes)
-    h, w = jpd.shape
-    img = np.zeros((2 * h - 1, 2 * w - 1))
-    d = np.arange(-jpd.band_radius, jpd.band_radius + 1)
-    sy, sx = jpd.center[0] + d, jpd.center[1] + d
-    oky, okx = (sy >= 0) & (sy < 2 * h - 1), (sx >= 0) & (sx < 2 * w - 1)
-    masses = np.where(jpd.active, plane_masses(jpd), 0.0)
-    img[np.ix_(sy[oky], sx[okx])] += masses[np.ix_(oky, okx)]
-    return GridImage(img, pitch=0.5, origin=(0.0, 0.0))
+    return scatter_half_grid(jpd, jpd.planes, "sum")
 
 
 def minus_projection(jpd: Jpd) -> GridImage:
@@ -422,7 +423,7 @@ def minus_projection(jpd: Jpd) -> GridImage:
     """
     _require_resolved(jpd, "minus projection")
     if jpd.mode == "far":
-        return scatter_half_grid(jpd, jpd.planes)
+        return scatter_half_grid(jpd, jpd.planes, "difference")
     k = jpd.band_radius
     return GridImage(np.where(jpd.active, plane_masses(jpd), 0.0), pitch=0.5,
                      origin=(-k / 2.0, -k / 2.0))

@@ -11,10 +11,10 @@ averages the contributions per grid point.  Averaging, not summing, matters:
 interior points of the dense grid receive 1, 2 or 4 plane contributions
 depending on coordinate parity, and a plain sum would imprint that
 multiplicity comb onto the image as a spurious half-sampling modulation.
-The half-pixel index map lives once, in :func:`jpdkit.jpd.scatter_half_grid`:
-``super_resolve`` divides its scatter of the plane values by its scatter of
-ones, and the plain-sum projections of :mod:`jpdkit.jpd` (which conserve
-total mass) use it wherever the coordinate varies across a plane.
+The half-pixel index map lives once, in :func:`jpdkit.jpd.half_grid_index`.
+``super_resolve`` divides ``scatter_half_grid``'s scatter of the plane values
+by its scatter of ones; the plain-sum projections of :mod:`jpdkit.jpd`, but
+the near-field difference image, scatter the plane values alone.
 """
 
 from __future__ import annotations
@@ -144,16 +144,17 @@ def super_resolve(jpd: Jpd) -> GridImage:
     """Interleave plane values on the half-pixel grid, averaging the
     contributions that coincide at each dense-grid point.
 
-    Near field: entry (r, d) maps to the pair sum coordinate 2r + d.  Far
-    field: entry (r, u) maps to the difference coordinate 2r - c - u, which
+    Near field: entry (r, d) maps to the pair sum coordinate r + p, p its
+    partner pixel; far field: to the difference coordinate r - p, which
     charts the double field of view.  Points never touched by a valid entry
     of an active plane stay zero; the per-point contribution counts are kept
     on the returned image.
     """
     if jpd.pending_invalid:
         raise StateError("resolve invalid entries before super-resolving")
-    image = scatter_half_grid(jpd, jpd.planes)
-    cnt = scatter_half_grid(jpd, 1.0).values
+    coordinate = "sum" if jpd.mode == "near" else "difference"
+    image = scatter_half_grid(jpd, jpd.planes, coordinate)
+    cnt = scatter_half_grid(jpd, 1.0, coordinate).values
     image.values = np.where(cnt > 0, image.values / np.maximum(cnt, 1.0), 0.0)
     image.counts = cnt
     return image

@@ -163,6 +163,9 @@ def _point_in_triangle(yy, xx, a, b, c):
     return ((s1 >= 0) & (s2 >= 0) & (s3 >= 0)) | ((s1 <= 0) & (s2 <= 0) & (s3 <= 0))
 
 
+CAT_MIN_SIZE = 16  # smallest frame side the silhouette is drawn on
+
+
 def cat_half_plane(size: int, oversample: int = 8) -> Scene:
     """A transmissive cat silhouette in the lower-coordinate half of the
     field; the other half fully open, the rest opaque.
@@ -173,8 +176,8 @@ def cat_half_plane(size: int, oversample: int = 8) -> Scene:
     point-reflected twin, which is what the difference-coordinate image
     displays.
     """
-    if size < 16:
-        raise ConfigurationError("cat scene needs size >= 16")
+    if size < CAT_MIN_SIZE:
+        raise ConfigurationError(f"cat scene needs size >= {CAT_MIN_SIZE}")
     yy, xx = _subgrid_mesh(size, oversample)
     half = (size - 1) / 2.0
     # head circle plus two ear triangles, well inside the closed half

@@ -30,7 +30,8 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateDensityError
-from .jpd import DEFAULT_BAND_RADIUS, MODES, Jpd, structural_validity
+from .jpd import (DEFAULT_BAND_RADIUS, MODES, Jpd, half_grid_index,
+                  structural_validity)
 from .scenes import Scene
 
 SIM_CHUNK_FRAMES = 4096
@@ -43,12 +44,15 @@ _STAGE_CAMERA = 1
 
 @dataclass(frozen=True)
 class IdealCamera:
-    """Noiseless photon counting.  Only the self-product diagonal (both
+    """Noiseless photon counting, saturating at the u16 full scale 65535
+    as the EMCCD digitizer does.  Only the self-product diagonal (both
     photons in one pixel) is unusable: the estimator cannot debias it."""
 
     name: ClassVar[str] = "ideal"
 
     def render(self, counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        if counts.max() > 65535:  # in-range chunks need no int32 temporary
+            counts = np.minimum(counts, 65535)
         return counts.astype(np.uint16)
 
     def invalid_pair_separation(self, dy, dx):
@@ -301,23 +305,21 @@ def _half_grid_split(scene: Scene, mode: str) -> list[tuple[int, np.ndarray]]:
     """Per-axis weight matrices W_d[j, r] of the half-pixel assignment of
     perfectly correlated pairs.
 
-    Near field: a pair born at x is assigned to the half-pixel sum point
-    q = s = round(2x); even s maps to the single ordered pixel pair
-    (r = s/2, d = 0) with weight 1, odd s splits evenly between
-    ((s-1)/2, +1) and ((s+1)/2, -1), so r = (q - d) / 2.  Far field: the
-    assignment runs on the difference coordinate s = round(2x - C) and the
-    split goes to the band planes u = d whose parity matches q = C + s, at
-    r = (q + d) / 2.  Pixels off the sensor get no weight; entries whose
-    partner is off the sensor are left to ``structural_validity``.
+    A pair born at x is assigned to the half-pixel point q of its pair
+    coordinate: the sum q = round(2x) in the near field, the difference
+    q = C + round(2x - C) in the far field (the roundings differ at ties).
+    Plane d = -1, 0, 1 gets weight 0.5, 1, 0.5 at every pixel r whose
+    half-grid index (:func:`jpdkit.jpd.half_grid_index`) is q: even q goes
+    whole to d = 0, odd q half each to d = -1 and d = +1.  Pixels off the
+    sensor get no weight; entries whose partner is off the sensor are left
+    to ``structural_validity``.
     """
     m, far = scene.size, mode == "far"
     two_x = 2.0 * scene.subcell_coordinates()
-    s = np.round(two_x - (m - 1) if far else two_x).astype(np.int64)
-    q = (m - 1) + s if far else s
-    d = np.arange(-1, 2)[:, None]
-    r = (q + d) // 2 if far else (q - d) // 2
-    weight = np.where((q + d) % 2 == 0, np.where(d == 0, 1.0, 0.5), 0.0)
-    mats = np.where(r[..., None] == np.arange(m), weight[..., None], 0.0)
+    q = (m - 1) + np.round(two_x - (m - 1)) if far else np.round(two_x)
+    index = half_grid_index(mode, "difference" if far else "sum", 1, m)
+    weight = np.array([0.5, 1.0, 0.5])[:, None, None]
+    mats = np.where(index[:, None, :] == q[:, None], weight, 0.0)
     return list(zip(range(-1, 2), mats))
 
 

@@ -208,8 +208,11 @@ def test_configuration_errors_exit_2(tmp_path, config_path, capsys):
     stack = tmp_path / "small.bpsr"
     write_frames(stack, np.ones((5, 4, 4), dtype=np.uint16))
     for workers in ("0", "-3"):
-        assert main(["reconstruct", "--frames", str(stack), "--camera", "ideal",
-                     "--workers", workers, "--out", str(tmp_path / "r")]) == 2
+        with pytest.raises(SystemExit) as info:
+            main(["reconstruct", "--frames", str(stack), "--camera", "ideal",
+                  "--workers", workers, "--out", str(tmp_path / "r")])
+        assert info.value.code == 2
+        assert "argument --workers: must be >= 1" in capsys.readouterr().err
     assert not (tmp_path / "r").exists()
     image = tmp_path / "image.npy"
     np.save(image, np.ones((8, 8)))
@@ -243,22 +246,31 @@ def test_threshold_flag_above_one_is_a_usage_error(tmp_path, capsys):
         assert named in err.partition("argument --threshold:")[2]
 
 
-@pytest.mark.parametrize("shape, flags", [
-    ((4, 4), ["--band-radius", "0"]),
-    ((4, 4), ["--band-radius", "5", "--threshold", "none"]),
-    ((4, 4), ["--band-radius", "128", "--threshold", "none", "--no-normalize"]),
-    ((2, 8), ["--band-radius", "5", "--threshold", "none"]),
+@pytest.mark.parametrize("shape, flags, usage_error", [
+    ((4, 4), ["--band-radius", "0"], True),
+    ((4, 4), ["--band-radius", "5", "--threshold", "none"], False),
+    ((4, 4), ["--band-radius", "128", "--threshold", "none", "--no-normalize"],
+     False),
+    ((2, 8), ["--band-radius", "5", "--threshold", "none"], False),
 ], ids=["zero", "above-side", "above-snapshot-limit", "above-short-side"])
 def test_out_of_range_band_radius_exits_2_before_accumulating(
-        tmp_path, monkeypatch, shape, flags):
+        tmp_path, monkeypatch, shape, flags, usage_error):
+    # below 1 the flag's parser rejects the value (argparse exits 2); the
+    # limits that depend on the frames are checked by reconstruct
     stack = tmp_path / "small.bpsr"
     write_frames(stack, np.random.default_rng(1).integers(
         0, 5, (20, *shape), dtype=np.uint16))
     calls = []
     monkeypatch.setattr(pipeline, "accumulate_jpd",
                         lambda *args, **kwargs: calls.append(args))
-    assert main(["reconstruct", "--frames", str(stack), "--camera", "ideal",
-                 *flags, "--out", str(tmp_path / "r")]) == 2
+    argv = ["reconstruct", "--frames", str(stack), "--camera", "ideal",
+            *flags, "--out", str(tmp_path / "r")]
+    if usage_error:
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+    else:
+        assert main(argv) == 2
     assert calls == []
 
 
@@ -342,6 +354,7 @@ def test_reconstruct_settings_come_from_defaults_or_manifest(
     (["--no-interpolate"], "interpolate", False),
     (["--chunk", "8"], "chunk_size", 8),
     (["--workers", "3"], "workers", 3),
+    (["--workers", "none"], "workers", None),
 ])
 def test_reconstruct_flags_override_manifest(reconstruct_settings, flags,
                                               key, value):
@@ -484,6 +497,17 @@ def test_config_runs_are_pinned(tmp_path, run):
                hashlib.sha256(path.read_bytes()).hexdigest()
                for out in (sim, rec) for path in sorted(out.iterdir())}
     assert digests == PINNED_RUN_DIGESTS[run]
+
+
+def test_cat_scene_below_minimum_size_exits_2(tmp_path, capsys):
+    # the config states the cat builder's minimum, naming the key and the
+    # line the file sets it on
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", str(CONFIGS / "cat_far_field.ini"),
+                 "--set", "scene.size=8", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: [scene] size: a cat scene needs size >= 16 (line 7)\n")
+    assert not out.exists()
 
 
 def test_cli_import_loads_no_scipy():

@@ -111,6 +111,15 @@ def test_checkerboard_divisibility_checked():
         parse_config(text)
 
 
+def test_cat_minimum_size_checked():
+    text = "[scene]\nkind = cat\nsize = 8\n"
+    with pytest.raises(ConfigurationError) as info:
+        parse_config(text)
+    assert str(info.value) == \
+        "[scene] size: a cat scene needs size >= 16 (line 3)"
+    assert parse_config(text.replace("8", "16")).scene["size"] == 16
+
+
 def test_noon_requires_near_field():
     text = GRATING_INI.replace(
         "sigma = 0.84", "sigma = 0.84\ninterference = noon\nmode = far")

@@ -127,6 +127,21 @@ def test_read_rejects_bad_version_and_code(tmp_path):
         read_frames(path)
 
 
+def test_sample_table_bounds(tmp_path):
+    # a non-native byte order is not a sample type, and code 3 is the first
+    # past the sample table
+    path = tmp_path / "bad.bpsr"
+    with pytest.raises(FrameShapeError, match="unsupported frame dtype >u2"):
+        write_frames(path, np.zeros((2, 3, 3), dtype=">u2"))
+    assert not path.exists()
+    write_frames(path, np.zeros((2, 3, 3), dtype=np.uint16))
+    raw = bytearray(path.read_bytes())
+    raw[6:8] = (3).to_bytes(2, "little")
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FileFormatError, match="unknown sample code 3"):
+        read_frames(path)
+
+
 # header fields as (offset, struct format): version, sample code, width,
 # height, count
 HEADER_FIELDS = [(4, "<H"), (6, "<H"), (8, "<I"), (12, "<I"), (16, "<I")]

@@ -240,8 +240,10 @@ def random_jpds(draw):
     return Jpd(mode, k, planes, valid, active, 0)
 
 
-def scatter_by_loop(jpd, values):
-    """Reference for scatter_half_grid: one np.add.at per active plane."""
+def scatter_by_loop(jpd, values, coordinate):
+    """Reference for scatter_half_grid: one np.add.at per active plane, at
+    r + p ("sum") or r - p + n - 1 ("difference") per axis, where p is the
+    partner pixel: r + d near field, (n - 1) - r + d far field."""
     h, w = jpd.shape
     sh, sw = 2 * h - 1, 2 * w - 1
     img = np.zeros((sh, sw))
@@ -251,10 +253,13 @@ def scatter_by_loop(jpd, values):
         if not jpd.active[a, b]:
             continue
         if jpd.mode == "near":
-            sy, sx = 2 * ys + dy, 2 * xs + dx
+            py, px = ys + dy, xs + dx
         else:
-            sy = 2 * ys - jpd.center[0] - dy + h - 1
-            sx = 2 * xs - jpd.center[1] - dx + w - 1
+            py, px = (h - 1) - ys + dy, (w - 1) - xs + dx
+        if coordinate == "sum":
+            sy, sx = ys + py, xs + px
+        else:
+            sy, sx = ys - py + h - 1, xs - px + w - 1
         ok = jpd.valid[a, b] & (sy >= 0) & (sy < sh) & (sx >= 0) & (sx < sw)
         np.add.at(img, (sy[ok], sx[ok]), values[a, b][ok])
     return img
@@ -272,12 +277,35 @@ def test_half_grid_map_conserves_mass_and_counts_entries(jpd):
     assert np.array_equal(ones.values, (ones.counts > 0).astype(np.float64))
     # non-dyadic values make the sums depend on the order of addition
     sevenths = dataclasses.replace(jpd, planes=jpd.planes / 7.0)
-    total = scatter_by_loop(sevenths, sevenths.planes)
-    counts = scatter_by_loop(sevenths, 1.0)
-    assert np.array_equal(scatter_half_grid(sevenths, sevenths.planes).values,
-                          total)
+    coordinate = "sum" if jpd.mode == "near" else "difference"
+    total = scatter_by_loop(sevenths, sevenths.planes, coordinate)
+    counts = scatter_by_loop(sevenths, 1.0, coordinate)
+    assert np.array_equal(
+        scatter_half_grid(sevenths, sevenths.planes, coordinate).values, total)
     assert np.array_equal(super_resolve(sevenths).values, np.where(
         counts > 0, total / np.maximum(counts, 1.0), 0.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(jpd=random_jpds())
+def test_half_grid_scatters_match_loop_bitwise(jpd):
+    # both coordinates in both geometries, and the projections built on
+    # them; non-dyadic values make the sums depend on the order of addition
+    sevenths = dataclasses.replace(jpd, planes=jpd.planes / 7.0)
+    loop = {coordinate: scatter_by_loop(sevenths, sevenths.planes, coordinate)
+            for coordinate in ("sum", "difference")}
+    for coordinate, expected in loop.items():
+        image = scatter_half_grid(sevenths, sevenths.planes, coordinate)
+        assert np.array_equal(image.values, expected)
+        assert image.pitch == 0.5
+    assert np.array_equal(sum_projection(sevenths).values, loop["sum"])
+    if jpd.mode == "far":
+        assert np.array_equal(minus_projection(sevenths).values,
+                              loop["difference"])
+    h, w = jpd.shape
+    assert scatter_half_grid(jpd, 1.0, "sum").origin == (0.0, 0.0)
+    assert scatter_half_grid(jpd, 1.0, "difference").origin == (
+        -(h - 1) / 2.0, -(w - 1) / 2.0)
 
 
 @settings(max_examples=200, deadline=None)

@@ -211,6 +211,15 @@ def test_camera_invalid_separation_masks():
     assert not ring[0, 2] and not ring[2, 0]
 
 
+def test_ideal_camera_saturates_at_u16_full_scale():
+    # about 150k photons land in each pixel of each frame; cast without a
+    # clip they would wrap modulo 65536
+    frames = simulate_frames(uniform(2, oversample=1), "near", 0.0, 3e5, 3,
+                             IdealCamera(), 0)
+    assert frames.dtype == np.uint16
+    assert (frames == 65535).all()
+
+
 def test_spad_binarizes():
     cam = SpadCamera()
     counts = np.array([[[0, 1], [2, 5]]], dtype=np.int32)
