@@ -25,7 +25,8 @@ from ._version import __version__
 from .analysis import spectrum_along_axis
 from .config import (_PARSERS, DEFAULTS, _float_range, artifact_entry,
                      build_camera, build_manifest, build_scene, load_config,
-                     parse_config, read_manifest, write_manifest)
+                     parse_config, read_manifest, sized_by,
+                     write_manifest)
 from .errors import ConfigurationError, FileFormatError, ProcessingError
 from .frames import read_frames, write_frames
 from .images import GridImage, write_pgm16, write_spectrum_csv
@@ -127,9 +128,10 @@ def _cmd_simulate(args) -> int:
     if pairs["interference"] == "noon":
         density = noon_density(scene, pairs["shift"], pairs["contrast"])
         rate = interference_rate(rate, density, scene.near_density())
-    frames = simulate_frames(scene, pairs["mode"], pairs["sigma"],
-                             rate, pairs["frames"], camera,
-                             config.seed, density)
+    with sized_by(config, "pairs.rate", "pairs.frames"):
+        frames = simulate_frames(scene, pairs["mode"], pairs["sigma"],
+                                 rate, pairs["frames"], camera,
+                                 config.seed, density)
     out = _out_dir(args.out)
     write_frames(out / "frames.bpsr", frames)
     manifest = build_manifest(

@@ -26,11 +26,13 @@ import hashlib
 import json
 import math
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
 from ._version import __version__
 from .errors import ConfigurationError, FileFormatError
+from .frames import MAX_FIELD
 from .jpd import DEFAULT_BAND_RADIUS, DEFAULT_CHUNK_SIZE, MODES
 from .scenes import CAT_MIN_SIZE, SCENES, Scene
 from .simulate import CAMERAS, EmccdCamera, camera_by_name
@@ -47,11 +49,13 @@ def _choice(*names):
     return parse
 
 
-def _int_min(minimum: int):
+def _int_range(low: int, high: int | None = None):
     def parse(raw: str) -> int:
         value = int(raw)
-        if value < minimum:
-            raise ValueError(f"must be >= {minimum}")
+        if value < low:
+            raise ValueError(f"must be >= {low}")
+        if high is not None and value > high:
+            raise ValueError(f"must be <= {high}")
         return value
     return parse
 
@@ -90,19 +94,19 @@ def _or_none(inner):
 # belongs to]).  The canonical text lists the keys in this order.
 _SETTINGS = {
     ("scene", "kind"): (None, _choice(*SCENES)),
-    ("scene", "size"): (None, _int_min(2)),
-    ("scene", "oversample"): (Scene.oversample, _int_min(1)),
+    ("scene", "size"): (None, _int_range(2)),
+    ("scene", "oversample"): (Scene.oversample, _int_range(1)),
     ("scene", "period"): (None, _float_range(0.0, low_open=True), "grating"),
     ("scene", "duty"): (None, _float_range(0.0, 1.0, low_open=True,
                                            high_open=True), "grating"),
     ("scene", "orientation"): ("y", _choice("y", "x"), "grating"),
-    ("scene", "blocks"): (3, _int_min(1), "checkerboard"),
+    ("scene", "blocks"): (3, _int_range(1), "checkerboard"),
     ("scene", "edge_alignment"): ("pixel", _choice("pixel", "quarter"),
                                   "checkerboard"),
     ("pairs", "mode"): ("near", _choice(*MODES)),
     ("pairs", "sigma"): (0.25, _float_range(0.0)),
     ("pairs", "rate"): (60.0, _float_range(0.0, low_open=True)),
-    ("pairs", "frames"): (1000, _int_min(2)),
+    ("pairs", "frames"): (1000, _int_range(2, MAX_FIELD)),  # .bpsr count
     ("pairs", "interference"): ("none", _choice("none", "noon")),
     ("pairs", "shift"): (0.0, _float_range()),
     ("pairs", "contrast"): (1.0, _float_range(0.0, 1.0)),
@@ -114,13 +118,13 @@ _SETTINGS = {
                                "emccd"),
     ("camera", "smear"): (EmccdCamera.smear,
                           _float_range(0.0, 1.0, high_open=True), "emccd"),
-    ("processing", "band_radius"): (DEFAULT_BAND_RADIUS, _int_min(1)),
+    ("processing", "band_radius"): (DEFAULT_BAND_RADIUS, _int_range(1)),
     ("processing", "threshold"): (0.5, _or_none(_float_range(0.0, 1.0))),
     ("processing", "normalize"): (True, _bool),
     ("processing", "interpolate"): (True, _bool),
-    ("processing", "chunk"): (DEFAULT_CHUNK_SIZE, _int_min(1)),
-    ("processing", "workers"): (None, _or_none(_int_min(1))),
-    ("rng", "seed"): (0, _int_min(0)),
+    ("processing", "chunk"): (DEFAULT_CHUNK_SIZE, _int_range(1)),
+    ("processing", "workers"): (None, _or_none(_int_range(1))),
+    ("rng", "seed"): (0, _int_range(0)),
 }
 
 DEFAULTS = {section: {key: spec[0] for (other, key), spec in _SETTINGS.items()
@@ -287,8 +291,22 @@ def load_config(path, overrides: list[str] | None = None) -> RunConfig:
     return parse_config(text, overrides)
 
 
+@contextmanager
+def sized_by(config: RunConfig, *names: str):
+    """Re-raise a MemoryError of the block as a ConfigurationError that
+    names the ``section.key`` settings which size the allocation."""
+    try:
+        yield
+    except MemoryError:
+        values = [f"{name} = {_format_value(getattr(config, section)[key])}"
+                  for name in names for section, key in [name.split(".")]]
+        raise ConfigurationError(f"{' and '.join(values)} need more memory "
+                                 "than is available") from None
+
+
 def build_scene(config: RunConfig) -> Scene:
-    return SCENES[config.scene["kind"]](**_applicable(config.scene, "scene"))
+    with sized_by(config, "scene.size", "scene.oversample"):
+        return SCENES[config.scene["kind"]](**_applicable(config.scene, "scene"))
 
 
 def build_camera(config: RunConfig):

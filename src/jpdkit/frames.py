@@ -36,6 +36,7 @@ MAGIC = b"BPSR"
 VERSION = 1
 _HEADER = struct.Struct("<4sHHIII12x")
 HEADER_SIZE = _HEADER.size
+MAX_FIELD = 2 ** 32 - 1  # count, height and width are u32
 
 # the sample dtypes, indexed by the header's sample code
 _SAMPLES = (np.dtype("<u2"), np.dtype("<f4"), np.dtype(bool))
@@ -53,6 +54,10 @@ def write_frames(path, frames: np.ndarray) -> None:
     count, height, width = frames.shape
     if height == 0 or width == 0:
         raise FrameShapeError("frames must have non-zero height and width")
+    if max(frames.shape) > MAX_FIELD:
+        raise FrameShapeError(
+            f"frame stack shape {frames.shape} exceeds the header's u32 "
+            f"limit of {MAX_FIELD}")
     try:
         code = _SAMPLES.index(frames.dtype)
     except ValueError:

@@ -30,6 +30,7 @@ their exclusion, so silent drop-outs cannot skew downstream images.
 
 from __future__ import annotations
 
+import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -104,6 +105,16 @@ class Jpd:
     def plane_valid(self, dy: int, dx: int) -> np.ndarray:
         return self.valid[self._index(dy, dx)]
 
+    @classmethod
+    def from_planes(cls, mode: str, planes: np.ndarray, n_frames: int) -> "Jpd":
+        """A fresh band of *planes*, (2K+1, 2K+1, H, W): every plane active,
+        and the entries whose partner pixel is off the sensor invalid and
+        zeroed."""
+        k = planes.shape[0] // 2
+        valid = structural_validity(mode, k, planes.shape[2:])
+        return cls(mode, k, np.where(valid, planes, 0.0), valid,
+                   np.ones(planes.shape[:2], dtype=bool), n_frames)
+
     def with_invalid_excluded(self) -> "Jpd":
         """Accept invalid entries as missing; projections will skip them."""
         return replace(self, pending_invalid=False)
@@ -126,6 +137,12 @@ class PartialJpd:
     n_terms: int
 
 
+def check_mode(mode: str) -> None:
+    if mode not in MODES:
+        raise ConfigurationError(
+            f"mode must be {' or '.join(map(repr, MODES))}, got {mode!r}")
+
+
 def _check_stack(frames: np.ndarray) -> np.ndarray:
     frames = np.asarray(frames)
     if frames.ndim != 3:
@@ -146,8 +163,7 @@ def accumulate_partial(frames: np.ndarray, mode: str = "near",
     overlapping chunks (repeat the boundary frame) to cover a long stream.
     """
     frames = _check_stack(frames)
-    if mode not in MODES:
-        raise ConfigurationError(f"mode must be 'near' or 'far', got {mode!r}")
+    check_mode(mode)
     if band_radius < 0:
         raise ConfigurationError("band radius must be >= 0")
     h, w = frames.shape[1:]
@@ -268,24 +284,24 @@ def structural_validity(mode, band_radius, shape) -> np.ndarray:
     return oky[:, None, :, None] & okx[None, :, None, :]
 
 
-def _symmetrize(planes: np.ndarray, valid: np.ndarray, mode: str) -> np.ndarray:
-    """Average each structurally valid entry with its partner-swapped
+def _symmetrize(jpd: Jpd) -> Jpd:
+    """Average each valid entry of a fresh band with its partner-swapped
     counterpart, in one gather.
 
     Near field: Gamma(r, r+d) with Gamma(r+d, r), which lives in plane -d at
     r + d.  Far field: swapping partners stays inside plane u, at the
     point-reflected position c - r + u.  Either way the counterpart sits at
-    the entry's partner pixel.
+    the entry's partner pixel, and it is valid when the entry is.
     """
-    p, _, h, w = planes.shape
-    k = p // 2
-    ab = np.arange(p)[::-1] if mode == "near" else np.arange(p)
+    planes, k, (h, w) = jpd.planes, jpd.band_radius, jpd.shape
+    ab = np.arange(2 * k + 1)[::-1 if jpd.mode == "near" else 1]
     # off-sensor partners are clipped onto it; np.where drops those entries
-    py = np.clip(_partners(mode, k, h), 0, h - 1)
-    px = np.clip(_partners(mode, k, w), 0, w - 1)
+    py = np.clip(_partners(jpd.mode, k, h), 0, h - 1)
+    px = np.clip(_partners(jpd.mode, k, w), 0, w - 1)
     swapped = planes[ab[:, None, None, None], ab[None, :, None, None],
                      py[:, None, :, None], px[None, :, None, :]]
-    return np.where(valid, 0.5 * (planes + swapped), planes)
+    return replace(jpd, planes=np.where(jpd.valid, 0.5 * (planes + swapped),
+                                        planes))
 
 
 def finalize_jpd(partial: PartialJpd, symmetrize: bool = True) -> Jpd:
@@ -297,14 +313,9 @@ def finalize_jpd(partial: PartialJpd, symmetrize: bool = True) -> Jpd:
     """
     if partial.n_terms < 1:
         raise InsufficientDataError("cannot finalize an empty accumulator")
-    planes = partial.sums / partial.n_terms
-    valid = structural_validity(partial.mode, partial.band_radius, partial.shape)
-    if symmetrize:
-        planes = _symmetrize(planes, valid, partial.mode)
-    planes = np.where(valid, planes, 0.0)
-    k = partial.band_radius
-    active = np.ones((2 * k + 1, 2 * k + 1), dtype=bool)
-    return Jpd(partial.mode, k, planes, valid, active, partial.n_terms + 1)
+    jpd = Jpd.from_planes(partial.mode, partial.sums / partial.n_terms,
+                          partial.n_terms + 1)
+    return _symmetrize(jpd) if symmetrize else jpd
 
 
 def accumulate_jpd(frames: np.ndarray, mode: str = "near",
@@ -315,8 +326,9 @@ def accumulate_jpd(frames: np.ndarray, mode: str = "near",
     """Estimate the banded JPD of a frame stack.
 
     The stack is processed in fixed chunks of ``chunk_size`` consecutive-frame
-    terms (optionally on ``workers`` threads) and merged in chunk order as
-    the chunks finish, so only one merged sum is held, and the result does
+    terms (optionally on up to ``workers`` threads, never more than there
+    are chunks or processors) and merged in chunk order as the chunks
+    finish, so only one merged sum is held, and the result does
     not depend on the chunking or the thread count.  Integer stacks whose
     sums could leave float64's exact range raise :class:`PrecisionError`
     before any chunk is accumulated.
@@ -333,8 +345,9 @@ def accumulate_jpd(frames: np.ndarray, mode: str = "near",
     def run(span):
         return accumulate_partial(frames[span[0]:span[1]], mode, band_radius)
 
-    if workers is not None and workers > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+    threads = min(workers or 1, len(spans), os.cpu_count() or 1)
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             merged = merge_partials(pool.map(run, spans))
     else:
         merged = merge_partials(map(run, spans))
@@ -445,6 +458,7 @@ def diagonal_image(jpd: Jpd) -> GridImage:
 # snapshot format
 
 MAX_BAND_RADIUS = 127  # plane records store (dy, dx) as i8
+MAX_SNAPSHOT_SIDE = 65535  # the header stores H and W as u16
 _SNAP_MAGIC = b"BJPD"
 _SNAP_VERSION = 1
 _SNAP_HEADER = struct.Struct("<4sHBBHHIiiBH5x")  # 32 bytes; mode as MODES index
@@ -462,6 +476,10 @@ def write_jpd_snapshot(path, jpd: Jpd) -> None:
         raise ConfigurationError(
             f"band radius {k} exceeds the snapshot limit {MAX_BAND_RADIUS}")
     h, w = jpd.shape
+    if max(h, w) > MAX_SNAPSHOT_SIDE:
+        raise ConfigurationError(
+            f"{h}x{w} frames exceed the snapshot limit of "
+            f"{MAX_SNAPSHOT_SIDE} pixels per side")
     recs = np.argwhere(jpd.active)
     n = len(recs)
     header = _SNAP_HEADER.pack(

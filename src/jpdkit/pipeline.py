@@ -36,6 +36,7 @@ from .jpd import (
     DEFAULT_CHUNK_SIZE,
     MAX_BAND_RADIUS,
     Jpd,
+    _require_resolved,
     accumulate_jpd,
     apply_separation_policy,
     diagonal_image,
@@ -100,8 +101,7 @@ def filter_jpd(jpd: Jpd, threshold: float = 0.5) -> Jpd:
     """
     if not (0 <= threshold <= 1):
         raise ConfigurationError("filter threshold must lie in [0, 1]")
-    if jpd.pending_invalid:
-        raise StateError("resolve invalid entries before filtering")
+    _require_resolved(jpd, "plane filter")
     masses = plane_masses(jpd)
     finite = np.nan_to_num(masses, nan=-np.inf)
     top = finite.max()
@@ -122,8 +122,7 @@ def normalize_jpd(jpd: Jpd) -> Jpd:
     so the interleaved image is free of parity striping.  A plane whose mean
     is non-positive or non-finite cannot be normalized meaningfully.
     """
-    if jpd.pending_invalid:
-        raise StateError("resolve invalid entries before normalizing")
+    _require_resolved(jpd, "normalization")
     planes = jpd.planes.copy()
     for dy, dx, a, b in jpd.displacements():
         if not jpd.active[a, b]:
@@ -150,8 +149,7 @@ def super_resolve(jpd: Jpd) -> GridImage:
     of an active plane stay zero; the per-point contribution counts are kept
     on the returned image.
     """
-    if jpd.pending_invalid:
-        raise StateError("resolve invalid entries before super-resolving")
+    _require_resolved(jpd, "super-resolution")
     coordinate = "sum" if jpd.mode == "near" else "difference"
     image = scatter_half_grid(jpd, jpd.planes, coordinate)
     cnt = scatter_half_grid(jpd, 1.0, coordinate).values

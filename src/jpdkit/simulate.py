@@ -16,9 +16,6 @@ pixel.
 Randomness is drawn per fixed-size frame chunk from
 ``SeedSequence((seed, stage, chunk))`` streams, so a stack is bit-identical
 for a given seed no matter how the generation is batched.
-
-Loading this module imports numpy only: ``erf``, which only the jittered
-(sigma > 0) branch of ``analytic_jpd`` needs, is imported where it is used.
 """
 
 from __future__ import annotations
@@ -30,8 +27,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateDensityError
-from .jpd import (DEFAULT_BAND_RADIUS, MODES, Jpd, half_grid_index,
-                  structural_validity)
+from .jpd import DEFAULT_BAND_RADIUS, Jpd, check_mode, half_grid_index
 from .scenes import Scene
 
 SIM_CHUNK_FRAMES = 4096
@@ -173,8 +169,7 @@ def interference_rate(base_rate: float, pattern: np.ndarray,
 # frame simulation
 
 def _normalized_density(scene: Scene, mode: str, density) -> np.ndarray:
-    if mode not in MODES:
-        raise ConfigurationError(f"mode must be 'near' or 'far', got {mode!r}")
+    check_mode(mode)
     if density is None:
         density = scene.near_density() if mode == "near" else scene.far_density()
     density = np.asarray(density, dtype=np.float64)
@@ -210,10 +205,12 @@ def _chunk_rngs(seed, chunk: int):
 
 def _bin_photons(counts: np.ndarray, frame_of: np.ndarray,
                  py: np.ndarray, px: np.ndarray, size: int) -> None:
-    iy = np.floor(py + 0.5).astype(np.int64)
-    ix = np.floor(px + 0.5).astype(np.int64)
-    ok = (iy >= 0) & (iy < size) & (ix >= 0) & (ix < size)
-    np.add.at(counts, (frame_of[ok], iy[ok], ix[ok]), 1)
+    # pixel floor(p + 0.5); only positions on the sensor are cast, where
+    # truncation is that floor and the cast is defined
+    y, x = py + 0.5, px + 0.5
+    ok = (y >= 0) & (y < size) & (x >= 0) & (x < size)
+    np.add.at(counts, (frame_of[ok], y[ok].astype(np.int64),
+                       x[ok].astype(np.int64)), 1)
 
 
 def _simulate(scene: Scene, p: np.ndarray, rate: float, n_frames: int,
@@ -294,11 +291,17 @@ def simulate_intensity_frames(scene: Scene, intensity: np.ndarray,
 
 def _axis_capture(offsets: np.ndarray, sigma_photon: float) -> np.ndarray:
     """Probability that a photon born *offsets* away from a pixel centre is
-    captured by that unit pixel, for Gaussian jitter sigma_photon."""
-    from scipy import special
+    captured by that unit pixel, for Gaussian jitter sigma_photon.
+    ``math.erf`` runs once per distinct offset: the offsets of a scene's
+    subcells repeat across pixels."""
     z = 1.0 / (sigma_photon * math.sqrt(2.0))
-    return 0.5 * (special.erf((offsets + 0.5) * z)
-                  - special.erf((offsets - 0.5) * z))
+    distinct, inverse = np.unique(offsets, return_inverse=True)
+
+    def erf(x):
+        return np.fromiter(map(math.erf, x.tolist()), float, x.size)
+
+    capture = 0.5 * (erf((distinct + 0.5) * z) - erf((distinct - 0.5) * z))
+    return capture[inverse].reshape(np.shape(offsets))
 
 
 def _half_grid_split(scene: Scene, mode: str) -> list[tuple[int, np.ndarray]]:
@@ -312,7 +315,7 @@ def _half_grid_split(scene: Scene, mode: str) -> list[tuple[int, np.ndarray]]:
     half-grid index (:func:`jpdkit.jpd.half_grid_index`) is q: even q goes
     whole to d = 0, odd q half each to d = -1 and d = +1.  Pixels off the
     sensor get no weight; entries whose partner is off the sensor are left
-    to ``structural_validity``.
+    to :meth:`jpdkit.jpd.Jpd.from_planes`.
     """
     m, far = scene.size, mode == "far"
     two_x = 2.0 * scene.subcell_coordinates()
@@ -369,7 +372,4 @@ def analytic_jpd(scene: Scene, mode: str = "near",
         for dx, wx in axis_mats:
             planes[dy + k, dx + k] = wy.T @ rho @ wx
     planes *= orderings
-    valid = structural_validity(mode, k, (m, m))
-    planes = np.where(valid, planes, 0.0)
-    active = np.ones((2 * k + 1, 2 * k + 1), dtype=bool)
-    return Jpd(mode, k, planes, valid, active, 0)
+    return Jpd.from_planes(mode, planes, 0)

@@ -190,6 +190,7 @@ def test_configuration_errors_exit_2(tmp_path, config_path, capsys):
     for overrides in (["rng.seed=-1"], ["pairs.rate=nan"], ["pairs.rate=inf"],
                       ["pairs.sigma=nan"], ["pairs.shift=inf"],
                       ["processing.threshold=nan"],
+                      ["pairs.frames=4294967296"],  # the .bpsr count is u32
                       emccd + ["camera.gain_mean=inf"],
                       emccd + ["camera.gain_cv=nan"]):
         out = tmp_path / "nonfinite"
@@ -510,11 +511,30 @@ def test_cat_scene_below_minimum_size_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("override, names", [
+    # both allocations lie beyond a 47-bit address space, so the allocator
+    # refuses them at once whatever the overcommit policy
+    ("pairs.rate=1e12", "pairs.rate = 1000000000000.0 and pairs.frames = 50"),
+    ("scene.oversample=200000", "scene.size = 32 and scene.oversample = 200000"),
+])
+def test_simulation_beyond_memory_exits_2(tmp_path, capsys, override, names):
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", str(CONFIGS / "grating_superres.ini"),
+                 "--set", "pairs.frames=50", "--set", override,
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {names} need more memory than is available\n")
+    assert not out.exists()
+
+
 def test_cli_import_loads_no_scipy():
-    # scipy is for the jittered analytic JPD only; a fresh interpreter
-    # shows what `import jpdkit.cli` alone pulls in
+    # numpy is the only runtime dependency: a fresh interpreter that imports
+    # the CLI and builds a jittered analytic JPD has loaded no scipy module
     src = str(Path(jpdkit.__file__).resolve().parents[1])
-    code = ("import sys, jpdkit.cli; "
+    code = ("import sys, jpdkit.cli\n"
+            "from jpdkit.scenes import grating\n"
+            "from jpdkit.simulate import analytic_jpd\n"
+            "analytic_jpd(grating(8, 3.0, 0.4), 'near', 2, sigma=0.7)\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     result = subprocess.run([sys.executable, "-c", code], check=True,
                             capture_output=True, text=True,

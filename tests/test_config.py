@@ -120,6 +120,16 @@ def test_cat_minimum_size_checked():
     assert parse_config(text.replace("8", "16")).scene["size"] == 16
 
 
+def test_frame_count_bounded_by_bpsr_header():
+    cfg = parse_config(GRATING_INI, overrides=["pairs.frames=4294967295"])
+    assert cfg.pairs["frames"] == 2 ** 32 - 1
+    assert "frames = 4294967295\n" in cfg.text
+    with pytest.raises(ConfigurationError) as info:
+        parse_config(GRATING_INI, overrides=["pairs.frames=4294967296"])
+    assert str(info.value) == \
+        "override 'pairs.frames=4294967296': must be <= 4294967295"
+
+
 def test_noon_requires_near_field():
     text = GRATING_INI.replace(
         "sigma = 0.84", "sigma = 0.84\ninterference = noon\nmode = far")

@@ -86,6 +86,18 @@ def test_write_rejects_bad_shapes_and_dtypes(tmp_path):
         write_frames(path, np.zeros((2, 4, 4), dtype=np.int8))
 
 
+def test_write_rejects_shapes_beyond_u32_header_fields(tmp_path):
+    # zero-copy stacks: the check runs before a byte is read or written
+    path = tmp_path / "big.bpsr"
+    for shape in ((2 ** 32, 1, 1), (1, 2 ** 32, 1), (1, 1, 2 ** 32)):
+        stack = np.broadcast_to(np.zeros((1, 1, 1), dtype=np.uint16), shape)
+        with pytest.raises(FrameShapeError) as info:
+            write_frames(path, stack)
+        assert str(info.value) == (f"frame stack shape {shape} exceeds the "
+                                   "header's u32 limit of 4294967295")
+        assert not path.exists()
+
+
 def test_read_rejects_bad_magic(tmp_path):
     path = tmp_path / "bad.bpsr"
     frames = np.zeros((2, 3, 3), dtype=np.uint16)

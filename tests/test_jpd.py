@@ -155,6 +155,32 @@ def test_result_independent_of_chunking_and_workers():
     assert np.array_equal(base.planes, merged.planes)
 
 
+def test_thread_pool_bounded_by_chunks_and_processors(monkeypatch):
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    frames = np.random.default_rng(8).integers(0, 9, (6, 4, 4), dtype=np.uint16)
+    base = accumulate_jpd(frames, band_radius=1)
+    monkeypatch.setattr(jpd_module, "ThreadPoolExecutor", SerialPool)
+    for cpus, expected in ((64, 5), (3, 3)):  # five chunks of one term
+        sizes = []
+        monkeypatch.setattr(jpd_module.os, "cpu_count", lambda: cpus)
+        got = accumulate_jpd(frames, band_radius=1, chunk_size=1,
+                             workers=10 ** 6)
+        assert sizes == [expected]
+        assert np.array_equal(got.planes, base.planes)
+
+
 @st.composite
 def small_stacks(draw):
     """Stacks with a 1-3 pixel side (so some planes have no partner rows)
@@ -479,6 +505,20 @@ def test_snapshot_rejects_band_beyond_record_limit(tmp_path):
     with pytest.raises(ConfigurationError, match="snapshot limit"):
         write_jpd_snapshot(path, jpd)
     assert not path.exists()
+
+
+def test_snapshot_rejects_frames_beyond_header_sides(tmp_path):
+    # the header stores H and W as u16; zero-copy planes keep this cheap
+    path = tmp_path / "snap.bjpd"
+    for shape in ((1, 65536), (65536, 1)):
+        band = (1, 1, *shape)
+        jpd = Jpd("near", 0, np.broadcast_to(0.0, band),
+                  np.broadcast_to(True, band), np.ones((1, 1), dtype=bool), 3)
+        with pytest.raises(ConfigurationError) as info:
+            write_jpd_snapshot(path, jpd)
+        assert str(info.value) == (f"{shape[0]}x{shape[1]} frames exceed the "
+                                   "snapshot limit of 65535 pixels per side")
+        assert not path.exists()
 
 
 def _snapshot_header(k, h, w, n_recs, center=None):

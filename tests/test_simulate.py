@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,17 @@ from jpdkit.simulate import (SIM_CHUNK_FRAMES, EmccdCamera, IdealCamera,
                              analytic_jpd, camera_by_name, classical_fringe,
                              interference_rate, noon_density, simulate_frames,
                              simulate_intensity_frames)
+
+
+def test_photons_far_off_the_sensor_are_dropped_before_any_cast():
+    # float-to-int casts of such positions are undefined; only positions
+    # on the sensor may reach one
+    for mode in ("near", "far"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            frames = simulate_frames(uniform(4), mode, sigma=1e300,
+                                     pair_rate=20.0, n_frames=50, seed=1)
+        assert frames.shape == (50, 4, 4) and not frames.any()
 
 
 def test_simulation_parameter_validation():
