@@ -32,8 +32,8 @@ from .frames import read_frames, write_frames
 from .images import GridImage, write_pgm16, write_spectrum_csv
 from .jpd import MODES, write_jpd_snapshot
 from .pipeline import reconstruct
-from .simulate import (CAMERAS, camera_by_name, interference_rate,
-                       noon_density, simulate_frames)
+from .simulate import (CAMERAS, camera_by_name, noon_acquisition,
+                       simulate_frames)
 
 
 def _arg(parse):
@@ -123,11 +123,10 @@ def _cmd_simulate(args) -> int:
     scene = build_scene(config)
     camera = build_camera(config)
     pairs = config.pairs
-    density = None
-    rate = pairs["rate"]
+    density, rate = None, pairs["rate"]
     if pairs["interference"] == "noon":
-        density = noon_density(scene, pairs["shift"], pairs["contrast"])
-        rate = interference_rate(rate, density, scene.near_density())
+        density, rate = noon_acquisition(scene, pairs["shift"],
+                                         pairs["contrast"], rate)
     with sized_by(config, "pairs.rate", "pairs.frames"):
         frames = simulate_frames(scene, pairs["mode"], pairs["sigma"],
                                  rate, pairs["frames"], camera,

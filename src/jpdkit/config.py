@@ -3,13 +3,14 @@
 A run is described by an INI file with sections [scene], [pairs], [camera],
 [processing] and [rng].  Parsing is strict: unknown sections or keys, values
 of the wrong type and keys that do not apply to the chosen scene kind or
-camera profile are all configuration errors, reported with the line number
-where possible.  ``--set section.key=value`` overrides are checked and
-applied on top of the file before validation.
+camera profile are all configuration errors.  ``--set section.key=value``
+overrides replace the file's value of a setting.  Each value is parsed once,
+whether the file or an override gives it, and every error names where the
+value came from: the file line, or the override.
 
-Every setting is declared once, in ``_SETTINGS``: its default, its value
-parser and, for a key that belongs to one scene kind or camera profile, that
-kind or profile.  ``DEFAULTS``, the parsers, the applicability rule and the
+Every setting is declared once, in ``_SETTINGS``: its default (or that a
+run description must give it), its value parser and, for a key that belongs
+to one scene kind or camera profile, that kind or profile.  ``DEFAULTS``, the parsers, the applicability rule and the
 canonical text all follow from that table.
 
 The parsed configuration carries a canonical text rendering with every
@@ -35,7 +36,7 @@ from .errors import ConfigurationError, FileFormatError
 from .frames import MAX_FIELD
 from .jpd import DEFAULT_BAND_RADIUS, DEFAULT_CHUNK_SIZE, MODES
 from .scenes import CAT_MIN_SIZE, SCENES, Scene
-from .simulate import CAMERAS, EmccdCamera, camera_by_name
+from .simulate import CAMERAS, MAX_RATE, EmccdCamera, camera_by_name
 
 TOOL_NAME = "jpdkit"
 
@@ -90,22 +91,27 @@ def _or_none(inner):
     return parse
 
 
+# the default of a setting that a run description must give wherever the
+# setting applies; not None, which is the value of ``workers = none``
+_REQUIRED = object()
+
 # (section, key) -> (default, parser[, scene kind or camera profile the key
 # belongs to]).  The canonical text lists the keys in this order.
 _SETTINGS = {
-    ("scene", "kind"): (None, _choice(*SCENES)),
-    ("scene", "size"): (None, _int_range(2)),
+    ("scene", "kind"): (_REQUIRED, _choice(*SCENES)),
+    ("scene", "size"): (_REQUIRED, _int_range(2)),
     ("scene", "oversample"): (Scene.oversample, _int_range(1)),
-    ("scene", "period"): (None, _float_range(0.0, low_open=True), "grating"),
-    ("scene", "duty"): (None, _float_range(0.0, 1.0, low_open=True,
-                                           high_open=True), "grating"),
+    ("scene", "period"): (_REQUIRED, _float_range(0.0, low_open=True),
+                          "grating"),
+    ("scene", "duty"): (_REQUIRED, _float_range(0.0, 1.0, low_open=True,
+                                                high_open=True), "grating"),
     ("scene", "orientation"): ("y", _choice("y", "x"), "grating"),
     ("scene", "blocks"): (3, _int_range(1), "checkerboard"),
     ("scene", "edge_alignment"): ("pixel", _choice("pixel", "quarter"),
                                   "checkerboard"),
     ("pairs", "mode"): ("near", _choice(*MODES)),
     ("pairs", "sigma"): (0.25, _float_range(0.0)),
-    ("pairs", "rate"): (60.0, _float_range(0.0, low_open=True)),
+    ("pairs", "rate"): (60.0, _float_range(0.0, MAX_RATE, low_open=True)),
     ("pairs", "frames"): (1000, _int_range(2, MAX_FIELD)),  # .bpsr count
     ("pairs", "interference"): ("none", _choice("none", "noon")),
     ("pairs", "shift"): (0.0, _float_range()),
@@ -127,7 +133,8 @@ _SETTINGS = {
     ("rng", "seed"): (0, _int_range(0)),
 }
 
-DEFAULTS = {section: {key: spec[0] for (other, key), spec in _SETTINGS.items()
+DEFAULTS = {section: {key: None if spec[0] is _REQUIRED else spec[0]
+                      for (other, key), spec in _SETTINGS.items()
                       if other == section}
             for section, _ in _SETTINGS}
 _PARSERS = {name: spec[1] for name, spec in _SETTINGS.items()}
@@ -166,51 +173,20 @@ class RunConfig:
     text: str
 
 
-def _line_of(text: str, section: str, key: str | None = None) -> int | None:
-    current = None
+def _file_lines(text: str) -> dict:
+    """(section, key) -> number of the first line of *text* that sets the
+    key, and (section, None) -> the line of the section's header."""
+    lines, section = {}, None
     for number, line in enumerate(text.splitlines(), 1):
         stripped = line.strip()
         if stripped.startswith("[") and stripped.endswith("]"):
-            current = stripped[1:-1].strip()
-            if key is None and current == section:
-                return number
-        elif key is not None and current == section and stripped \
-                and not stripped.startswith(("#", ";")):
-            head = re.split(r"[=:]", stripped, maxsplit=1)[0].strip()
-            if head == key:
-                return number
-    return None
-
-
-def _fail(text: str, section: str, key: str | None, message: str,
-          with_line: bool = True):
-    where = f"[{section}]" if key is None else f"[{section}] {key}"
-    line = _line_of(text, section, key) if with_line else None
-    suffix = f" (line {line})" if line is not None else ""
-    raise ConfigurationError(f"{where}: {message}{suffix}")
-
-
-def apply_overrides(parser: configparser.ConfigParser,
-                    assignments: list[str]) -> None:
-    """Apply ``section.key=value`` assignments onto a parsed config,
-    checking each value with its setting's parser."""
-    for assignment in assignments:
-        target, sep, raw = assignment.partition("=")
-        section, dot, key = target.strip().partition(".")
-        if not sep or not dot or not section or not key:
-            raise ConfigurationError(
-                f"override {assignment!r} must look like section.key=value")
-        key = key.strip()
-        if (section, key) not in _PARSERS:
-            raise ConfigurationError(
-                f"override {assignment!r}: no such setting {section}.{key}")
-        try:
-            _PARSERS[section, key](raw.strip())
-        except ValueError as exc:
-            raise ConfigurationError(f"override {assignment!r}: {exc}") from exc
-        if not parser.has_section(section):
-            parser.add_section(section)
-        parser.set(section, key, raw.strip())
+            section = stripped[1:-1].strip()
+            lines.setdefault((section, None), number)
+        elif stripped and not stripped.startswith(("#", ";")):
+            # configparser folds keys to lower case
+            key = re.split(r"[=:]", stripped, maxsplit=1)[0].strip().lower()
+            lines.setdefault((section, key), number)
+    return lines
 
 
 def _format_value(value) -> str:
@@ -240,43 +216,64 @@ def parse_config(text: str, overrides: list[str] | None = None) -> RunConfig:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigurationError(f"cannot parse config: {exc}") from exc
-    apply_overrides(parser, overrides or [])
+    lines = _file_lines(text)
+    # (section, key) -> (raw value, source): the number of the file line
+    # that sets it, or the override's text; the last source wins
+    given = {(section, key): (raw, lines.get((section, key)))
+             for section in parser.sections()
+             for key, raw in parser.items(section)}
 
-    merged = {section: dict(values) for section, values in DEFAULTS.items()}
+    def fail(section: str, key: str | None, message: str):
+        _, source = given.get((section, key), (None, lines.get((section, key))))
+        if isinstance(source, str):
+            raise ConfigurationError(f"override {source!r}: {message}")
+        where = f"[{section}]" if key is None else f"[{section}] {key}"
+        suffix = f" (line {source})" if source is not None else ""
+        raise ConfigurationError(f"{where}: {message}{suffix}")
+
+    for assignment in overrides or []:
+        target, sep, raw = assignment.partition("=")
+        section, dot, key = target.strip().partition(".")
+        if not sep or not dot or not section or not key:
+            raise ConfigurationError(
+                f"override {assignment!r} must look like section.key=value")
+        key = key.strip()
+        given[section, key] = (raw.strip(), assignment)
+        if (section, key) not in _PARSERS:
+            fail(section, key, f"no such setting {section}.{key}")
     for section in parser.sections():
         if section not in DEFAULTS:
-            _fail(text, section, None, "unknown section")
-        for key, raw in parser.items(section):
-            if (section, key) not in _PARSERS:
-                _fail(text, section, key, "unknown setting")
-            try:
-                merged[section][key] = _PARSERS[section, key](raw)
-            except ValueError as exc:
-                _fail(text, section, key, str(exc))
+            fail(section, None, "unknown section")
 
+    merged = {section: dict(values) for section, values in DEFAULTS.items()}
+    for (section, key), (raw, _) in given.items():
+        if (section, key) not in _PARSERS:
+            fail(section, key, "unknown setting")
+        try:
+            merged[section][key] = _PARSERS[section, key](raw)
+        except ValueError as exc:
+            fail(section, key, str(exc))
+
+    for (section, key), (default, _, *owner) in _SETTINGS.items():
+        if not _applies(merged[section], section, key):
+            if (section, key) in given:
+                chooser, phrase = _CHOOSER[section]
+                fail(section, key, "does not apply to "
+                     + phrase.format(merged[section][chooser]))
+        elif default is _REQUIRED and (section, key) not in given:
+            fail(section, key, "required for "
+                 + _CHOOSER[section][1].format(owner[0])
+                 if owner else "required setting is missing")
     scene, pairs = merged["scene"], merged["pairs"]
-    for key in ("kind", "size"):
-        if scene[key] is None:
-            _fail(text, "scene", key, "required setting is missing")
-    if scene["kind"] == "grating":
-        for key in ("period", "duty"):
-            if scene[key] is None:
-                _fail(text, "scene", key, "required for a grating scene")
-    for section, key in _SETTINGS:
-        if parser.has_option(section, key) \
-                and not _applies(merged[section], section, key):
-            chooser, phrase = _CHOOSER[section]
-            _fail(text, section, key, "does not apply to "
-                  + phrase.format(merged[section][chooser]))
     if scene["kind"] == "cat" and scene["size"] < CAT_MIN_SIZE:
-        _fail(text, "scene", "size", f"a cat scene needs size >= {CAT_MIN_SIZE}")
+        fail("scene", "size", f"a cat scene needs size >= {CAT_MIN_SIZE}")
     if scene["kind"] == "checkerboard" and scene["size"] % scene["blocks"]:
-        _fail(text, "scene", "blocks",
-              f"size {scene['size']} is not divisible into {scene['blocks']} blocks")
+        fail("scene", "blocks",
+             f"size {scene['size']} is not divisible into {scene['blocks']} blocks")
     if pairs["interference"] == "noon" and pairs["mode"] != "near":
-        _fail(text, "pairs", "interference",
-              "the interference model applies to the near-field geometry",
-              with_line=False)
+        # a conflict of two settings, so no one source is named
+        raise ConfigurationError("[pairs] interference: the interference "
+                                 "model applies to the near-field geometry")
 
     return RunConfig(scene=merged["scene"], pairs=merged["pairs"],
                      camera=merged["camera"], processing=merged["processing"],

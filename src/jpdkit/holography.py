@@ -32,7 +32,7 @@ from .images import GridImage
 from .jpd import DEFAULT_CHUNK_SIZE
 from .pipeline import reconstruct, super_resolve
 from .scenes import Scene, block_mean
-from .simulate import (analytic_jpd, classical_fringe, interference_rate,
+from .simulate import (analytic_jpd, classical_fringe, noon_acquisition,
                        noon_density, simulate_frames)
 
 PAIR_SHIFTS = (0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4)
@@ -67,13 +67,11 @@ def simulate_pair_phase_stacks(scene: Scene, contrast: float = 1.0,
 
     The per-shift pair rate follows the transmitted flux of the
     interference pattern (*pair_rate* refers to the bare object)."""
-    base = scene.near_density()
     stacks = []
     for i, alpha in enumerate(PAIR_SHIFTS):
-        density = noon_density(scene, alpha, contrast)
+        density, rate = noon_acquisition(scene, alpha, contrast, pair_rate)
         stacks.append(simulate_frames(
-            scene, mode="near", sigma=sigma,
-            pair_rate=interference_rate(pair_rate, density, base),
+            scene, mode="near", sigma=sigma, pair_rate=rate,
             n_frames=n_frames, camera=camera, seed=(seed, i),
             density=density))
     return stacks
@@ -102,12 +100,11 @@ def analytic_pair_phase_map(scene: Scene, contrast: float = 1.0,
                             sigma: float = 0.0,
                             band_radius: int = 1) -> GridImage:
     """Noise-free pair-interference phase map via the analytic JPDs."""
-    base = scene.near_density()
-    densities = [noon_density(scene, alpha, contrast) for alpha in PAIR_SHIFTS]
     return _phase_image([super_resolve(analytic_jpd(
         scene, mode="near", band_radius=band_radius, sigma=sigma,
-        pair_rate=interference_rate(1.0, density, base), density=density))
-        for density in densities])
+        pair_rate=rate, density=density))
+        for density, rate in (noon_acquisition(scene, alpha, contrast, 1.0)
+                              for alpha in PAIR_SHIFTS)])
 
 
 def reference_pair_phase(scene: Scene) -> GridImage:

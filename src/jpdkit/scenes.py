@@ -137,6 +137,8 @@ def checkerboard_phase(size: int, blocks: int = 3, oversample: int = 8,
     ("quarter"), which keeps half-pixel windows clear of phase steps.
     Default phases are evenly spaced over 2 pi, row-major.
     """
+    if blocks < 1:
+        raise ConfigurationError(f"blocks must be >= 1, got {blocks}")
     if size % blocks != 0:
         raise ConfigurationError(f"size {size} not divisible into {blocks} blocks")
     if edge_alignment == "pixel":

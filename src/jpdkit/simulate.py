@@ -27,10 +27,14 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateDensityError
-from .jpd import DEFAULT_BAND_RADIUS, Jpd, check_mode, half_grid_index
+from .jpd import (DEFAULT_BAND_RADIUS, Jpd, _partners, check_mode,
+                  half_grid_index)
 from .scenes import Scene
 
 SIM_CHUNK_FRAMES = 4096
+# the largest mean number of pairs or photons per frame; numpy's Poisson
+# sampler refuses means above about 9.2e18
+MAX_RATE = 1e18
 _STAGE_EVENTS = 0
 _STAGE_CAMERA = 1
 
@@ -165,6 +169,15 @@ def interference_rate(base_rate: float, pattern: np.ndarray,
     return base_rate * total / base
 
 
+def noon_acquisition(scene: Scene, shift: float, contrast: float,
+                     base_rate: float) -> tuple[np.ndarray, float]:
+    """The pair density of one acquisition against a reference at phase
+    *shift* (:func:`noon_density`), and the pair rate its flux gives
+    *base_rate*, the bare object's rate (:func:`interference_rate`)."""
+    density = noon_density(scene, shift, contrast)
+    return density, interference_rate(base_rate, density, scene.near_density())
+
+
 # ---------------------------------------------------------------------------
 # frame simulation
 
@@ -255,8 +268,9 @@ def simulate_frames(scene: Scene, mode: str = "near", sigma: float = 0.25,
     geometry's default pair density (used for interference thinning).
     Photons falling off the sensor are lost individually.
     """
-    if not (0 <= sigma < math.inf and 0 < pair_rate < math.inf) or n_frames < 1:
-        raise ConfigurationError("need finite sigma >= 0, pair_rate > 0, n_frames >= 1")
+    if not (0 <= sigma < math.inf and 0 < pair_rate <= MAX_RATE) or n_frames < 1:
+        raise ConfigurationError(f"need finite sigma >= 0, 0 < pair_rate <= "
+                                 f"{MAX_RATE:g}, n_frames >= 1")
     sum_center = float(scene.size - 1)
 
     def pair(rng, y, x, emit):
@@ -279,8 +293,9 @@ def simulate_intensity_frames(scene: Scene, intensity: np.ndarray,
                               camera=None, seed: int | tuple = 0) -> np.ndarray:
     """Simulate classical (single-photon) frames for an intensity pattern on
     the oversampled grid; photon_rate is the Poisson mean per frame."""
-    if not 0 < photon_rate < math.inf or n_frames < 1:
-        raise ConfigurationError("finite photon_rate > 0 and n_frames >= 1 required")
+    if not 0 < photon_rate <= MAX_RATE or n_frames < 1:
+        raise ConfigurationError(f"0 < photon_rate <= {MAX_RATE:g} and "
+                                 "n_frames >= 1 required")
     return _simulate(scene, _normalized_density(scene, "near", intensity),
                      photon_rate, n_frames, camera, seed,
                      lambda rng, y, x, emit: emit(y, x))
@@ -357,14 +372,14 @@ def analytic_jpd(scene: Scene, mode: str = "near",
         orderings = 1.0
     else:
         sigma_photon = sigma / math.sqrt(2.0)
-        coords = scene.subcell_coordinates()
-        r = np.arange(m)
-        first = _axis_capture(r[None, :] - coords[:, None], sigma_photon)
-        # far field: partner pixel C - r + d captures the photon born at C - x
-        axis_mats = [(d, first * _axis_capture(
-            (r[None, :] + d) - coords[:, None] if mode == "near"
-            else coords[:, None] - r[None, :] + d, sigma_photon))
-            for d in range(-k, k + 1)]
+        x = scene.subcell_coordinates()
+        first = _axis_capture(np.arange(m) - x[:, None], sigma_photon)
+        # the partner photon is born at x (far field: C - x) and captured by
+        # the partner pixel of plane d
+        birth = x if mode == "near" else (m - 1) - x
+        second = _axis_capture(_partners(mode, k, m)[:, None, :]
+                               - birth[:, None], sigma_photon)
+        axis_mats = list(zip(range(-k, k + 1), first * second))
         # the estimator counts both photon orderings of every pair
         orderings = 2.0
     planes = np.zeros((2 * k + 1, 2 * k + 1, m, m))

@@ -1,22 +1,30 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import jpdkit
 from jpdkit import cli, pipeline
 from jpdkit import jpd as jpd_module
 from jpdkit.cli import main
-from jpdkit.config import (DEFAULTS, build_manifest, parse_config,
+from jpdkit.config import (_PARSERS, DEFAULTS, build_manifest, parse_config,
                            write_manifest)
+from jpdkit.errors import ConfigurationError
 from jpdkit.frames import read_frames, write_frames
 from jpdkit.images import read_spectrum_csv
-from jpdkit.jpd import read_jpd_snapshot
+from jpdkit.jpd import MODES, read_jpd_snapshot
+from jpdkit.scenes import SCENES
+from jpdkit.simulate import CAMERAS
 
 INI = """\
 [scene]
@@ -191,6 +199,9 @@ def test_configuration_errors_exit_2(tmp_path, config_path, capsys):
                       ["pairs.sigma=nan"], ["pairs.shift=inf"],
                       ["processing.threshold=nan"],
                       ["pairs.frames=4294967296"],  # the .bpsr count is u32
+                      # beyond numpy's Poisson sampler, which raised a bare
+                      # ValueError
+                      ["pairs.rate=1e300"],
                       emccd + ["camera.gain_mean=inf"],
                       emccd + ["camera.gain_cv=nan"]):
         out = tmp_path / "nonfinite"
@@ -501,13 +512,13 @@ def test_config_runs_are_pinned(tmp_path, run):
 
 
 def test_cat_scene_below_minimum_size_exits_2(tmp_path, capsys):
-    # the config states the cat builder's minimum, naming the key and the
-    # line the file sets it on
+    # the config states the cat builder's minimum, naming the override that
+    # set the size, not the file line it replaced
     out = tmp_path / "sim"
     assert main(["simulate", "--config", str(CONFIGS / "cat_far_field.ini"),
                  "--set", "scene.size=8", "--out", str(out)]) == 2
     assert capsys.readouterr().err == (
-        "error: [scene] size: a cat scene needs size >= 16 (line 7)\n")
+        "error: override 'scene.size=8': a cat scene needs size >= 16\n")
     assert not out.exists()
 
 
@@ -546,3 +557,91 @@ def test_version_flag():
     with pytest.raises(SystemExit) as info:
         main(["--version"])
     assert info.value.code == 0
+
+
+# strings to try on every setting: numbers of either sign and size, the
+# words of every choice, and junk
+FUZZ_STRINGS = [*map(str, range(-2, 31)), "100", "4294967296", "0.0", "0.3",
+                "0.5", "0.99", "1.6", "-0.5", "1e300", "nan", "inf", "-inf",
+                "none", "true", "off", "y", "x", "pixel", "quarter", "noon",
+                "abc", "", *SCENES, *CAMERAS, *MODES]
+# accepted values above these would only make a run slow or large
+FUZZ_CAPS = {("pairs", "frames"): 50, ("scene", "size"): 24,
+             ("scene", "oversample"): 16, ("pairs", "rate"): 200,
+             ("processing", "workers"): 2}
+
+
+def _fuzz_pools(name):
+    """The strings the setting's parser accepts, up to its cap, and the
+    strings it rejects."""
+    accepted, rejected = [], []
+    for raw in FUZZ_STRINGS:
+        try:
+            value = _PARSERS[name](raw)
+        except ValueError:
+            rejected.append(raw)
+            continue
+        if name not in FUZZ_CAPS or value is None or value <= FUZZ_CAPS[name]:
+            accepted.append(raw)
+    return accepted, rejected
+
+
+FUZZ_VALUES = {name: _fuzz_pools(name) for name in _PARSERS}
+
+
+@st.composite
+def fuzz_runs(draw):
+    """A scene kind, a camera profile and up to three overrides, one in
+    four with a value its setting's parser rejects."""
+    overrides = []
+    for name in draw(st.lists(st.sampled_from(sorted(FUZZ_VALUES)),
+                              max_size=3)):
+        accepted, rejected = FUZZ_VALUES[name]
+        pool = rejected if draw(st.integers(0, 3)) == 0 else accepted
+        overrides.append(f"{name[0]}.{name[1]}={draw(st.sampled_from(pool))}")
+    return (draw(st.sampled_from(sorted(SCENES))),
+            draw(st.sampled_from(sorted(CAMERAS))), overrides)
+
+
+def _fuzz_main(argv):
+    """Exit code of an in-process CLI run, which is 0 or, with exactly one
+    error line on stderr, 2, 3 or 4."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    lines = err.getvalue().splitlines()
+    if code == 0:
+        assert lines == [], argv
+    else:
+        assert code in (2, 3, 4), argv
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    return code
+
+
+@settings(max_examples=200, deadline=None)
+@given(fuzz_runs())
+def test_cli_fuzz_over_settings(run):
+    kind, profile, overrides = run
+    extra = "period = 3\nduty = 0.5\n" if kind == "grating" else ""
+    text = (f"[scene]\nkind = {kind}\nsize = 18\n{extra}\n"
+            "[pairs]\nrate = 5\nframes = 20\n\n"
+            f"[camera]\nprofile = {profile}\n\n[processing]\nband_radius = 1\n")
+    try:
+        parse_config(text, overrides)
+        rejected = False
+    except ConfigurationError:
+        rejected = True
+    with tempfile.TemporaryDirectory() as tmp:
+        config, sim, rec = (Path(tmp) / name for name in ("run.ini", "sim",
+                                                          "rec"))
+        config.write_text(text)
+        code = _fuzz_main(["simulate", "--config", str(config), "--out",
+                           str(sim), *(arg for assignment in overrides
+                                       for arg in ("--set", assignment))])
+        if rejected:
+            assert code == 2 and not sim.exists(), overrides
+        if code == 0:
+            _fuzz_main(["reconstruct", "--frames", str(sim / "frames.bpsr"),
+                        "--manifest", str(sim / "manifest.json"),
+                        "--out", str(rec)])

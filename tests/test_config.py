@@ -4,13 +4,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from jpdkit.config import (artifact_entry, build_camera, build_manifest,
-                           build_scene, load_config, parse_config,
-                           read_manifest, write_manifest)
+from jpdkit.config import (_SETTINGS, artifact_entry, build_camera,
+                           build_manifest, build_scene, load_config,
+                           parse_config, read_manifest, write_manifest)
 from jpdkit.errors import ConfigurationError, FileFormatError
-from jpdkit.scenes import cat_half_plane, checkerboard_phase, grating, uniform
-from jpdkit.simulate import EmccdCamera, IdealCamera, SpadCamera
+from jpdkit.jpd import MODES
+from jpdkit.scenes import (SCENES, cat_half_plane, checkerboard_phase, grating,
+                           uniform)
+from jpdkit.simulate import CAMERAS, EmccdCamera, IdealCamera, SpadCamera
 
 GRATING_INI = """\
 [scene]
@@ -316,10 +320,74 @@ def test_keys_of_other_kinds_and_profiles_do_not_apply():
                                        f"to {target} (line {line})")
             with pytest.raises(ConfigurationError) as info:
                 parse_config(base, [f"{section}.{key}={value}"])
-            assert str(info.value) == \
-                f"[{section}] {key}: does not apply to {target}"
+            assert str(info.value) == (f"override '{section}.{key}={value}': "
+                                       f"does not apply to {target}")
         # and under its owner the key is accepted and rendered
         owned = (_scene_text(owner) if section == "scene" else
                  _scene_text("uniform") + f"\n[camera]\nprofile = {owner}\n")
         rendered = parse_config(owned, [f"{section}.{key}={value}"]).text
         assert f"\n{key} = " in rendered
+
+
+# strings for any setting: integers and floats of either sign and any size,
+# the words of every choice, booleans, none and junk
+SETTING_VALUES = st.one_of(
+    st.integers(-3, 2 ** 33).map(str),
+    st.floats().map(repr),
+    st.sampled_from(["", "none", "true", "off", "y", "x", "pixel", "quarter",
+                     "noon", "abc", " 7 ", *SCENES, *CAMERAS, *MODES]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(sorted(_SETTINGS)),
+       kind=st.sampled_from(sorted(SCENES)),
+       profile=st.sampled_from(sorted(CAMERAS)),
+       to_owner=st.booleans(), value=SETTING_VALUES)
+def test_file_and_override_values_are_read_alike(name, kind, profile,
+                                                 to_owner, value):
+    section, key = name
+    _, _, *owner = _SETTINGS[name]
+    if owner and to_owner:
+        kind, profile = (owner[0], profile) if section == "scene" \
+            else (kind, owner[0])
+    base = {"scene": {"kind": kind, "size": "24"}, "pairs": {"frames": "50"},
+            "camera": {"profile": profile}}
+    if kind == "grating":
+        base["scene"].update(period="3", duty="0.5")
+    base.setdefault(section, {}).pop(key, None)
+
+    def render(sections):
+        return "".join(f"[{title}]\n" + "".join(f"{k} = {v}\n"
+                                                for k, v in values.items())
+                       for title, values in sections.items())
+
+    text = render(base)
+    in_file = render({**base, section: {**base[section], key: value}})
+    assignment = f"{section}.{key}={value}"
+    try:
+        from_file = parse_config(in_file)
+    except ConfigurationError as exc:
+        with pytest.raises(ConfigurationError) as info:
+            parse_config(text, [assignment])
+        # an error about this value names its source; one about another
+        # setting reads the same either way
+        line = in_file.splitlines().index(f"{key} = {value}") + 1
+        where, suffix = f"[{section}] {key}: ", f" (line {line})"
+        message = str(exc)
+        if message.startswith(where) and message.endswith(suffix):
+            message = (f"override {assignment!r}: "
+                       + message[len(where):-len(suffix)])
+        assert str(info.value) == message
+    else:
+        assert parse_config(text, [assignment]) == from_file
+
+
+def test_last_source_of_a_setting_wins():
+    # a value that another source replaces is never parsed
+    bad = GRATING_INI.replace("sigma = 0.84", "sigma = -1")
+    assert parse_config(bad, ["pairs.sigma=0.5"]).pairs["sigma"] == 0.5
+    cfg = parse_config(GRATING_INI, ["pairs.sigma=-1", "pairs.sigma=0.25"])
+    assert cfg.pairs["sigma"] == 0.25
+    with pytest.raises(ConfigurationError) as info:
+        parse_config(GRATING_INI, ["pairs.sigma=0.25", "pairs.sigma=nan"])
+    assert str(info.value) == "override 'pairs.sigma=nan': must be finite"

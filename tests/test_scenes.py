@@ -80,6 +80,12 @@ def test_checkerboard_custom_phases_and_validation():
         checkerboard_phase(7, blocks=3)
     with pytest.raises(ConfigurationError, match="edge_alignment"):
         checkerboard_phase(6, blocks=3, edge_alignment="eighth")
+    # the config's bound, where 0 divided by zero and a negative count
+    # reached numpy's reshape
+    for blocks in (0, -3):
+        with pytest.raises(ConfigurationError) as info:
+            checkerboard_phase(9, blocks=blocks)
+        assert str(info.value) == f"blocks must be >= 1, got {blocks}"
 
 
 def test_block_mean_literal():

@@ -42,8 +42,12 @@ def test_simulation_parameter_validation():
     for bad in (math.nan, math.inf):
         with pytest.raises(ConfigurationError):
             simulate_frames(scene, sigma=bad)
+    # beyond numpy's Poisson sampler, which raises a bare ValueError
+    for bad in (math.nan, math.inf, 1e300):
         with pytest.raises(ConfigurationError):
             simulate_frames(scene, pair_rate=bad)
+        with pytest.raises(ConfigurationError):
+            simulate_intensity_frames(scene, scene.magnitude2, bad, 5)
     for seed in (-1, (3, -2)):
         with pytest.raises(ConfigurationError, match="seed"):
             simulate_frames(scene, seed=seed)
@@ -332,11 +336,13 @@ def _analytic_planes_two_loops(scene, mode, k, sigma, pair_rate):
         r = np.arange(m)
         first = _axis_capture(r[None, :] - coords[:, None], sigma_photon)
         pair_weight = {}
+        big_c = m - 1
         for d in range(-k, k + 1):
+            # partner pixel minus the partner photon's birth position
             if mode == "near":
                 off = (r[None, :] + d) - coords[:, None]
             else:
-                off = coords[:, None] - r[None, :] + d
+                off = (big_c - r[None, :] + d) - (big_c - coords[:, None])
             pair_weight[d] = first * _axis_capture(off, sigma_photon)
         for dy in range(-k, k + 1):
             for dx in range(-k, k + 1):
