@@ -16,6 +16,8 @@ malformed file, 4 processing failure on valid inputs.
 from __future__ import annotations
 
 import argparse
+import itertools
+import shutil
 import sys
 from pathlib import Path
 
@@ -25,15 +27,15 @@ from ._version import __version__
 from .analysis import spectrum_along_axis
 from .config import (_PARSERS, DEFAULTS, _float_range, artifact_entry,
                      build_camera, build_manifest, build_scene, load_config,
-                     parse_config, read_manifest, sized_by,
+                     parse_config, read_manifest, setting_error, sized_by,
                      write_manifest)
 from .errors import ConfigurationError, FileFormatError, ProcessingError
-from .frames import read_frames, write_frames
+from .frames import read_frames, stack_bytes, write_frame_chunks
 from .images import GridImage, write_pgm16, write_spectrum_csv
 from .jpd import MODES, write_jpd_snapshot
 from .pipeline import reconstruct
 from .simulate import (CAMERAS, camera_by_name, noon_acquisition,
-                       simulate_frames)
+                       simulate_chunks)
 
 
 def _arg(parse):
@@ -118,6 +120,17 @@ def _out_dir(path: str) -> Path:
     return out
 
 
+def _check_free_space(config, out: Path, size: int) -> None:
+    """Refuse a frame stack larger than the free space where *out* goes."""
+    # out may not exist yet; its nearest existing ancestor holds it
+    where = next(p for p in (out, *out.parents) if p.exists())
+    free = shutil.disk_usage(where).free
+    if size > free:
+        raise setting_error(config, ("pairs.frames", "scene.size"),
+                            f"make a {size}-byte frames.bpsr, but {where} "
+                            f"has {free} bytes free")
+
+
 def _cmd_simulate(args) -> int:
     config = load_config(args.config, args.set)
     scene = build_scene(config)
@@ -127,19 +140,31 @@ def _cmd_simulate(args) -> int:
     if pairs["interference"] == "noon":
         density, rate = noon_acquisition(scene, pairs["shift"],
                                          pairs["contrast"], rate)
+        if rate == 0:
+            raise setting_error(config, ("pairs.shift", "pairs.contrast"),
+                                "leave the NOON acquisition no pair flux")
     with sized_by(config, "pairs.rate", "pairs.frames"):
-        frames = simulate_frames(scene, pairs["mode"], pairs["sigma"],
-                                 rate, pairs["frames"], camera,
-                                 config.seed, density)
-    out = _out_dir(args.out)
-    write_frames(out / "frames.bpsr", frames)
+        chunks = simulate_chunks(scene, pairs["mode"], pairs["sigma"], rate,
+                                 pairs["frames"], camera, config.seed,
+                                 density)
+        # the first chunk is rendered and the file's size checked before
+        # anything is written, so a run refused for memory or disk leaves
+        # nothing behind
+        first = next(chunks)
+        shape = (pairs["frames"], *first.shape[1:])
+        _check_free_space(config, Path(args.out),
+                          stack_bytes(shape, first.dtype))
+        chunks = itertools.chain([first], chunks)
+        del first  # the writer then holds the only reference to each chunk
+        out = _out_dir(args.out)
+        write_frame_chunks(out / "frames.bpsr", chunks)
     manifest = build_manifest(
         "simulate",
         {"frames.bpsr": artifact_entry(out / "frames.bpsr")},
         config_text=config.text, seed=config.seed, mode=pairs["mode"],
-        camera=config.camera["profile"], frame_shape=list(frames.shape))
+        camera=config.camera["profile"], frame_shape=list(shape))
     write_manifest(out / "manifest.json", manifest)
-    print(f"wrote {frames.shape[0]} frames to {out / 'frames.bpsr'}")
+    print(f"wrote {shape[0]} frames to {out / 'frames.bpsr'}")
     return 0
 
 

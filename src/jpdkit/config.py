@@ -288,6 +288,14 @@ def load_config(path, overrides: list[str] | None = None) -> RunConfig:
     return parse_config(text, overrides)
 
 
+def setting_error(config: RunConfig, names, message: str) -> ConfigurationError:
+    """A ConfigurationError that cites the ``section.key`` settings *names*
+    with their values, then *message*."""
+    values = [f"{name} = {_format_value(getattr(config, section)[key])}"
+              for name in names for section, key in [name.split(".")]]
+    return ConfigurationError(f"{' and '.join(values)} {message}")
+
+
 @contextmanager
 def sized_by(config: RunConfig, *names: str):
     """Re-raise a MemoryError of the block as a ConfigurationError that
@@ -295,10 +303,8 @@ def sized_by(config: RunConfig, *names: str):
     try:
         yield
     except MemoryError:
-        values = [f"{name} = {_format_value(getattr(config, section)[key])}"
-                  for name in names for section, key in [name.split(".")]]
-        raise ConfigurationError(f"{' and '.join(values)} need more memory "
-                                 "than is available") from None
+        raise setting_error(config, names, "need more memory than is "
+                            "available") from None
 
 
 def build_scene(config: RunConfig) -> Scene:

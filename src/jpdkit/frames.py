@@ -25,6 +25,7 @@ start on a byte boundary.
 
 from __future__ import annotations
 
+import itertools
 import os
 import struct
 
@@ -42,35 +43,86 @@ MAX_FIELD = 2 ** 32 - 1  # count, height and width are u32
 _SAMPLES = (np.dtype("<u2"), np.dtype("<f4"), np.dtype(bool))
 
 
-def write_frames(path, frames: np.ndarray) -> None:
-    """Write a frame stack to *path*.
+def stack_bytes(shape, dtype) -> int:
+    """Size of the file :func:`write_frames` writes for a stack of *shape*
+    (count, height, width) and sample *dtype*, header included."""
+    count, height, width = shape
+    row = (width + 7) // 8 if dtype == bool else width * dtype.itemsize
+    return HEADER_SIZE + count * height * row
 
-    *frames* must have shape (count, height, width) and dtype uint16,
-    float32 or bool.  Boolean stacks are bit-packed per row.
-    """
-    frames = np.asarray(frames)
+
+def _sample_code(frames: np.ndarray) -> int:
+    """The header's sample code of a chunk; its shape is checked too."""
     if frames.ndim != 3:
         raise FrameShapeError(f"frame stack must be 3-D, got shape {frames.shape}")
-    count, height, width = frames.shape
-    if height == 0 or width == 0:
+    if frames.shape[1] == 0 or frames.shape[2] == 0:
         raise FrameShapeError("frames must have non-zero height and width")
     if max(frames.shape) > MAX_FIELD:
         raise FrameShapeError(
             f"frame stack shape {frames.shape} exceeds the header's u32 "
             f"limit of {MAX_FIELD}")
     try:
-        code = _SAMPLES.index(frames.dtype)
+        return _SAMPLES.index(frames.dtype)
     except ValueError:
         raise FrameShapeError(
             f"unsupported frame dtype {frames.dtype}; use uint16, float32 or bool"
         ) from None
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(MAGIC, VERSION, code, width, height, count))
-        if frames.dtype == bool:
-            # packbits along the row axis keeps every row byte-aligned
-            np.packbits(frames, axis=-1).tofile(fh)
-        else:
-            frames.tofile(fh)
+
+
+def write_frames(path, frames: np.ndarray) -> None:
+    """Write a frame stack to *path*.
+
+    *frames* must have shape (count, height, width) and dtype uint16,
+    float32 or bool.  Boolean stacks are bit-packed per row.
+    """
+    write_frame_chunks(path, [frames])
+
+
+def write_frame_chunks(path, chunks) -> None:
+    """Write a frame stack that arrives as *chunks*, the stack's frames in
+    order, to *path*.
+
+    Each chunk is a (count, height, width) array as :func:`write_frames`
+    takes, and every chunk has the first one's height, width and dtype.
+    The first chunk is checked before *path* is opened.  If a later chunk
+    is refused, or producing it raises, the partial file is removed.
+    """
+    chunks = iter(chunks)
+    first = np.asarray(next(chunks))
+    code = _sample_code(first)
+    height, width = first.shape[1:]
+    stream = itertools.chain([first], chunks)
+    del first
+    count = 0
+    fh = open(path, "wb")
+    try:
+        with fh:
+            # the header goes in last, when the count is known, so a file
+            # cut short by a crash reads as a bad magic, never as a stack
+            fh.write(bytes(HEADER_SIZE))
+            for chunk in stream:
+                chunk = np.asarray(chunk)
+                if (_sample_code(chunk) != code
+                        or chunk.shape[1:] != (height, width)):
+                    raise FrameShapeError(
+                        f"chunk of shape {chunk.shape} and dtype {chunk.dtype} "
+                        f"in a stack of {height}x{width} {_SAMPLES[code]} "
+                        "frames")
+                count += len(chunk)
+                if count > MAX_FIELD:
+                    raise FrameShapeError(f"{count} frames exceed the header's "
+                                          f"u32 limit of {MAX_FIELD}")
+                if chunk.dtype == bool:
+                    # packbits along the row axis keeps every row byte-aligned
+                    np.packbits(chunk, axis=-1).tofile(fh)
+                else:
+                    chunk.tofile(fh)
+                del chunk  # released before the next chunk is made
+            fh.seek(0)
+            fh.write(_HEADER.pack(MAGIC, VERSION, code, width, height, count))
+    except BaseException:
+        os.remove(path)
+        raise
 
 
 def read_frames(path) -> np.ndarray:

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import os
 import struct
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -143,7 +144,8 @@ def check_mode(mode: str) -> None:
             f"mode must be {' or '.join(map(repr, MODES))}, got {mode!r}")
 
 
-def _check_stack(frames: np.ndarray) -> np.ndarray:
+def _check_args(frames: np.ndarray, mode: str, band_radius: int) -> np.ndarray:
+    """The checks every accumulation makes; returns *frames* as an array."""
     frames = np.asarray(frames)
     if frames.ndim != 3:
         raise FrameShapeError(f"frame stack must be 3-D, got shape {frames.shape}")
@@ -152,6 +154,9 @@ def _check_stack(frames: np.ndarray) -> np.ndarray:
             f"estimator needs at least 2 frames, got {frames.shape[0]}")
     if frames.shape[1] < 1 or frames.shape[2] < 1:
         raise FrameShapeError("frames must be non-empty")
+    check_mode(mode)
+    if band_radius < 0:
+        raise ConfigurationError("band radius must be >= 0")
     return frames
 
 
@@ -162,10 +167,17 @@ def accumulate_partial(frames: np.ndarray, mode: str = "near",
     The chunk contributes ``len(frames) - 1`` consecutive-frame terms; feed
     overlapping chunks (repeat the boundary frame) to cover a long stream.
     """
-    frames = _check_stack(frames)
-    check_mode(mode)
-    if band_radius < 0:
-        raise ConfigurationError("band radius must be >= 0")
+    return _accumulate_chunk(_check_args(frames, mode, band_radius), mode,
+                             band_radius, {})
+
+
+def _accumulate_chunk(frames: np.ndarray, mode: str, band_radius: int,
+                      scratch: dict) -> PartialJpd:
+    """:func:`accumulate_partial` of a checked chunk.  Its ``pix`` and
+    ``dpad`` buffers come from *scratch* when a chunk of the same shape left
+    them there, and are left there for the next chunk; a chunk of another
+    shape replaces them.  Their padding is never written, so it is zeroed
+    only when they are allocated.  One *scratch* serves one band radius."""
     h, w = frames.shape[1:]
     k = band_radius
     ky, kx = min(k, h - 1), min(k, w - 1)
@@ -179,11 +191,14 @@ def accumulate_partial(frames: np.ndarray, mode: str = "near",
     # are an overlapping window view of it, (h, tiles, n, b + 2 kx).
     # Far field: plane u pairs r with c - r + u, so the partner rows and
     # columns are stored reversed, which turns plane u into offset -u.
-    pix = np.zeros((h, tiles * b, n + 1))
+    if frames.shape not in scratch:
+        scratch.clear()
+        scratch[frames.shape] = (np.zeros((h, tiles * b, n + 1)),
+                                 np.zeros((h, tiles * b + 2 * kx, n)))
+    pix, dpad = scratch[frames.shape]
     pix[:, :w] = np.moveaxis(frames, 0, -1)
     a = pix[..., :-1].reshape(h, tiles, b, n)
     sign = 1 if mode == "near" else -1
-    dpad = np.zeros((h, tiles * b + 2 * kx, n))
     src = pix[::sign, :w][:, ::sign]
     np.subtract(src[..., :-1], src[..., 1:], out=dpad[:, kx:kx + w])
     halo = np.lib.stride_tricks.sliding_window_view(
@@ -333,7 +348,7 @@ def accumulate_jpd(frames: np.ndarray, mode: str = "near",
     sums could leave float64's exact range raise :class:`PrecisionError`
     before any chunk is accumulated.
     """
-    frames = _check_stack(frames)
+    frames = _check_args(frames, mode, band_radius)
     if chunk_size < 1:
         raise ConfigurationError("chunk_size must be >= 1")
     if workers is not None and workers < 1:
@@ -342,8 +357,13 @@ def accumulate_jpd(frames: np.ndarray, mode: str = "near",
     n = frames.shape[0]
     spans = [(i, min(i + chunk_size + 1, n)) for i in range(0, n - 1, chunk_size)]
 
+    # each thread's kernel scratch, kept across its chunks for this call only
+    scratch = {}
+
     def run(span):
-        return accumulate_partial(frames[span[0]:span[1]], mode, band_radius)
+        mine = scratch.setdefault(threading.get_ident(), {})
+        return _accumulate_chunk(frames[span[0]:span[1]], mode, band_radius,
+                                 mine)
 
     threads = min(workers or 1, len(spans), os.cpu_count() or 1)
     if threads > 1:

@@ -134,7 +134,7 @@ def normalize_jpd(jpd: Jpd) -> Jpd:
         mean = planes[a, b][v].mean()
         if not np.isfinite(mean) or mean <= 0:
             raise DegeneratePlaneError(
-                f"plane ({dy}, {dx}) mean {mean!r} is not normalizable")
+                f"plane ({dy}, {dx}) mean {float(mean)} is not normalizable")
         planes[a, b] = np.where(v, planes[a, b] / mean, 0.0)
     return replace(jpd, planes=planes)
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar
+from typing import ClassVar, Iterator
 
 import numpy as np
 
@@ -222,52 +222,85 @@ def _bin_photons(counts: np.ndarray, frame_of: np.ndarray,
     # truncation is that floor and the cast is defined
     y, x = py + 0.5, px + 0.5
     ok = (y >= 0) & (y < size) & (x >= 0) & (x < size)
-    np.add.at(counts, (frame_of[ok], y[ok].astype(np.int64),
-                       x[ok].astype(np.int64)), 1)
+    flat = ((frame_of[ok] * size + y[ok].astype(np.int64)) * size
+            + x[ok].astype(np.int64))
+    # a 1-D index and a value of the counts' own dtype take numpy's fast
+    # path for ufunc.at
+    np.add.at(counts.reshape(-1), flat, np.int32(1))
+
+
+def _sorted_search(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(cum, u)``, searched in the order of the sorted
+    draws (which keeps a large CDF in cache) and scattered back.  Equal
+    draws get equal indices, so the sort need not be stable."""
+    order = np.argsort(u)
+    found = np.searchsorted(cum, u[order])
+    index = np.empty_like(found)
+    index[order] = found
+    return index
+
+
+def _render_chunk(scene: Scene, cum: np.ndarray, rate: float, n: int,
+                  camera, rngs, photons) -> np.ndarray:
+    """One chunk of *n* frames (see :func:`_simulate`); each temporary is
+    freed once used, to keep the chunk's peak memory low."""
+    rng_e, rng_c = rngs
+    m, f = scene.size, scene.oversample
+    frame_counts = rng_e.poisson(rate, n)
+    tot = int(frame_counts.sum())
+    index = _sorted_search(cum, rng_e.random(tot))
+    np.minimum(index, cum.size - 1, out=index)
+    jy, jx = np.divmod(index, m * f)
+    del index
+    y = -0.5 + (jy + rng_e.random(tot)) / f
+    x = -0.5 + (jx + rng_e.random(tot)) / f
+    del jy, jx
+    frame_of = np.repeat(np.arange(n), frame_counts)
+    counts = np.zeros((n, m, m), dtype=np.int32)
+    photons(rng_e, y, x,
+            lambda py, px: _bin_photons(counts, frame_of, py, px, m))
+    del y, x, frame_of
+    return camera.render(counts, rng_c)
 
 
 def _simulate(scene: Scene, p: np.ndarray, rate: float, n_frames: int,
-              camera, seed, photons) -> np.ndarray:
-    """The chunk loop shared by both simulators: Poisson events per frame and
-    event sites drawn from the normalized density *p*; then
+              camera, seed, photons) -> Iterator[np.ndarray]:
+    """The chunk loop shared by both simulators, yielding each rendered
+    chunk of at most SIM_CHUNK_FRAMES frames in order: Poisson events per
+    frame and event sites drawn from the normalized density *p*; then
     ``photons(rng, y, x, emit)`` draws any further randomness and calls
     ``emit(py, px)`` per photon of an event, which bins those positions at
     once (one photon's arrays are alive at a time), and the counts render.
     """
     camera = camera if camera is not None else IdealCamera()
     cum = np.cumsum(p)
-    m, f = scene.size, scene.oversample
-    out = None
     for chunk, start in enumerate(range(0, n_frames, SIM_CHUNK_FRAMES)):
-        n = min(SIM_CHUNK_FRAMES, n_frames - start)
-        rng_e, rng_c = _chunk_rngs(seed, chunk)
-        frame_counts = rng_e.poisson(rate, n)
-        tot = int(frame_counts.sum())
-        idx = np.minimum(np.searchsorted(cum, rng_e.random(tot)), p.size - 1)
-        jy, jx = np.divmod(idx, m * f)
-        y = -0.5 + (jy + rng_e.random(tot)) / f
-        x = -0.5 + (jx + rng_e.random(tot)) / f
-        frame_of = np.repeat(np.arange(n), frame_counts)
-        counts = np.zeros((n, m, m), dtype=np.int32)
-        photons(rng_e, y, x,
-                lambda py, px: _bin_photons(counts, frame_of, py, px, m))
-        rendered = camera.render(counts, rng_c)
+        # the chunk's temporaries go with _render_chunk's frame
+        yield _render_chunk(scene, cum, rate,
+                            min(SIM_CHUNK_FRAMES, n_frames - start), camera,
+                            _chunk_rngs(seed, chunk), photons)
+
+
+def _stack(chunks: Iterator[np.ndarray], n_frames: int) -> np.ndarray:
+    """The frames of *chunks* in one preallocated (n_frames, h, w) array."""
+    out = None
+    start = 0
+    for chunk in chunks:
         if out is None:
-            out = np.empty((n_frames, m, m), dtype=rendered.dtype)
-        out[start:start + n] = rendered
+            out = np.empty((n_frames, *chunk.shape[1:]), dtype=chunk.dtype)
+        out[start:start + len(chunk)] = chunk
+        start += len(chunk)
     return out
 
 
-def simulate_frames(scene: Scene, mode: str = "near", sigma: float = 0.25,
+def simulate_chunks(scene: Scene, mode: str = "near", sigma: float = 0.25,
                     pair_rate: float = 60.0, n_frames: int = 1000,
                     camera=None, seed: int | tuple = 0,
-                    density: np.ndarray | None = None) -> np.ndarray:
-    """Simulate a camera frame stack of photon-pair detections.
-
-    pair_rate is the Poisson mean of pairs per frame; *density* overrides the
-    geometry's default pair density (used for interference thinning).
-    Photons falling off the sensor are lost individually.
-    """
+                    density: np.ndarray | None = None) -> Iterator[np.ndarray]:
+    """The frames of :func:`simulate_frames`, as an iterator over chunks of
+    at most SIM_CHUNK_FRAMES frames in order, rendered as they are asked
+    for.  The parameters are checked when this is called, before any chunk
+    is rendered."""
     if not (0 <= sigma < math.inf and 0 < pair_rate <= MAX_RATE) or n_frames < 1:
         raise ConfigurationError(f"need finite sigma >= 0, 0 < pair_rate <= "
                                  f"{MAX_RATE:g}, n_frames >= 1")
@@ -288,6 +321,20 @@ def simulate_frames(scene: Scene, mode: str = "near", sigma: float = 0.25,
                      pair_rate, n_frames, camera, seed, pair)
 
 
+def simulate_frames(scene: Scene, mode: str = "near", sigma: float = 0.25,
+                    pair_rate: float = 60.0, n_frames: int = 1000,
+                    camera=None, seed: int | tuple = 0,
+                    density: np.ndarray | None = None) -> np.ndarray:
+    """Simulate a camera frame stack of photon-pair detections.
+
+    pair_rate is the Poisson mean of pairs per frame; *density* overrides the
+    geometry's default pair density (used for interference thinning).
+    Photons falling off the sensor are lost individually.
+    """
+    return _stack(simulate_chunks(scene, mode, sigma, pair_rate, n_frames,
+                                  camera, seed, density), n_frames)
+
+
 def simulate_intensity_frames(scene: Scene, intensity: np.ndarray,
                               photon_rate: float, n_frames: int,
                               camera=None, seed: int | tuple = 0) -> np.ndarray:
@@ -296,9 +343,10 @@ def simulate_intensity_frames(scene: Scene, intensity: np.ndarray,
     if not 0 < photon_rate <= MAX_RATE or n_frames < 1:
         raise ConfigurationError(f"0 < photon_rate <= {MAX_RATE:g} and "
                                  "n_frames >= 1 required")
-    return _simulate(scene, _normalized_density(scene, "near", intensity),
-                     photon_rate, n_frames, camera, seed,
-                     lambda rng, y, x, emit: emit(y, x))
+    chunks = _simulate(scene, _normalized_density(scene, "near", intensity),
+                       photon_rate, n_frames, camera, seed,
+                       lambda rng, y, x, emit: emit(y, x))
+    return _stack(chunks, n_frames)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -17,14 +18,14 @@ import jpdkit
 from jpdkit import cli, pipeline
 from jpdkit import jpd as jpd_module
 from jpdkit.cli import main
-from jpdkit.config import (_PARSERS, DEFAULTS, build_manifest, parse_config,
-                           write_manifest)
+from jpdkit.config import (_PARSERS, DEFAULTS, build_camera, build_manifest,
+                           build_scene, parse_config, write_manifest)
 from jpdkit.errors import ConfigurationError
 from jpdkit.frames import read_frames, write_frames
 from jpdkit.images import read_spectrum_csv
 from jpdkit.jpd import MODES, read_jpd_snapshot
 from jpdkit.scenes import SCENES
-from jpdkit.simulate import CAMERAS
+from jpdkit.simulate import CAMERAS, simulate_frames
 
 INI = """\
 [scene]
@@ -535,6 +536,80 @@ def test_simulation_beyond_memory_exits_2(tmp_path, capsys, override, names):
                  "--out", str(out)]) == 2
     assert capsys.readouterr().err == (
         f"error: {names} need more memory than is available\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("profile, size", [
+    ("ideal", 16), ("emccd", 16),
+    # 12-pixel rows pack into two bytes, the second one partly filled
+    ("spad", 12)])
+def test_streamed_frames_equal_the_written_stack(tmp_path, config_path,
+                                                 profile, size):
+    # 4097 frames: one full chunk, then a one-frame chunk
+    overrides = ["pairs.frames=4097", f"scene.size={size}",
+                 f"camera.profile={profile}"]
+    sim = run_simulate(tmp_path, config_path, overrides=overrides)
+    config = parse_config(config_path.read_text(), overrides)
+    pairs = config.pairs
+    write_frames(tmp_path / "stack.bpsr", simulate_frames(
+        build_scene(config), pairs["mode"], pairs["sigma"], pairs["rate"],
+        pairs["frames"], build_camera(config), config.seed))
+    assert (sim / "frames.bpsr").read_bytes() == \
+        (tmp_path / "stack.bpsr").read_bytes()
+
+
+@pytest.mark.parametrize("spare, code", [(-1, 2), (0, 0)])
+def test_simulation_beyond_free_disk_exits_2(tmp_path, config_path, capsys,
+                                             monkeypatch, spare, code):
+    # the INI's 300 frames of 16x16 u16 samples after the 32-byte header
+    size = 32 + 300 * 16 * 16 * 2
+    usage = shutil.disk_usage(tmp_path)
+    monkeypatch.setattr(shutil, "disk_usage",
+                        lambda path: usage._replace(free=size + spare))
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", str(config_path),
+                 "--out", str(out)]) == code
+    if code:
+        assert capsys.readouterr().err == (
+            f"error: pairs.frames = 300 and scene.size = 16 make a "
+            f"{size}-byte frames.bpsr, but {tmp_path} has {size - 1} bytes "
+            "free\n")
+        assert not out.exists()
+    else:
+        assert (out / "frames.bpsr").stat().st_size == size
+
+
+def test_chunk_failing_midway_leaves_no_frame_file(tmp_path, config_path,
+                                                   capsys, monkeypatch):
+    # the second of two chunks runs out of memory after the first one
+    # reached the file
+    render = cli.simulate_chunks
+
+    def failing(*args):
+        chunks = render(*args)
+        yield next(chunks)
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "simulate_chunks", failing)
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", str(config_path), "--set",
+                 "pairs.frames=5000", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: pairs.rate = 20.0 and pairs.frames = 5000 need more memory "
+        "than is available\n")
+    assert list(out.iterdir()) == []
+
+
+def test_noon_run_without_pair_flux_names_shift_and_contrast(tmp_path, capsys):
+    # against a uniform scene at contrast 1, a reference shift of pi / 2
+    # leaves no coincidence flux anywhere
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", str(CONFIGS / "noon_phase.ini"),
+                 "--set", "pairs.shift=1.5707963267948966",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: pairs.shift = 1.5707963267948966 and pairs.contrast = 1.0 "
+        "leave the NOON acquisition no pair flux\n")
     assert not out.exists()
 
 

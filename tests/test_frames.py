@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from jpdkit.errors import FileFormatError, FrameShapeError
-from jpdkit.frames import HEADER_SIZE, MAGIC, read_frames, write_frames
+from jpdkit.frames import (HEADER_SIZE, MAGIC, read_frames, stack_bytes,
+                           write_frame_chunks, write_frames)
 
 
 def test_round_trip_uint16(tmp_path):
@@ -204,3 +205,36 @@ def test_round_trip_is_exact(tmp_path_factory, frames):
     back = read_frames(path)
     assert (back.dtype, back.shape) == (frames.dtype, frames.shape)
     assert back.tobytes() == frames.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(frames=frame_stacks(), data=st.data())
+def test_chunked_write_equals_whole_write(tmp_path_factory, frames, data):
+    # packed-bit rows never straddle frames, so any split gives the same
+    # bytes; stack_bytes is the exact file size
+    tmp = tmp_path_factory.mktemp("chunks")
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(frames)), max_size=3),
+                            label="cuts"))
+    write_frames(tmp / "whole.bpsr", frames)
+    write_frame_chunks(tmp / "chunks.bpsr", np.split(frames, cuts))
+    whole = (tmp / "whole.bpsr").read_bytes()
+    assert (tmp / "chunks.bpsr").read_bytes() == whole
+    assert stack_bytes(frames.shape, frames.dtype) == len(whole)
+
+
+@pytest.mark.parametrize("fault, error", [
+    ("raise", RuntimeError), ("dtype", FrameShapeError),
+    ("width", FrameShapeError)])
+def test_chunk_writer_removes_its_partial_file(tmp_path, fault, error):
+    path = tmp_path / "stack.bpsr"
+
+    def chunks():
+        yield np.zeros((3, 4, 5), dtype=np.uint16)
+        if fault == "raise":
+            raise RuntimeError("rendering failed")
+        yield np.zeros((3, 4, 6 if fault == "width" else 5),
+                       dtype=np.float32 if fault == "dtype" else np.uint16)
+
+    with pytest.raises(error):
+        write_frame_chunks(path, chunks())
+    assert not path.exists()

@@ -155,6 +155,20 @@ def test_result_independent_of_chunking_and_workers():
     assert np.array_equal(base.planes, merged.planes)
 
 
+def test_reused_kernel_scratch_gives_fresh_buffer_sums():
+    # one scratch through chunks whose shape changes and changes back; 7
+    # columns leave padding in the 4-column tiles, which is never written
+    rng = np.random.default_rng(2)
+    scratch = {}
+    for mode in jpd_module.MODES:
+        for n in (9, 9, 4, 9):
+            chunk = rng.integers(0, 50, size=(n, 6, 7), dtype=np.uint16)
+            reused = jpd_module._accumulate_chunk(chunk, mode, 2, scratch)
+            assert np.array_equal(reused.sums,
+                                  accumulate_partial(chunk, mode, 2).sums)
+    assert len(scratch) == 1
+
+
 def test_thread_pool_bounded_by_chunks_and_processors(monkeypatch):
     class SerialPool:
         def __init__(self, max_workers):

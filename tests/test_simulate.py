@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, signal
 
 from jpdkit.errors import ConfigurationError, DegenerateDensityError
@@ -12,10 +14,11 @@ from jpdkit.jpd import (accumulate_jpd, minus_projection, structural_validity,
                         sum_projection)
 from jpdkit.scenes import Scene, grating, half_pixel_average, uniform
 from jpdkit.simulate import (SIM_CHUNK_FRAMES, EmccdCamera, IdealCamera,
-                             SpadCamera, _axis_capture, _normalized_density,
-                             analytic_jpd, camera_by_name, classical_fringe,
-                             interference_rate, noon_density, simulate_frames,
-                             simulate_intensity_frames)
+                             SpadCamera, _axis_capture, _bin_photons,
+                             _normalized_density, _sorted_search, analytic_jpd,
+                             camera_by_name, classical_fringe,
+                             interference_rate, noon_density, simulate_chunks,
+                             simulate_frames, simulate_intensity_frames)
 
 
 def test_photons_far_off_the_sensor_are_dropped_before_any_cast():
@@ -57,6 +60,11 @@ def test_simulation_parameter_validation():
         simulate_frames(scene, density=np.zeros((32, 32)))
     with pytest.raises(DegenerateDensityError):
         simulate_frames(scene, density=-np.ones((32, 32)))
+    # the chunk iterator checks when it is made, before any chunk renders
+    with pytest.raises(ConfigurationError):
+        simulate_chunks(scene, sigma=-0.1)
+    with pytest.raises(DegenerateDensityError):
+        simulate_chunks(scene, density=np.zeros((32, 32)))
 
 
 def test_determinism_and_chunked_streams():
@@ -82,6 +90,55 @@ def test_chunk_boundary_prefix_property():
     short = simulate_frames(scene, pair_rate=2.0, n_frames=SIM_CHUNK_FRAMES,
                             seed=3)
     assert np.array_equal(long[:SIM_CHUNK_FRAMES], short)
+
+
+def test_chunks_are_the_stack_in_order():
+    scene = uniform(4)
+    chunks = list(simulate_chunks(scene, pair_rate=2.0,
+                                  n_frames=SIM_CHUNK_FRAMES + 3, seed=3))
+    assert [len(c) for c in chunks] == [SIM_CHUNK_FRAMES, 3]
+    assert np.array_equal(np.concatenate(chunks), simulate_frames(
+        scene, pair_rate=2.0, n_frames=SIM_CHUNK_FRAMES + 3, seed=3))
+
+
+@st.composite
+def cdfs_and_draws(draw):
+    """A normalized CDF with runs of zero mass, and draws in [0, 1) that
+    repeat each other and hit CDF values exactly."""
+    weights = draw(st.lists(st.sampled_from([0.0, 0.0, 0.5, 1.0, 3.0]),
+                            min_size=1, max_size=30))
+    weights[draw(st.integers(0, len(weights) - 1))] = 1.0
+    cum = np.cumsum(weights) / sum(weights)
+    values = draw(st.lists(st.one_of(
+        st.sampled_from(sorted({0.0, *cum[cum < 1]})),
+        st.floats(0.0, 1.0, exclude_max=True)), min_size=1, max_size=8))
+    return cum, np.array(draw(st.lists(st.sampled_from(values), max_size=60)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(cdfs_and_draws())
+def test_sorted_search_equals_searchsorted(case):
+    cum, u = case
+    assert np.array_equal(_sorted_search(cum, u), np.searchsorted(cum, u))
+
+
+def test_flat_binning_equals_indexed_add_at():
+    # the flat, same-dtype np.add.at bins exactly as the (frame, y, x) one,
+    # past the u16 full scale too (70 000 photons in one pixel)
+    rng = np.random.default_rng(4)
+    n, m = 3, 5
+    py = np.concatenate([rng.uniform(-3, m + 2, 9000), np.full(70000, 1.2)])
+    px = np.concatenate([rng.uniform(-3, m + 2, 9000), np.full(70000, 3.4)])
+    frame_of = np.concatenate([rng.integers(0, n, 9000), np.full(70000, 2)])
+    counts = np.zeros((n, m, m), dtype=np.int32)
+    _bin_photons(counts, frame_of, py, px, m)
+    y, x = py + 0.5, px + 0.5
+    ok = (y >= 0) & (y < m) & (x >= 0) & (x < m)
+    reference = np.zeros((n, m, m), dtype=np.int32)
+    np.add.at(reference, (frame_of[ok], y[ok].astype(np.int64),
+                          x[ok].astype(np.int64)), 1)
+    assert np.array_equal(counts, reference)
+    assert counts[2, 1, 3] > 70000
 
 
 def test_photon_bookkeeping_with_delta_density():
