@@ -176,17 +176,19 @@ def _camera_for_frames(frames: np.ndarray) -> str:
 
 
 def _cmd_reconstruct(args) -> int:
-    frames = read_frames(args.frames)
+    # the settings are resolved before the stack is read, so a bad manifest
+    # or config fails at once; only the camera guess needs the frames
     manifest = read_manifest(args.manifest) if args.manifest else {}
-    # reconstruct reads only a profile's separation policy, which no camera
-    # parameter changes, so the profile's name is all it needs
-    camera = camera_by_name(args.camera or manifest.get("camera")
-                            or _camera_for_frames(frames))
     mode = args.mode or manifest.get("mode") or "near"
     settings = dict(parse_config(manifest["config"]).processing
                     if "config" in manifest else DEFAULTS["processing"])
     settings.update((key, value) for key, value in vars(args).items()
                     if key in settings)
+    frames = read_frames(args.frames)
+    # reconstruct reads only a profile's separation policy, which no camera
+    # parameter changes, so the profile's name is all it needs
+    camera = camera_by_name(args.camera or manifest.get("camera")
+                            or _camera_for_frames(frames))
     result = reconstruct(frames, mode=mode, camera=camera,
                          chunk_size=settings.pop("chunk"), **settings)
 

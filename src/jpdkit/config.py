@@ -75,12 +75,10 @@ def _float_range(low=None, high=None, low_open=False, high_open=False):
 
 
 def _bool(raw: str) -> bool:
-    value = raw.strip().lower()
-    if value in ("true", "yes", "on", "1"):
-        return True
-    if value in ("false", "no", "off", "0"):
-        return False
-    raise ValueError("expected a boolean (true/false)")
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
+    except KeyError:
+        raise ValueError("expected a boolean (true/false)") from None
 
 
 def _or_none(inner):

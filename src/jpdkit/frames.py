@@ -47,8 +47,12 @@ def stack_bytes(shape, dtype) -> int:
     """Size of the file :func:`write_frames` writes for a stack of *shape*
     (count, height, width) and sample *dtype*, header included."""
     count, height, width = shape
-    row = (width + 7) // 8 if dtype == bool else width * dtype.itemsize
-    return HEADER_SIZE + count * height * row
+    return HEADER_SIZE + count * height * _row_bytes(width, dtype)
+
+
+def _row_bytes(width: int, dtype) -> int:
+    """Bytes of one stored frame row: bit-packed rows are byte-aligned."""
+    return (width + 7) // 8 if dtype == bool else width * dtype.itemsize
 
 
 def _sample_code(frames: np.ndarray) -> int:
@@ -145,18 +149,16 @@ def read_frames(path) -> np.ndarray:
             raise FileFormatError(f"{path}: zero frame dimensions")
         if code >= len(_SAMPLES):
             raise FileFormatError(f"{path}: unknown sample code {code}")
-        bits = _SAMPLES[code] == bool
-        dtype = np.dtype(np.uint8) if bits else _SAMPLES[code]
-        row_items = (width + 7) // 8 if bits else width
-        items = count * height * row_items
+        sample = _SAMPLES[code]
         # sizes are compared before anything is allocated
-        expected = items * dtype.itemsize
+        expected = stack_bytes((count, height, width), sample) - HEADER_SIZE
         found = os.fstat(fh.fileno()).st_size - HEADER_SIZE
         if found != expected:
             raise FileFormatError(
                 f"{path}: expected {expected} data bytes, found {found}")
-        data = np.fromfile(fh, dtype, items).reshape(count, height, row_items)
-    if bits:
+        data = np.fromfile(fh, np.uint8, expected).reshape(
+            count, height, _row_bytes(width, sample))
+    if sample == bool:
         return np.unpackbits(data, axis=-1, count=width).view(bool)
     # native byte order so downstream arithmetic is unconstrained
-    return data.astype(dtype.newbyteorder("="), copy=False)
+    return data.view(sample).astype(sample.newbyteorder("="), copy=False)

@@ -15,9 +15,11 @@ a narrow band of the full 4-D object is kept:
 * far field: plane ``u`` holds ``Gamma(r, c - r + u)`` where ``c`` is the
   point-symmetry centre, derived from the frame shape as ``(H - 1, W - 1)``.
 
-That partner map is defined once, in ``_partners``; the structural mask, the
-symmetrization, the separation policy and the half-pixel index of the pair
-sum and difference coordinates (``half_grid_index``) are all built on it.
+That partner map is defined once, in ``_partners``, on the point reflection
+of the far field (``reflect``), which the simulator's pair model and the
+analytic JPD use too; the structural mask, the symmetrization, the
+separation policy and the half-pixel index of the pair sum and difference
+coordinates (``half_grid_index``) are all built on it.
 
 Each plane comes with a validity mask.  Entries whose partner pixel falls off
 the sensor are structurally invalid and never receive data; camera profiles
@@ -269,12 +271,18 @@ def merge_partials(parts) -> PartialJpd:
     return PartialJpd(first.mode, first.band_radius, first.shape, sums, n_terms)
 
 
+def reflect(mode: str, r, n: int):
+    """Where the partner of a photon at coordinate *r* lands, along one axis
+    of side n: at r itself in the near field, at its point reflection
+    (n - 1) - r about the sensor centre in the far field."""
+    return r if mode == "near" else (n - 1) - r
+
+
 def _partners(mode: str, band_radius: int, n: int) -> np.ndarray:
     """(2K+1, n) partner coordinate along one axis of side n, indexed by
-    [d + K, r]: r + d in the near field, (n - 1) - r + d in the far field."""
+    [d + K, r]: the :func:`reflect` of r, plus d."""
     d = np.arange(-band_radius, band_radius + 1)[:, None]
-    r = np.arange(n)
-    return r + d if mode == "near" else (n - 1) - r + d
+    return reflect(mode, np.arange(n), n) + d
 
 
 def half_grid_index(mode: str, coordinate: str, band_radius: int,

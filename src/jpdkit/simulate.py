@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DegenerateDensityError
 from .jpd import (DEFAULT_BAND_RADIUS, Jpd, _partners, check_mode,
-                  half_grid_index)
+                  half_grid_index, reflect)
 from .scenes import Scene
 
 SIM_CHUNK_FRAMES = 4096
@@ -199,21 +199,13 @@ def _normalized_density(scene: Scene, mode: str, density) -> np.ndarray:
 
 
 def _seed_entropy(seed) -> tuple[int, ...]:
-    """Accept a plain int or a tuple of ints (stream labels) as a seed."""
-    entropy = ((int(seed),) if isinstance(seed, (int, np.integer))
-               else tuple(int(s) for s in seed))
-    if min(entropy, default=0) < 0:
-        raise ConfigurationError(f"seed entries must be >= 0, got {seed!r}")
-    return entropy
-
-
-def _chunk_rngs(seed, chunk: int):
-    base = _seed_entropy(seed)
-    events = np.random.default_rng(
-        np.random.SeedSequence((*base, _STAGE_EVENTS, chunk)))
-    camera = np.random.default_rng(
-        np.random.SeedSequence((*base, _STAGE_CAMERA, chunk)))
-    return events, camera
+    """The entropy of a seed, a plain int or a tuple of ints (stream
+    labels), each >= 0."""
+    entries = seed if isinstance(seed, tuple) else (seed,)
+    if not all(isinstance(s, (int, np.integer)) and s >= 0 for s in entries):
+        raise ConfigurationError(
+            f"seed entries must be integers >= 0, got {seed!r}")
+    return tuple(map(int, entries))
 
 
 def _bin_photons(counts: np.ndarray, frame_of: np.ndarray,
@@ -241,10 +233,10 @@ def _sorted_search(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def _render_chunk(scene: Scene, cum: np.ndarray, rate: float, n: int,
-                  camera, rngs, photons) -> np.ndarray:
-    """One chunk of *n* frames (see :func:`_simulate`); each temporary is
-    freed once used, to keep the chunk's peak memory low."""
-    rng_e, rng_c = rngs
+                  camera, entropy: tuple, chunk: int, photons) -> np.ndarray:
+    """Chunk number *chunk*, of *n* frames (see :func:`_simulate`); each
+    temporary is freed once used, to keep the chunk's peak memory low."""
+    rng_e = np.random.default_rng((*entropy, _STAGE_EVENTS, chunk))
     m, f = scene.size, scene.oversample
     frame_counts = rng_e.poisson(rate, n)
     tot = int(frame_counts.sum())
@@ -260,25 +252,32 @@ def _render_chunk(scene: Scene, cum: np.ndarray, rate: float, n: int,
     photons(rng_e, y, x,
             lambda py, px: _bin_photons(counts, frame_of, py, px, m))
     del y, x, frame_of
-    return camera.render(counts, rng_c)
+    return camera.render(
+        counts, np.random.default_rng((*entropy, _STAGE_CAMERA, chunk)))
 
 
 def _simulate(scene: Scene, p: np.ndarray, rate: float, n_frames: int,
               camera, seed, photons) -> Iterator[np.ndarray]:
-    """The chunk loop shared by both simulators, yielding each rendered
-    chunk of at most SIM_CHUNK_FRAMES frames in order: Poisson events per
-    frame and event sites drawn from the normalized density *p*; then
-    ``photons(rng, y, x, emit)`` draws any further randomness and calls
-    ``emit(py, px)`` per photon of an event, which bins those positions at
-    once (one photon's arrays are alive at a time), and the counts render.
-    """
+    """The one checked entry of both simulators: an iterator that renders
+    each chunk of at most SIM_CHUNK_FRAMES frames in order, as it is asked
+    for.  A chunk is Poisson events per frame and event sites drawn from
+    the normalized density *p*; then ``photons(rng, y, x, emit)`` draws any
+    further randomness and calls ``emit(py, px)`` per photon of an event,
+    which bins those positions at once (one photon's arrays are alive at a
+    time), and the counts render.  The rate, the frame count and the seed
+    are checked when this is called, before any chunk is rendered."""
+    if not 0 < rate <= MAX_RATE or n_frames < 1:
+        raise ConfigurationError(f"need 0 < rate <= {MAX_RATE:g} events per "
+                                 f"frame and n_frames >= 1, got rate {rate!r} "
+                                 f"and n_frames {n_frames!r}")
+    entropy = _seed_entropy(seed)
     camera = camera if camera is not None else IdealCamera()
     cum = np.cumsum(p)
-    for chunk, start in enumerate(range(0, n_frames, SIM_CHUNK_FRAMES)):
-        # the chunk's temporaries go with _render_chunk's frame
-        yield _render_chunk(scene, cum, rate,
-                            min(SIM_CHUNK_FRAMES, n_frames - start), camera,
-                            _chunk_rngs(seed, chunk), photons)
+    # the chunk's temporaries go with _render_chunk's frame
+    return (_render_chunk(scene, cum, rate,
+                          min(SIM_CHUNK_FRAMES, n_frames - start), camera,
+                          entropy, chunk, photons)
+            for chunk, start in enumerate(range(0, n_frames, SIM_CHUNK_FRAMES)))
 
 
 def _stack(chunks: Iterator[np.ndarray], n_frames: int) -> np.ndarray:
@@ -301,21 +300,15 @@ def simulate_chunks(scene: Scene, mode: str = "near", sigma: float = 0.25,
     at most SIM_CHUNK_FRAMES frames in order, rendered as they are asked
     for.  The parameters are checked when this is called, before any chunk
     is rendered."""
-    if not (0 <= sigma < math.inf and 0 < pair_rate <= MAX_RATE) or n_frames < 1:
-        raise ConfigurationError(f"need finite sigma >= 0, 0 < pair_rate <= "
-                                 f"{MAX_RATE:g}, n_frames >= 1")
-    sum_center = float(scene.size - 1)
+    if not 0 <= sigma < math.inf:
+        raise ConfigurationError(f"need finite sigma >= 0, got {sigma!r}")
 
     def pair(rng, y, x, emit):
-        if sigma > 0:
-            jit = rng.normal(0.0, sigma / math.sqrt(2.0), (2, 2, y.size))
-        else:
-            jit = np.zeros((2, 2, y.size))
+        # the jitter is the chunk's last event draw
+        jit = rng.normal(0.0, sigma / math.sqrt(2.0), (2, 2, y.size))
         emit(y + jit[0, 0], x + jit[0, 1])
-        if mode == "far":
-            emit(sum_center - y + jit[1, 0], sum_center - x + jit[1, 1])
-        else:
-            emit(y + jit[1, 0], x + jit[1, 1])
+        emit(reflect(mode, y, scene.size) + jit[1, 0],
+             reflect(mode, x, scene.size) + jit[1, 1])
 
     return _simulate(scene, _normalized_density(scene, mode, density),
                      pair_rate, n_frames, camera, seed, pair)
@@ -340,9 +333,6 @@ def simulate_intensity_frames(scene: Scene, intensity: np.ndarray,
                               camera=None, seed: int | tuple = 0) -> np.ndarray:
     """Simulate classical (single-photon) frames for an intensity pattern on
     the oversampled grid; photon_rate is the Poisson mean per frame."""
-    if not 0 < photon_rate <= MAX_RATE or n_frames < 1:
-        raise ConfigurationError(f"0 < photon_rate <= {MAX_RATE:g} and "
-                                 "n_frames >= 1 required")
     chunks = _simulate(scene, _normalized_density(scene, "near", intensity),
                        photon_rate, n_frames, camera, seed,
                        lambda rng, y, x, emit: emit(y, x))
@@ -381,8 +371,9 @@ def _half_grid_split(scene: Scene, mode: str) -> list[tuple[int, np.ndarray]]:
     to :meth:`jpdkit.jpd.Jpd.from_planes`.
     """
     m, far = scene.size, mode == "far"
+    # round() is odd, so C + round(2x - C) is the reflection of round(C - 2x)
     two_x = 2.0 * scene.subcell_coordinates()
-    q = (m - 1) + np.round(two_x - (m - 1)) if far else np.round(two_x)
+    q = reflect(mode, np.round(reflect(mode, two_x, m)), m)
     index = half_grid_index(mode, "difference" if far else "sum", 1, m)
     weight = np.array([0.5, 1.0, 0.5])[:, None, None]
     mats = np.where(index[:, None, :] == q[:, None], weight, 0.0)
@@ -409,8 +400,10 @@ def analytic_jpd(scene: Scene, mode: str = "near",
     """
     if band_radius < 1:
         raise ConfigurationError("analytic construction needs band_radius >= 1")
-    if not (0 <= sigma < math.inf and math.isfinite(pair_rate)):
-        raise ConfigurationError("sigma must be finite and >= 0, pair_rate finite")
+    if not (0 <= sigma < math.inf and 0 <= pair_rate < math.inf):
+        raise ConfigurationError(f"need finite sigma >= 0 and finite "
+                                 f"pair_rate >= 0, got sigma {sigma!r} and "
+                                 f"pair_rate {pair_rate!r}")
     m = scene.size
     n_sub = m * scene.oversample
     rho = pair_rate * _normalized_density(scene, mode, density).reshape(n_sub, n_sub)
@@ -422,11 +415,10 @@ def analytic_jpd(scene: Scene, mode: str = "near",
         sigma_photon = sigma / math.sqrt(2.0)
         x = scene.subcell_coordinates()
         first = _axis_capture(np.arange(m) - x[:, None], sigma_photon)
-        # the partner photon is born at x (far field: C - x) and captured by
+        # the partner photon is born at the reflection of x and captured by
         # the partner pixel of plane d
-        birth = x if mode == "near" else (m - 1) - x
         second = _axis_capture(_partners(mode, k, m)[:, None, :]
-                               - birth[:, None], sigma_photon)
+                               - reflect(mode, x, m)[:, None], sigma_photon)
         axis_mats = list(zip(range(-k, k + 1), first * second))
         # the estimator counts both photon orderings of every pair
         orderings = 2.0

@@ -410,6 +410,24 @@ def test_malformed_files_exit_3(tmp_path):
     assert not (tmp_path / "u").exists()
 
 
+def test_reconstruct_resolves_its_settings_before_reading_the_stack(
+        tmp_path, monkeypatch):
+    def unread(path):
+        raise AssertionError(f"{path} was read")
+
+    monkeypatch.setattr(cli, "read_frames", unread)
+    argv = ["reconstruct", "--frames", str(tmp_path / "frames.bpsr"),
+            "--out", str(tmp_path / "r")]
+    assert main([*argv, "--manifest", str(tmp_path / "absent.json")]) == 3
+    invalid = tmp_path / "invalid.json"
+    write_manifest(invalid, build_manifest(
+        "simulate", {}, config_text=INI.replace("band_radius = 2",
+                                                "band_radius = two"),
+        camera="ideal", mode="near"))
+    assert main([*argv, "--manifest", str(invalid)]) == 2
+    assert not (tmp_path / "r").exists()
+
+
 def test_processing_failures_exit_4(tmp_path):
     single = tmp_path / "single.bpsr"
     write_frames(single, np.ones((1, 6, 6), dtype=np.uint16))

@@ -67,6 +67,16 @@ def test_simulation_parameter_validation():
         simulate_chunks(scene, density=np.zeros((32, 32)))
 
 
+@pytest.mark.parametrize("bad", [
+    {"seed": -1}, {"seed": 1.5}, {"seed": (1, "a")}, {"seed": (1, 2.5)},
+    {"pair_rate": 0.0}, {"n_frames": 0}])
+def test_chunk_iterator_checks_rate_frames_and_seed_when_made(bad):
+    # no chunk is asked for: the call itself must raise
+    with pytest.raises(ConfigurationError,
+                       match="seed" if "seed" in bad else "n_frames"):
+        simulate_chunks(uniform(4), **bad)
+
+
 def test_determinism_and_chunked_streams():
     scene = grating(8, period=3.0, duty=0.5)
     a = simulate_frames(scene, sigma=0.4, pair_rate=5.0, n_frames=50, seed=9)
@@ -204,6 +214,15 @@ def test_analytic_jpd_validation():
     jpd = analytic_jpd(scene, band_radius=1)
     assert jpd.n_frames == 0
     assert jpd.valid[1, 1].all()
+
+
+def test_analytic_jpd_needs_a_non_negative_pair_rate():
+    scene = uniform(6)
+    with pytest.raises(ConfigurationError, match="pair_rate >= 0"):
+        analytic_jpd(scene, pair_rate=-3.0)
+    # a phase map can leave an acquisition no pair flux
+    for sigma in (0.0, 0.5):
+        assert not analytic_jpd(scene, sigma=sigma, pair_rate=0.0).planes.any()
 
 
 def test_analytic_jpd_is_estimator_expectation():
