@@ -12,7 +12,7 @@ diagnostics.
 from ._version import __version__
 from .errors import (ConfigurationError, FileFormatError, JpdkitError,
                      ProcessingError)
-from .frames import read_frames, write_frames
+from .frames import open_frames, read_frames, write_frames
 from .images import GridImage, read_spectrum_csv, write_pgm16, write_spectrum_csv
 from .jpd import (Jpd, accumulate_jpd, apply_separation_policy, diagonal_image,
                   minus_projection, read_jpd_snapshot, sum_projection,
@@ -28,7 +28,7 @@ from .simulate import (EmccdCamera, IdealCamera, SpadCamera, analytic_jpd,
 __all__ = [
     "__version__",
     "JpdkitError", "ConfigurationError", "FileFormatError", "ProcessingError",
-    "read_frames", "write_frames",
+    "open_frames", "read_frames", "write_frames",
     "GridImage", "write_pgm16", "write_spectrum_csv", "read_spectrum_csv",
     "Jpd", "accumulate_jpd", "apply_separation_policy", "sum_projection",
     "minus_projection", "diagonal_image", "write_jpd_snapshot",

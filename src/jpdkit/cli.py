@@ -30,7 +30,7 @@ from .config import (_PARSERS, DEFAULTS, _float_range, artifact_entry,
                      parse_config, read_manifest, setting_error, sized_by,
                      write_manifest)
 from .errors import ConfigurationError, FileFormatError, ProcessingError
-from .frames import read_frames, stack_bytes, write_frame_chunks
+from .frames import open_frames, stack_bytes, write_frame_chunks
 from .images import GridImage, write_pgm16, write_spectrum_csv
 from .jpd import MODES, write_jpd_snapshot
 from .pipeline import reconstruct
@@ -168,23 +168,41 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _camera_for_frames(frames: np.ndarray) -> str:
+def _camera_for_frames(frames) -> str:
     # without provenance, binary data can only come from the binary array;
     # for counts assume the conservative profile (its invalid set covers
     # the ideal one's)
     return "spad" if frames.dtype == np.bool_ else "emccd"
 
 
+def _check_out_manifest(args) -> None:
+    """Refuse an --out whose manifest.json a reconstruct run must not
+    replace: the --manifest it reads, or the record of another command."""
+    target = Path(args.out) / "manifest.json"
+    if not target.is_file():
+        return
+    if args.manifest and target.samefile(args.manifest):
+        raise ConfigurationError(
+            f"--out {args.out} would overwrite the manifest it reads")
+    command = read_manifest(target).get("command")
+    if command != "reconstruct":
+        raise ConfigurationError(
+            f"--out {args.out} holds the manifest of a {command} run; "
+            "reconstruct into its own directory")
+
+
 def _cmd_reconstruct(args) -> int:
-    # the settings are resolved before the stack is read, so a bad manifest
-    # or config fails at once; only the camera guess needs the frames
+    # the settings are resolved and --out checked before the stack is
+    # opened, so a bad manifest or config fails at once; the stack is then
+    # read chunk by chunk and never held whole
     manifest = read_manifest(args.manifest) if args.manifest else {}
     mode = args.mode or manifest.get("mode") or "near"
     settings = dict(parse_config(manifest["config"]).processing
                     if "config" in manifest else DEFAULTS["processing"])
     settings.update((key, value) for key, value in vars(args).items()
                     if key in settings)
-    frames = read_frames(args.frames)
+    _check_out_manifest(args)
+    frames = open_frames(args.frames)
     # reconstruct reads only a profile's separation policy, which no camera
     # parameter changes, so the profile's name is all it needs
     camera = camera_by_name(args.camera or manifest.get("camera")

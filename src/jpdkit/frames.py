@@ -21,6 +21,10 @@ Frame data follows the 32-byte header, frame by frame, row-major,
 little-endian.  Packed-bit stacks (binary cameras) pack each row separately
 into ``ceil(width / 8)`` bytes, most significant bit first, so rows always
 start on a byte boundary.
+
+:func:`open_frames` checks a stack's header and size and returns a
+:class:`FrameSource`, which reads a contiguous slice of frames on demand,
+so a long stack is processed without ever being held whole.
 """
 
 from __future__ import annotations
@@ -129,12 +133,52 @@ def write_frame_chunks(path, chunks) -> None:
         raise
 
 
-def read_frames(path) -> np.ndarray:
-    """Read a frame stack written by :func:`write_frames`.
+class FrameSource:
+    """A frame stack in a file, read a slice of frames at a time.
 
-    Returns an array of shape (count, height, width); packed-bit stacks come
-    back as bool.  Raises :class:`FileFormatError` on bad magic, version,
-    sample code or a size mismatch (truncated or padded file).
+    ``source[a:b]`` reads frames a to b - 1 and returns them as
+    :func:`read_frames` would, so code that slices a stack in contiguous
+    spans takes a source in its place and holds only the span.  Each read
+    opens the file by path at its own offset, so threads may read at once.
+    """
+
+    ndim = 3
+
+    def __init__(self, path, shape, sample):
+        self.path, self.shape, self._sample = path, shape, sample
+        # native byte order so downstream arithmetic is unconstrained
+        self.dtype = sample.newbyteorder("=")
+
+    def __getitem__(self, key) -> np.ndarray:
+        if not isinstance(key, slice) or key.step not in (None, 1):
+            raise TypeError("a frame source reads contiguous slices of frames")
+        count, height, width = self.shape
+        span = range(count)[key]
+        row = _row_bytes(width, self._sample)
+        size = len(span) * height * row
+        data = np.fromfile(self.path, np.uint8, size,
+                           offset=HEADER_SIZE + span.start * height * row)
+        if data.size != size:
+            raise FileFormatError(f"{self.path}: file ends before frame "
+                                  f"{span.stop - 1} of {count}")
+        data = data.reshape(len(span), height, row)
+        if self._sample == bool:
+            return np.unpackbits(data, axis=-1, count=width).view(bool)
+        return data.view(self._sample).astype(self.dtype, copy=False)
+
+
+def as_stack(frames):
+    """*frames* itself if it is a :class:`FrameSource`, else as an array."""
+    return frames if isinstance(frames, FrameSource) else np.asarray(frames)
+
+
+def open_frames(path) -> FrameSource:
+    """Open a frame stack written by :func:`write_frames` as a
+    :class:`FrameSource`; no frame is read.
+
+    Its shape is (count, height, width); packed-bit stacks read as bool.
+    Raises :class:`FileFormatError` on bad magic, version, sample code or a
+    size mismatch (truncated or padded file).
     """
     with open(path, "rb") as fh:
         header = fh.read(HEADER_SIZE)
@@ -150,15 +194,16 @@ def read_frames(path) -> np.ndarray:
         if code >= len(_SAMPLES):
             raise FileFormatError(f"{path}: unknown sample code {code}")
         sample = _SAMPLES[code]
-        # sizes are compared before anything is allocated
         expected = stack_bytes((count, height, width), sample) - HEADER_SIZE
         found = os.fstat(fh.fileno()).st_size - HEADER_SIZE
         if found != expected:
             raise FileFormatError(
                 f"{path}: expected {expected} data bytes, found {found}")
-        data = np.fromfile(fh, np.uint8, expected).reshape(
-            count, height, _row_bytes(width, sample))
-    if sample == bool:
-        return np.unpackbits(data, axis=-1, count=width).view(bool)
-    # native byte order so downstream arithmetic is unconstrained
-    return data.view(sample).astype(sample.newbyteorder("="), copy=False)
+    return FrameSource(path, (count, height, width), sample)
+
+
+def read_frames(path) -> np.ndarray:
+    """Read a whole frame stack written by :func:`write_frames`, as
+    :func:`open_frames` opens it, into an array of shape
+    (count, height, width)."""
+    return open_frames(path)[:]

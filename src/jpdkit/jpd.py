@@ -48,6 +48,7 @@ from .errors import (
     PrecisionError,
     StateError,
 )
+from .frames import as_stack
 from .images import GridImage
 
 MODES = ("near", "far")  # the imaging geometries
@@ -146,9 +147,10 @@ def check_mode(mode: str) -> None:
             f"mode must be {' or '.join(map(repr, MODES))}, got {mode!r}")
 
 
-def _check_args(frames: np.ndarray, mode: str, band_radius: int) -> np.ndarray:
-    """The checks every accumulation makes; returns *frames* as an array."""
-    frames = np.asarray(frames)
+def _check_args(frames, mode: str, band_radius: int):
+    """The checks every accumulation makes; returns *frames* as an array, or
+    as the :class:`~jpdkit.frames.FrameSource` it is."""
+    frames = as_stack(frames)
     if frames.ndim != 3:
         raise FrameShapeError(f"frame stack must be 3-D, got shape {frames.shape}")
     if frames.shape[0] < 2:
@@ -169,7 +171,7 @@ def accumulate_partial(frames: np.ndarray, mode: str = "near",
     The chunk contributes ``len(frames) - 1`` consecutive-frame terms; feed
     overlapping chunks (repeat the boundary frame) to cover a long stream.
     """
-    return _accumulate_chunk(_check_args(frames, mode, band_radius), mode,
+    return _accumulate_chunk(_check_args(frames, mode, band_radius)[:], mode,
                              band_radius, {})
 
 
@@ -224,15 +226,15 @@ def _accumulate_chunk(frames: np.ndarray, mode: str, band_radius: int,
     return PartialJpd(mode, k, (h, w), sums, n)
 
 
-def _check_exact(frames: np.ndarray) -> None:
+def _check_exact(frames, spans) -> None:
     """Raise PrecisionError if the sums of an integer stack could reach
     EXACT_SUM_LIMIT, where float64 stops holding integers exactly.
 
     Every sum is bounded by n_terms * max|a| * max|a - a'|.  The dtype's
     range decides this without reading the frames for every stack short
     enough (u16: under about 2e6 frames); only beyond that is the stack's
-    own range used.  Bool stacks cannot get there, and float stacks are not
-    summed exactly in any case.
+    own range used, read chunk by chunk over *spans*.  Bool stacks cannot
+    get there, and float stacks are not summed exactly in any case.
     """
     if frames.dtype == np.bool_ or not np.issubdtype(frames.dtype, np.integer):
         return
@@ -244,7 +246,10 @@ def _check_exact(frames: np.ndarray) -> None:
     info = np.iinfo(frames.dtype)
     if bound(int(info.min), int(info.max)) < EXACT_SUM_LIMIT:
         return
-    lo, hi = int(frames.min()), int(frames.max())
+    lo, hi = int(info.max), int(info.min)
+    for a, b in spans:
+        chunk = frames[a:b]
+        lo, hi = min(lo, int(chunk.min())), max(hi, int(chunk.max()))
     if bound(lo, hi) >= EXACT_SUM_LIMIT:
         raise PrecisionError(
             f"{n_terms} frame pairs with values in [{lo}, {hi}] may sum past "
@@ -341,29 +346,32 @@ def finalize_jpd(partial: PartialJpd, symmetrize: bool = True) -> Jpd:
     return _symmetrize(jpd) if symmetrize else jpd
 
 
-def accumulate_jpd(frames: np.ndarray, mode: str = "near",
+def accumulate_jpd(frames, mode: str = "near",
                    band_radius: int = DEFAULT_BAND_RADIUS,
                    chunk_size: int = DEFAULT_CHUNK_SIZE,
                    workers: int | None = None,
                    symmetrize: bool = True) -> Jpd:
-    """Estimate the banded JPD of a frame stack.
+    """Estimate the banded JPD of a frame stack: an array, or a
+    :class:`~jpdkit.frames.FrameSource`, which is read one chunk at a time.
 
     The stack is processed in fixed chunks of ``chunk_size`` consecutive-frame
     terms (optionally on up to ``workers`` threads, never more than there
     are chunks or processors) and merged in chunk order as the chunks
-    finish, so only one merged sum is held, and the result does
-    not depend on the chunking or the thread count.  Integer stacks whose
-    sums could leave float64's exact range raise :class:`PrecisionError`
-    before any chunk is accumulated.
+    finish, so only one merged sum is held.  The thread count never changes
+    the result's bits.  For integer and bool stacks the chunking does not
+    either; for float stacks it may move the last bits, as the sums are
+    rounded in another order.  Integer stacks whose sums could leave
+    float64's exact range raise :class:`PrecisionError` before any chunk is
+    accumulated.
     """
     frames = _check_args(frames, mode, band_radius)
     if chunk_size < 1:
         raise ConfigurationError("chunk_size must be >= 1")
     if workers is not None and workers < 1:
         raise ConfigurationError("workers must be >= 1 or None")
-    _check_exact(frames)
     n = frames.shape[0]
     spans = [(i, min(i + chunk_size + 1, n)) for i in range(0, n - 1, chunk_size)]
+    _check_exact(frames, spans)
 
     # each thread's kernel scratch, kept across its chunks for this call only
     scratch = {}

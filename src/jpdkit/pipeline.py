@@ -30,6 +30,7 @@ from .errors import (
     InterpolationError,
     StateError,
 )
+from .frames import as_stack
 from .images import GridImage
 from .jpd import (
     DEFAULT_BAND_RADIUS,
@@ -184,12 +185,13 @@ def process_jpd(jpd: Jpd, camera=None, threshold: float | None = 0.5,
     return jpd
 
 
-def reconstruct(frames: np.ndarray, mode: str = "near", camera=None,
+def reconstruct(frames, mode: str = "near", camera=None,
                 band_radius: int = DEFAULT_BAND_RADIUS,
                 threshold: float | None = 0.5, normalize: bool = True,
                 interpolate: bool = True, chunk_size: int = DEFAULT_CHUNK_SIZE,
                 workers: int | None = None) -> PipelineResult:
-    """Run the full pipeline on a frame stack.
+    """Run the full pipeline on a frame stack, an array or a
+    :class:`~jpdkit.frames.FrameSource`.
 
     *camera* supplies the separation validity policy (None treats every
     estimated entry as usable, appropriate only for synthetic data);
@@ -198,7 +200,7 @@ def reconstruct(frames: np.ndarray, mode: str = "near", camera=None,
     entries whose partner pixel is on the sensor; it is checked before any
     accumulation.
     """
-    frames = np.asarray(frames)
+    frames = as_stack(frames)
     if frames.ndim == 3:
         limit = min(min(frames.shape[1:]) - 1, MAX_BAND_RADIUS)
         if not 1 <= band_radius <= limit:

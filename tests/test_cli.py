@@ -295,7 +295,7 @@ def test_stack_beyond_exact_sums_exits_4_before_accumulating(
     write_frames(stack, frames)
     monkeypatch.setattr(jpd_module, "EXACT_SUM_LIMIT", 20 * 65535 ** 2)
     calls = []
-    monkeypatch.setattr(jpd_module, "accumulate_partial",
+    monkeypatch.setattr(jpd_module, "_accumulate_chunk",
                         lambda *args: calls.append(args))
     assert main(["reconstruct", "--frames", str(stack), "--camera", "ideal",
                  "--band-radius", "1", "--out", str(tmp_path / "r")]) == 4
@@ -413,9 +413,9 @@ def test_malformed_files_exit_3(tmp_path):
 def test_reconstruct_resolves_its_settings_before_reading_the_stack(
         tmp_path, monkeypatch):
     def unread(path):
-        raise AssertionError(f"{path} was read")
+        raise AssertionError(f"{path} was opened")
 
-    monkeypatch.setattr(cli, "read_frames", unread)
+    monkeypatch.setattr(cli, "open_frames", unread)
     argv = ["reconstruct", "--frames", str(tmp_path / "frames.bpsr"),
             "--out", str(tmp_path / "r")]
     assert main([*argv, "--manifest", str(tmp_path / "absent.json")]) == 3
@@ -426,6 +426,40 @@ def test_reconstruct_resolves_its_settings_before_reading_the_stack(
         camera="ideal", mode="near"))
     assert main([*argv, "--manifest", str(invalid)]) == 2
     assert not (tmp_path / "r").exists()
+
+
+def test_reconstruct_refuses_to_overwrite_its_source_record(
+        tmp_path, config_path, capsys):
+    sim = run_simulate(tmp_path, config_path)
+    record = (sim / "manifest.json").read_bytes()
+
+    def reconstruct(manifest, out):
+        return main(["reconstruct", "--frames", str(sim / "frames.bpsr"),
+                     "--manifest", str(manifest), "--out", str(out)])
+
+    # into the simulate run's own directory: the manifest it reads
+    assert reconstruct(sim / "manifest.json", sim) == 2
+    assert "overwrite the manifest it reads" in capsys.readouterr().err
+    # a copy of that manifest read from elsewhere: another command's record
+    copy = tmp_path / "copy.json"
+    copy.write_bytes(record)
+    assert reconstruct(copy, sim) == 2
+    assert "manifest of a simulate run" in capsys.readouterr().err
+    assert (sim / "manifest.json").read_bytes() == record
+    assert sorted(p.name for p in sim.iterdir()) == ["frames.bpsr",
+                                                     "manifest.json"]
+    # a directory of an earlier reconstruct is rerun into, unless its
+    # manifest is the one read
+    rec = tmp_path / "rec"
+    assert reconstruct(copy, rec) == 0
+    first = (rec / "jpd.bjpd").read_bytes()
+    assert reconstruct(copy, rec) == 0
+    assert (rec / "jpd.bjpd").read_bytes() == first
+    assert reconstruct(rec / "manifest.json", rec) == 2
+    # nor is a manifest.json that cannot be read as one replaced
+    (rec / "manifest.json").write_text("{")
+    assert reconstruct(copy, rec) == 3
+    assert (rec / "manifest.json").read_text() == "{"
 
 
 def test_processing_failures_exit_4(tmp_path):

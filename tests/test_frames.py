@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from jpdkit.errors import FileFormatError, FrameShapeError
-from jpdkit.frames import (HEADER_SIZE, MAGIC, read_frames, stack_bytes,
-                           write_frame_chunks, write_frames)
+from jpdkit.frames import (HEADER_SIZE, MAGIC, open_frames, read_frames,
+                           stack_bytes, write_frame_chunks, write_frames)
 
 
 def test_round_trip_uint16(tmp_path):
@@ -238,3 +238,41 @@ def test_chunk_writer_removes_its_partial_file(tmp_path, fault, error):
     with pytest.raises(error):
         write_frame_chunks(path, chunks())
     assert not path.exists()
+
+
+@settings(max_examples=200, deadline=None)
+@given(frames=frame_stacks(), data=st.data())
+def test_source_slices_equal_the_read_stack(tmp_path_factory, frames, data):
+    path = tmp_path_factory.mktemp("source") / "stack.bpsr"
+    write_frames(path, frames)
+    source = open_frames(path)
+    assert (source.shape, source.dtype, source.ndim) == (
+        frames.shape, frames.dtype, 3)
+    start = data.draw(st.integers(-6, 6), label="start")
+    stop = data.draw(st.integers(-6, 6) | st.none(), label="stop")
+    part = source[start:stop]
+    assert (part.dtype, part.shape) == (frames.dtype, frames[start:stop].shape)
+    assert part.tobytes() == frames[start:stop].tobytes()
+
+
+def test_source_reads_only_contiguous_slices(tmp_path):
+    path = tmp_path / "stack.bpsr"
+    write_frames(path, np.zeros((4, 3, 3), dtype=np.uint16))
+    source = open_frames(path)
+    for key in (0, slice(0, 4, 2), slice(None, None, -1)):
+        with pytest.raises(TypeError, match="contiguous"):
+            source[key]
+
+
+def test_source_cut_short_after_opening_raises_file_format_error(tmp_path):
+    # the size is checked when the stack is opened; a read that then comes
+    # up short is a malformed file too, not a reshape error
+    path = tmp_path / "stack.bpsr"
+    frames = np.arange(5 * 3 * 10, dtype=np.uint16).reshape(5, 3, 10)
+    write_frames(path, frames)
+    source = open_frames(path)
+    with open(path, "r+b") as fh:
+        fh.truncate(stack_bytes((3, 3, 10), frames.dtype) + 1)
+    assert np.array_equal(source[1:3], frames[1:3])
+    with pytest.raises(FileFormatError, match="ends before frame 3 of 5"):
+        source[2:4]

@@ -12,6 +12,7 @@ from jpdkit.analysis import banded_from_dense, dense_jpd_matrix
 from jpdkit.errors import (ConfigurationError, FileFormatError,
                            FrameShapeError, InsufficientDataError,
                            PrecisionError, StateError)
+from jpdkit.frames import open_frames, write_frames
 from jpdkit.jpd import (MAX_BAND_RADIUS, TILE_WIDTH, Jpd, PartialJpd,
                         accumulate_jpd, accumulate_partial,
                         apply_separation_policy, diagonal_image, finalize_jpd,
@@ -246,11 +247,70 @@ def test_accumulate_refuses_integer_sums_beyond_exact_range(monkeypatch):
     accumulate_jpd(frames[:10], band_radius=1)
     accumulate_jpd(frames.astype(bool), band_radius=1)
     calls = []
-    monkeypatch.setattr(jpd_module, "accumulate_partial",
+    monkeypatch.setattr(jpd_module, "_accumulate_chunk",
                         lambda *args: calls.append(args))
     with pytest.raises(PrecisionError, match="not exact"):
         accumulate_jpd(frames, band_radius=1)
     assert calls == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_streamed_accumulation_equals_in_memory(tmp_path_factory, data):
+    # packed-bit rows are byte-aligned, so widths off a multiple of 8 read
+    # padding bits that must never reach the frames
+    dtype = data.draw(st.sampled_from([np.uint16, np.float32, np.bool_]),
+                      label="dtype")
+    elements = {np.uint16: st.integers(0, 65535),
+                np.float32: st.floats(0, 1e3, width=32),
+                np.bool_: st.booleans()}[dtype]
+    shape = (data.draw(st.integers(2, 40), label="n"),
+             data.draw(st.integers(1, 6), label="h"),
+             data.draw(st.integers(1, 13), label="w"))
+    frames = data.draw(arrays(dtype, shape, elements=elements), label="frames")
+    path = tmp_path_factory.mktemp("stream") / "stack.bpsr"
+    write_frames(path, frames)
+    kwargs = dict(mode=data.draw(st.sampled_from(jpd_module.MODES), label="mode"),
+                  band_radius=data.draw(st.integers(0, 2), label="k"),
+                  chunk_size=data.draw(st.integers(1, 50), label="chunk"),
+                  workers=data.draw(st.sampled_from([1, 2]), label="workers"))
+    streamed = accumulate_jpd(open_frames(path), **kwargs)
+    held = accumulate_jpd(frames, **kwargs)
+    assert streamed.planes.tobytes() == held.planes.tobytes()
+    assert np.array_equal(streamed.valid, held.valid)
+    assert streamed.n_frames == held.n_frames == shape[0]
+
+
+def test_streamed_stack_beyond_exact_sums_raises_before_any_chunk(
+        tmp_path, monkeypatch):
+    # past the dtype bound the stack's range is read chunk by chunk, and
+    # the refusal still comes before the first kernel call
+    monkeypatch.setattr(jpd_module, "EXACT_SUM_LIMIT", 10 * 65535 ** 2)
+    frames = np.zeros((11, 2, 3), dtype=np.uint16)
+    frames[4, 1, 2] = 65535
+    path = tmp_path / "stack.bpsr"
+    write_frames(path, frames)
+    calls = []
+    monkeypatch.setattr(jpd_module, "_accumulate_chunk",
+                        lambda *args: calls.append(args))
+    with pytest.raises(PrecisionError, match=r"values in \[0, 65535\]"):
+        accumulate_jpd(open_frames(path), band_radius=1, chunk_size=3)
+    assert calls == []
+
+
+def test_float_stack_bits_follow_the_chunking_not_the_threads():
+    # float sums round in chunk order: the thread count never moves a bit,
+    # a different chunking may move the last ones
+    rng = np.random.default_rng(4)
+    gains = rng.gamma(2.0, 50.0, (3000, 16, 16))
+    frames = (gains * rng.poisson(0.3, gains.shape) / 100.0).astype(np.float32)
+    base = accumulate_jpd(frames, band_radius=2, chunk_size=256)
+    assert accumulate_jpd(frames, band_radius=2, chunk_size=256,
+                          workers=2).planes.tobytes() == base.planes.tobytes()
+    for chunk in (64, 100, 1000):
+        other = accumulate_jpd(frames, band_radius=2, chunk_size=chunk)
+        np.testing.assert_allclose(other.planes, base.planes, rtol=1e-9,
+                                   atol=1e-12 * np.abs(base.planes).max())
 
 
 def test_input_validation():
