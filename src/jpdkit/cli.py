@@ -69,7 +69,8 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="estimate the JPD of a frame stack and project it")
     rec.add_argument("--frames", required=True, help="input frame stack (.bpsr)")
     rec.add_argument("--manifest",
-                     help="manifest of the simulate run that produced the stack; "
+                     help="manifest of the simulate run that produced the "
+                          "stack (no other record is taken); its config "
                           "supplies camera, geometry and processing defaults")
     rec.add_argument("--camera", choices=tuple(CAMERAS),
                      help="camera profile (default: manifest, else guessed "
@@ -102,7 +103,9 @@ def _build_parser() -> argparse.ArgumentParser:
     spec = sub.add_parser("spectrum", help="fringe spectrum of a saved image")
     spec.add_argument("--input", required=True, help="image array (.npy)")
     spec.add_argument("--manifest",
-                      help="reconstruct manifest, supplies the grid pitch")
+                      help="manifest of the reconstruct run that wrote the "
+                           "input (no other record is taken); supplies the "
+                           "grid pitch")
     spec.add_argument("--pitch", type=_arg(_float_range(0.0, low_open=True)),
                       help="sample spacing in camera pixels (default: "
                            "manifest entry for the input file, else 1)")
@@ -168,45 +171,30 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _camera_for_frames(frames) -> str:
-    # without provenance, binary data can only come from the binary array;
-    # for counts assume the conservative profile (its invalid set covers
-    # the ideal one's)
-    return "spad" if frames.dtype == np.bool_ else "emccd"
-
-
-def _check_out_manifest(args) -> None:
-    """Refuse an --out whose manifest.json a reconstruct run must not
-    replace: the --manifest it reads, or the record of another command."""
-    target = Path(args.out) / "manifest.json"
-    if not target.is_file():
-        return
-    if args.manifest and target.samefile(args.manifest):
-        raise ConfigurationError(
-            f"--out {args.out} would overwrite the manifest it reads")
-    command = read_manifest(target).get("command")
-    if command != "reconstruct":
-        raise ConfigurationError(
-            f"--out {args.out} holds the manifest of a {command} run; "
-            "reconstruct into its own directory")
-
-
 def _cmd_reconstruct(args) -> int:
-    # the settings are resolved and --out checked before the stack is
-    # opened, so a bad manifest or config fails at once; the stack is then
-    # read chunk by chunk and never held whole
-    manifest = read_manifest(args.manifest) if args.manifest else {}
-    mode = args.mode or manifest.get("mode") or "near"
-    settings = dict(parse_config(manifest["config"]).processing
-                    if "config" in manifest else DEFAULTS["processing"])
-    settings.update((key, value) for key, value in vars(args).items()
-                    if key in settings)
-    _check_out_manifest(args)
+    # the settings come from the simulate record's config, else from the
+    # defaults, and flags override them; they are resolved and --out checked
+    # before the stack is opened, so a bad record or config fails at once;
+    # the stack is then read chunk by chunk and never held whole
+    mode, profile, settings = "near", None, DEFAULTS["processing"]
+    if args.manifest:
+        config = parse_config(
+            read_manifest(args.manifest, "simulate").get("config", ""))
+        mode, profile = config.pairs["mode"], config.camera["profile"]
+        settings = config.processing
+    mode = args.mode or mode
+    settings = {key: getattr(args, key, value)
+                for key, value in settings.items()}
+    # --out may only hold an earlier reconstruct run's record
+    if (Path(args.out) / "manifest.json").is_file():
+        read_manifest(Path(args.out) / "manifest.json", "reconstruct")
     frames = open_frames(args.frames)
     # reconstruct reads only a profile's separation policy, which no camera
-    # parameter changes, so the profile's name is all it needs
-    camera = camera_by_name(args.camera or manifest.get("camera")
-                            or _camera_for_frames(frames))
+    # parameter changes, so the profile's name is all it needs.  Without a
+    # record, binary frames can only come from the binary array, and counts
+    # get the conservative profile (its invalid set covers the ideal one's)
+    camera = camera_by_name(args.camera or profile or (
+        "spad" if frames.dtype == np.bool_ else "emccd"))
     result = reconstruct(frames, mode=mode, camera=camera,
                          chunk_size=settings.pop("chunk"), **settings)
 
@@ -230,19 +218,16 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
+    manifest = read_manifest(args.manifest, "reconstruct") if args.manifest else {}
+    entry = manifest.get("artifacts", {}).get(Path(args.input).name, {})
+    pitch = args.pitch or entry.get("pitch", 1.0)
     try:
         values = np.load(args.input)
     except ValueError as exc:
         raise FileFormatError(f"{args.input} is not a valid array file: {exc}") \
             from exc
-    pitch = args.pitch
-    if pitch is None and args.manifest:
-        manifest = read_manifest(args.manifest)
-        entry = manifest.get("artifacts", {}).get(Path(args.input).name, {})
-        pitch = entry.get("pitch")
-    freqs, amps = spectrum_along_axis(
-        GridImage(values, pitch=pitch if pitch is not None else 1.0),
-        axis=args.axis, window=args.window)
+    freqs, amps = spectrum_along_axis(GridImage(values, pitch=pitch),
+                                      axis=args.axis, window=args.window)
     write_spectrum_csv(args.out, freqs, amps)
     print(f"wrote {len(freqs)} spectral bins to {args.out}")
     return 0

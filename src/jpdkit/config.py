@@ -34,7 +34,8 @@ from pathlib import Path
 from ._version import __version__
 from .errors import ConfigurationError, FileFormatError
 from .frames import MAX_FIELD
-from .jpd import DEFAULT_BAND_RADIUS, DEFAULT_CHUNK_SIZE, MODES
+from .jpd import (DEFAULT_BAND_RADIUS, DEFAULT_CHUNK_SIZE, MODES,
+                  check_band_radius)
 from .scenes import CAT_MIN_SIZE, SCENES, Scene
 from .simulate import CAMERAS, MAX_RATE, EmccdCamera, camera_by_name
 
@@ -268,6 +269,12 @@ def parse_config(text: str, overrides: list[str] | None = None) -> RunConfig:
     if scene["kind"] == "checkerboard" and scene["size"] % scene["blocks"]:
         fail("scene", "blocks",
              f"size {scene['size']} is not divisible into {scene['blocks']} blocks")
+    try:
+        # the frames are size x size; reconstruct checks its stack again
+        check_band_radius(merged["processing"]["band_radius"],
+                          (scene["size"], scene["size"]))
+    except ConfigurationError as exc:
+        fail("processing", "band_radius", str(exc))
     if pairs["interference"] == "noon" and pairs["mode"] != "near":
         # a conflict of two settings, so no one source is named
         raise ConfigurationError("[pairs] interference: the interference "
@@ -349,7 +356,9 @@ def write_manifest(path, manifest: dict) -> None:
     Path(path).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def read_manifest(path) -> dict:
+def read_manifest(path, command: str | None = None) -> dict:
+    """Read and check a manifest; given a *command*, refuse the record of
+    any other command as a configuration error."""
     try:
         payload = json.loads(Path(path).read_text())
     except OSError as exc:
@@ -367,4 +376,8 @@ def read_manifest(path) -> dict:
             and all(isinstance(entry, dict) for entry in artifacts.values())):
         raise FileFormatError(
             f"{path}: manifest 'artifacts' does not map names to records")
+    if command not in (None, payload.get("command")):
+        raise ConfigurationError(f"{path} holds the manifest of a "
+                                 f"{payload.get('command')} run, not of a "
+                                 f"{command} run")
     return payload

@@ -167,9 +167,21 @@ class FrameSource:
         return data.view(self._sample).astype(self.dtype, copy=False)
 
 
-def as_stack(frames):
-    """*frames* itself if it is a :class:`FrameSource`, else as an array."""
-    return frames if isinstance(frames, FrameSource) else np.asarray(frames)
+def unpack_header(path, data: bytes, layout: struct.Struct, magic: bytes,
+                  version: int, what: str) -> list:
+    """The fields of a binary header *data*, read with *layout*, that
+    follow its magic and version; *what* names the format in the message
+    of a header too short to hold them.  Raises :class:`FileFormatError`
+    when the header is short or its magic or version is not the given one.
+    """
+    if len(data) < layout.size:
+        raise FileFormatError(f"{path}: too short for {what} header")
+    found, found_version, *fields = layout.unpack_from(data)
+    if found != magic:
+        raise FileFormatError(f"{path}: bad magic {found!r}")
+    if found_version != version:
+        raise FileFormatError(f"{path}: unsupported version {found_version}")
+    return fields
 
 
 def open_frames(path) -> FrameSource:
@@ -181,14 +193,9 @@ def open_frames(path) -> FrameSource:
     size mismatch (truncated or padded file).
     """
     with open(path, "rb") as fh:
-        header = fh.read(HEADER_SIZE)
-        if len(header) < HEADER_SIZE:
-            raise FileFormatError(f"{path}: too short for a frame-stack header")
-        magic, version, code, width, height, count = _HEADER.unpack_from(header)
-        if magic != MAGIC:
-            raise FileFormatError(f"{path}: bad magic {magic!r}")
-        if version != VERSION:
-            raise FileFormatError(f"{path}: unsupported version {version}")
+        code, width, height, count = unpack_header(
+            path, fh.read(HEADER_SIZE), _HEADER, MAGIC, VERSION,
+            "a frame-stack")
         if height == 0 or width == 0:
             raise FileFormatError(f"{path}: zero frame dimensions")
         if code >= len(_SAMPLES):

@@ -48,7 +48,7 @@ from .errors import (
     PrecisionError,
     StateError,
 )
-from .frames import as_stack
+from .frames import FrameSource, unpack_header
 from .images import GridImage
 
 MODES = ("near", "far")  # the imaging geometries
@@ -147,10 +147,22 @@ def check_mode(mode: str) -> None:
             f"mode must be {' or '.join(map(repr, MODES))}, got {mode!r}")
 
 
+def check_band_radius(band_radius: int, shape) -> None:
+    """Refuse a band radius outside [1, min(min(H, W) - 1, MAX_BAND_RADIUS)]
+    for frames of *shape* (H, W): inside it every band plane has entries
+    whose partner pixel is on the sensor, and a snapshot can store it."""
+    limit = min(min(shape) - 1, MAX_BAND_RADIUS)
+    if not 1 <= band_radius <= limit:
+        raise ConfigurationError(
+            f"band radius {band_radius} outside [1, {limit}] for "
+            f"{shape[0]}x{shape[1]} frames")
+
+
 def _check_args(frames, mode: str, band_radius: int):
     """The checks every accumulation makes; returns *frames* as an array, or
     as the :class:`~jpdkit.frames.FrameSource` it is."""
-    frames = as_stack(frames)
+    if not isinstance(frames, FrameSource):
+        frames = np.asarray(frames)
     if frames.ndim != 3:
         raise FrameShapeError(f"frame stack must be 3-D, got shape {frames.shape}")
     if frames.shape[0] < 2:
@@ -537,14 +549,8 @@ def read_jpd_snapshot(path) -> Jpd:
     """
     with open(path, "rb") as fh:
         raw = fh.read()
-    if len(raw) < _SNAP_HEADER.size:
-        raise FileFormatError(f"{path}: too short for a JPD snapshot header")
-    (magic, version, mode_code, k, h, w, n_frames, cy, cx, pending,
-     n_recs) = _SNAP_HEADER.unpack_from(raw, 0)
-    if magic != _SNAP_MAGIC:
-        raise FileFormatError(f"{path}: bad magic {magic!r}")
-    if version != _SNAP_VERSION:
-        raise FileFormatError(f"{path}: unsupported version {version}")
+    mode_code, k, h, w, n_frames, cy, cx, pending, n_recs = unpack_header(
+        path, raw, _SNAP_HEADER, _SNAP_MAGIC, _SNAP_VERSION, "a JPD snapshot")
     if mode_code >= len(MODES):
         raise FileFormatError(f"{path}: unknown mode code {mode_code}")
     if h < 1 or w < 1:

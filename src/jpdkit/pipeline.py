@@ -30,16 +30,16 @@ from .errors import (
     InterpolationError,
     StateError,
 )
-from .frames import as_stack
 from .images import GridImage
 from .jpd import (
     DEFAULT_BAND_RADIUS,
     DEFAULT_CHUNK_SIZE,
-    MAX_BAND_RADIUS,
     Jpd,
+    _check_args,
     _require_resolved,
     accumulate_jpd,
     apply_separation_policy,
+    check_band_radius,
     diagonal_image,
     plane_masses,
     scatter_half_grid,
@@ -195,18 +195,12 @@ def reconstruct(frames, mode: str = "near", camera=None,
 
     *camera* supplies the separation validity policy (None treats every
     estimated entry as usable, appropriate only for synthetic data);
-    *threshold* None skips the plane filter.  The band radius must lie in
-    [1, min(min(H, W) - 1, MAX_BAND_RADIUS)], so that every band plane has
-    entries whose partner pixel is on the sensor; it is checked before any
-    accumulation.
+    *threshold* None skips the plane filter.  The stack is checked as the
+    accumulator checks it, then the band radius by
+    :func:`~jpdkit.jpd.check_band_radius`, before any accumulation.
     """
-    frames = as_stack(frames)
-    if frames.ndim == 3:
-        limit = min(min(frames.shape[1:]) - 1, MAX_BAND_RADIUS)
-        if not 1 <= band_radius <= limit:
-            raise ConfigurationError(
-                f"band radius {band_radius} outside [1, {limit}] for "
-                f"{frames.shape[1]}x{frames.shape[2]} frames")
+    frames = _check_args(frames, mode, band_radius)
+    check_band_radius(band_radius, frames.shape[1:])
     jpd = accumulate_jpd(frames, mode=mode, band_radius=band_radius,
                          chunk_size=chunk_size, workers=workers)
     jpd = process_jpd(jpd, camera=camera, threshold=threshold,

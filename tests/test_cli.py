@@ -439,7 +439,8 @@ def test_reconstruct_refuses_to_overwrite_its_source_record(
 
     # into the simulate run's own directory: the manifest it reads
     assert reconstruct(sim / "manifest.json", sim) == 2
-    assert "overwrite the manifest it reads" in capsys.readouterr().err
+    assert "manifest of a simulate run, not of a reconstruct run" in \
+        capsys.readouterr().err
     # a copy of that manifest read from elsewhere: another command's record
     copy = tmp_path / "copy.json"
     copy.write_bytes(record)
@@ -460,6 +461,54 @@ def test_reconstruct_refuses_to_overwrite_its_source_record(
     (rec / "manifest.json").write_text("{")
     assert reconstruct(copy, rec) == 3
     assert (rec / "manifest.json").read_text() == "{"
+
+
+def test_each_command_takes_only_its_own_record(tmp_path, config_path,
+                                               capsys):
+    # reconstruct reads its settings from a simulate record's config, which
+    # a reconstruct record lacks; spectrum reads the pitch of an image that
+    # only a reconstruct record lists
+    sim = run_simulate(tmp_path, config_path)
+    rec = tmp_path / "rec"
+    assert main(["reconstruct", "--frames", str(sim / "frames.bpsr"),
+                 "--manifest", str(sim / "manifest.json"),
+                 "--out", str(rec)]) == 0
+    capsys.readouterr()
+    again = tmp_path / "again"
+    assert main(["reconstruct", "--frames", str(sim / "frames.bpsr"),
+                 "--manifest", str(rec / "manifest.json"),
+                 "--out", str(again)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {rec / 'manifest.json'} holds the manifest of a reconstruct "
+        "run, not of a simulate run\n")
+    assert not again.exists()
+    csv = tmp_path / "spectrum.csv"
+    assert main(["spectrum", "--input", str(rec / "super_resolved.npy"),
+                 "--manifest", str(sim / "manifest.json"),
+                 "--out", str(csv)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {sim / 'manifest.json'} holds the manifest of a simulate "
+        "run, not of a reconstruct run\n")
+    assert not csv.exists()
+
+
+@pytest.mark.parametrize("override, message", [
+    # the INI's 16-pixel scene at its own band radius line
+    ("processing.band_radius=16",
+     "override 'processing.band_radius=16': band radius 16 outside [1, 15] "
+     "for 16x16 frames"),
+    # a smaller scene leaves the file's band radius 2 beyond it
+    ("scene.size=2",
+     "[processing] band_radius: band radius 2 outside [1, 1] for 2x2 frames "
+     "(line 13)"),
+])
+def test_simulate_refuses_a_band_radius_reconstruct_would_refuse(
+        tmp_path, config_path, capsys, override, message):
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", str(config_path), "--set", override,
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_processing_failures_exit_4(tmp_path):
@@ -769,6 +818,8 @@ def test_cli_fuzz_over_settings(run):
         if rejected:
             assert code == 2 and not sim.exists(), overrides
         if code == 0:
-            _fuzz_main(["reconstruct", "--frames", str(sim / "frames.bpsr"),
-                        "--manifest", str(sim / "manifest.json"),
-                        "--out", str(rec)])
+            # a run simulate accepts has settings reconstruct accepts too
+            assert _fuzz_main(["reconstruct", "--frames",
+                               str(sim / "frames.bpsr"), "--manifest",
+                               str(sim / "manifest.json"),
+                               "--out", str(rec)]) != 2, overrides
