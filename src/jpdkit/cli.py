@@ -178,8 +178,12 @@ def _cmd_reconstruct(args) -> int:
     # the stack is then read chunk by chunk and never held whole
     mode, profile, settings = "near", None, DEFAULTS["processing"]
     if args.manifest:
-        config = parse_config(
-            read_manifest(args.manifest, "simulate").get("config", ""))
+        text = read_manifest(args.manifest, "simulate").get("config", "")
+        try:
+            # a line of the config string inside the JSON is no file line
+            config = parse_config(text, cite_lines=False)
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"{args.manifest}: {exc}") from exc
         mode, profile = config.pairs["mode"], config.camera["profile"]
         settings = config.processing
     mode = args.mode or mode

@@ -207,15 +207,17 @@ def _canonical_text(merged: dict) -> str:
     return "\n".join(lines)
 
 
-def parse_config(text: str, overrides: list[str] | None = None) -> RunConfig:
-    """Parse and validate an INI run description, applying overrides."""
+def parse_config(text: str, overrides: list[str] | None = None, *,
+                 cite_lines: bool = True) -> RunConfig:
+    """Parse and validate an INI run description, applying overrides.  An
+    error cites the line of *text* that sets the value if *cite_lines*."""
     parser = configparser.ConfigParser(interpolation=None,
                                        inline_comment_prefixes=("#", ";"))
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigurationError(f"cannot parse config: {exc}") from exc
-    lines = _file_lines(text)
+    lines = _file_lines(text) if cite_lines else {}
     # (section, key) -> (raw value, source): the number of the file line
     # that sets it, or the override's text; the last source wins
     given = {(section, key): (raw, lines.get((section, key)))
@@ -376,8 +378,9 @@ def read_manifest(path, command: str | None = None) -> dict:
             and all(isinstance(entry, dict) for entry in artifacts.values())):
         raise FileFormatError(
             f"{path}: manifest 'artifacts' does not map names to records")
-    if command not in (None, payload.get("command")):
-        raise ConfigurationError(f"{path} holds the manifest of a "
-                                 f"{payload.get('command')} run, not of a "
-                                 f"{command} run")
+    kind = payload.get("command")
+    if command not in (None, kind):
+        run = "a run that names no command" if kind is None else f"a {kind} run"
+        raise ConfigurationError(f"{path} holds the manifest of {run}, not of "
+                                 f"a {command} run")
     return payload

@@ -2,7 +2,9 @@
 
 The simulator draws pair birth positions from a scene-derived density on the
 oversampled grid, applies the pair correlation model and a camera profile,
-and bins photons into sensor frames.
+and bins photons into sensor frames.  Each photon of a chunk is kept as its
+flat (frame, y, x) index; the camera then bins and renders the chunk
+RENDER_BLOCK frames at a time, so no whole-chunk counts array is made.
 
 Correlation model: the two photons of a pair land at ``x + xi_1`` and, in the
 near-field geometry, ``x + xi_2`` (far field: ``C - x + xi_2`` with
@@ -32,6 +34,8 @@ from .jpd import (DEFAULT_BAND_RADIUS, Jpd, _partners, check_mode,
 from .scenes import Scene
 
 SIM_CHUNK_FRAMES = 4096
+# frames binned and rendered at a time; the random streams stay per chunk
+RENDER_BLOCK = 512
 # the largest mean number of pairs or photons per frame; numpy's Poisson
 # sampler refuses means above about 9.2e18
 MAX_RATE = 1e18
@@ -42,6 +46,15 @@ _STAGE_CAMERA = 1
 # ---------------------------------------------------------------------------
 # camera profiles
 
+def _render_blocks(counts, dtype, fill) -> np.ndarray:
+    """The frames of *counts* in a new array of *dtype*, filled by
+    ``fill(block_counts, out_block, start)`` one block at a time."""
+    out = np.empty(counts.shape, dtype)
+    for a in range(0, len(out), RENDER_BLOCK):
+        fill(counts[a:a + RENDER_BLOCK], out[a:a + RENDER_BLOCK], a)
+    return out
+
+
 @dataclass(frozen=True)
 class IdealCamera:
     """Noiseless photon counting, saturating at the u16 full scale 65535
@@ -50,10 +63,17 @@ class IdealCamera:
 
     name: ClassVar[str] = "ideal"
 
-    def render(self, counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        if counts.max() > 65535:  # in-range chunks need no int32 temporary
-            counts = np.minimum(counts, 65535)
-        return counts.astype(np.uint16)
+    def render(self, counts, rng: np.random.Generator) -> np.ndarray:
+        """The frames of the photon *counts* of n frames of h x w pixels:
+        anything with ``.shape == (n, h, w)`` whose ``counts[a:b]`` is the
+        int32 counts of frames a to b - 1, such as an ndarray, or the
+        simulator's chunk source, which bins a block of frames when it is
+        sliced.  Frames are rendered RENDER_BLOCK at a time, so only one
+        block's counts are held; *counts* is not written to."""
+        # clipped in int32 and cast into the u16 block; np.clip's cast is
+        # faster than np.minimum's
+        return _render_blocks(counts, np.uint16, lambda c, out, a: np.clip(
+            c, 0, 65535, out=out, casting="unsafe"))
 
     def invalid_pair_separation(self, dy, dx):
         return (np.asarray(dy) == 0) & (np.asarray(dx) == 0)
@@ -84,17 +104,25 @@ class EmccdCamera:
                 and 0 <= self.smear < 1):
             raise ConfigurationError("EMCCD noise parameters out of range")
 
-    def render(self, counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        n = counts.shape[0]
-        gains = rng.normal(self.gain_mean, self.gain_cv * self.gain_mean, n)
-        analog = counts * gains[:, None, None]
-        if self.smear > 0:
-            # charge leaks down the readout column: out[y] = in[y] + smear*out[y-1]
-            for y in range(1, analog.shape[1]):
-                analog[:, y] += self.smear * analog[:, y - 1]
-        analog += rng.normal(0.0, self.read_sigma, analog.shape)
-        np.clip(analog, 0, 65535, out=analog)
-        return np.round(analog, out=analog).astype(np.uint16)
+    def render(self, counts, rng: np.random.Generator) -> np.ndarray:
+        """The frames of *counts*, read as :meth:`IdealCamera.render`
+        reads them."""
+        # all n gains first, then the read noise block by block: consecutive
+        # normal draws are bit for bit one whole draw
+        gains = rng.normal(self.gain_mean, self.gain_cv * self.gain_mean,
+                           counts.shape[0])
+
+        def fill(c, out, a):
+            analog = c * gains[a:a + len(c), None, None]
+            if self.smear > 0:
+                # charge leaks down the readout column: out[y] = in[y] + smear*out[y-1]
+                for y in range(1, analog.shape[1]):
+                    analog[:, y] += self.smear * analog[:, y - 1]
+            analog += rng.normal(0.0, self.read_sigma, analog.shape)
+            np.clip(analog, 0, 65535, out=analog)
+            out[...] = np.round(analog, out=analog)
+
+        return _render_blocks(counts, np.uint16, fill)
 
     def invalid_pair_separation(self, dy, dx):
         dy = np.asarray(dy)
@@ -110,8 +138,11 @@ class SpadCamera:
 
     name: ClassVar[str] = "spad"
 
-    def render(self, counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        return counts >= 1
+    def render(self, counts, rng: np.random.Generator) -> np.ndarray:
+        """The frames of *counts*, read as :meth:`IdealCamera.render`
+        reads them."""
+        return _render_blocks(counts, np.bool_, lambda c, out, a: np.greater_equal(
+            c, 1, out=out))
 
     def invalid_pair_separation(self, dy, dx):
         return (np.abs(dy) <= 1) & (np.abs(dx) <= 1)
@@ -208,17 +239,35 @@ def _seed_entropy(seed) -> tuple[int, ...]:
     return tuple(map(int, entries))
 
 
-def _bin_photons(counts: np.ndarray, frame_of: np.ndarray,
-                 py: np.ndarray, px: np.ndarray, size: int) -> None:
-    # pixel floor(p + 0.5); only positions on the sensor are cast, where
-    # truncation is that floor and the cast is defined
-    y, x = py + 0.5, px + 0.5
-    ok = (y >= 0) & (y < size) & (x >= 0) & (x < size)
-    flat = ((frame_of[ok] * size + y[ok].astype(np.int64)) * size
-            + x[ok].astype(np.int64))
-    # a 1-D index and a value of the counts' own dtype take numpy's fast
-    # path for ufunc.at
-    np.add.at(counts.reshape(-1), flat, np.int32(1))
+class _ChunkCounts:
+    """The photon counts of a chunk's *n* frames of *size* x *size* pixels,
+    binned a slice of frames at a time (the cameras' ``counts``)."""
+
+    def __init__(self, n: int, size: int):
+        # flat photon indices, each array in frame order
+        self.shape, self._photons = (n, size, size), []
+
+    def add(self, frame_of: np.ndarray, py: np.ndarray, px: np.ndarray) -> None:
+        """Add photons at (py, px) in the frames *frame_of*, which is sorted."""
+        size = self.shape[1]
+        # pixel floor(p + 0.5); only positions on the sensor are cast, where
+        # truncation is that floor and the cast is defined
+        y, x = py + 0.5, px + 0.5
+        ok = (y >= 0) & (y < size) & (x >= 0) & (x < size)
+        self._photons.append((frame_of[ok] * size + y[ok].astype(np.int64))
+                             * size + x[ok].astype(np.int64))
+
+    def __getitem__(self, key: slice) -> np.ndarray:
+        a, b, _ = key.indices(self.shape[0])
+        counts = np.zeros((b - a, *self.shape[1:]), dtype=np.int32)
+        pixels = counts[0].size
+        for flat in self._photons:
+            # the frames are sorted, so the slice's photons are contiguous
+            lo, hi = np.searchsorted(flat, (a * pixels, b * pixels))
+            # a 1-D index and a value of the counts' own dtype take numpy's
+            # fast path for ufunc.at
+            np.add.at(counts.reshape(-1), flat[lo:hi] - a * pixels, np.int32(1))
+        return counts
 
 
 def _sorted_search(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -248,9 +297,8 @@ def _render_chunk(scene: Scene, cum: np.ndarray, rate: float, n: int,
     x = -0.5 + (jx + rng_e.random(tot)) / f
     del jy, jx
     frame_of = np.repeat(np.arange(n), frame_counts)
-    counts = np.zeros((n, m, m), dtype=np.int32)
-    photons(rng_e, y, x,
-            lambda py, px: _bin_photons(counts, frame_of, py, px, m))
+    counts = _ChunkCounts(n, m)
+    photons(rng_e, y, x, lambda py, px: counts.add(frame_of, py, px))
     del y, x, frame_of
     return camera.render(
         counts, np.random.default_rng((*entropy, _STAGE_CAMERA, chunk)))
@@ -263,9 +311,10 @@ def _simulate(scene: Scene, p: np.ndarray, rate: float, n_frames: int,
     for.  A chunk is Poisson events per frame and event sites drawn from
     the normalized density *p*; then ``photons(rng, y, x, emit)`` draws any
     further randomness and calls ``emit(py, px)`` per photon of an event,
-    which bins those positions at once (one photon's arrays are alive at a
-    time), and the counts render.  The rate, the frame count and the seed
-    are checked when this is called, before any chunk is rendered."""
+    which keeps those positions' flat indices (one photon's position arrays
+    are alive at a time), and the camera bins and renders them.  The rate,
+    the frame count and the seed are checked when this is called, before
+    any chunk is rendered."""
     if not 0 < rate <= MAX_RATE or n_frames < 1:
         raise ConfigurationError(f"need 0 < rate <= {MAX_RATE:g} events per "
                                  f"frame and n_frames >= 1, got rate {rate!r} "
@@ -282,8 +331,7 @@ def _simulate(scene: Scene, p: np.ndarray, rate: float, n_frames: int,
 
 def _stack(chunks: Iterator[np.ndarray], n_frames: int) -> np.ndarray:
     """The frames of *chunks* in one preallocated (n_frames, h, w) array."""
-    out = None
-    start = 0
+    out, start = None, 0
     for chunk in chunks:
         if out is None:
             out = np.empty((n_frames, *chunk.shape[1:]), dtype=chunk.dtype)
@@ -304,11 +352,12 @@ def simulate_chunks(scene: Scene, mode: str = "near", sigma: float = 0.25,
         raise ConfigurationError(f"need finite sigma >= 0, got {sigma!r}")
 
     def pair(rng, y, x, emit):
-        # the jitter is the chunk's last event draw
-        jit = rng.normal(0.0, sigma / math.sqrt(2.0), (2, 2, y.size))
-        emit(y + jit[0, 0], x + jit[0, 1])
-        emit(reflect(mode, y, scene.size) + jit[1, 0],
-             reflect(mode, x, scene.size) + jit[1, 1])
+        # the jitter is the chunk's last event draw, one photon's at a time
+        jit = rng.normal(0.0, sigma / math.sqrt(2.0), (2, y.size))
+        emit(y + jit[0], x + jit[1])
+        jit = rng.normal(0.0, sigma / math.sqrt(2.0), (2, y.size))
+        emit(reflect(mode, y, scene.size) + jit[0],
+             reflect(mode, x, scene.size) + jit[1])
 
     return _simulate(scene, _normalized_density(scene, mode, density),
                      pair_rate, n_frames, camera, seed, pair)

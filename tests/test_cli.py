@@ -492,6 +492,27 @@ def test_each_command_takes_only_its_own_record(tmp_path, config_path,
     assert not csv.exists()
 
 
+def test_an_incomplete_simulate_record_is_named(tmp_path, capsys):
+    # an error in a record's embedded config names the record, with no line
+    # number (it would count lines of a string inside the JSON)
+    record = tmp_path / "m3.json"
+    out = tmp_path / "r"
+    argv = ["reconstruct", "--frames", str(tmp_path / "frames.bpsr"),
+            "--manifest", str(record), "--out", str(out)]
+    simulate = {"tool": "jpdkit", "command": "simulate"}
+    for payload, message in (
+            ({**simulate, "config": "[scene]\nkind = grating\n"},
+             f"{record}: [scene] size: required setting is missing"),
+            (simulate, f"{record}: [scene] kind: required setting is missing"),
+            ({"tool": "jpdkit", "config": INI},
+             f"{record} holds the manifest of a run that names no command, "
+             "not of a simulate run")):
+        record.write_text(json.dumps(payload))
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("override, message", [
     # the INI's 16-pixel scene at its own band radius line
     ("processing.band_radius=16",

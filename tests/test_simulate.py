@@ -13,9 +13,10 @@ from jpdkit.errors import ConfigurationError, DegenerateDensityError
 from jpdkit.jpd import (accumulate_jpd, minus_projection, structural_validity,
                         sum_projection)
 from jpdkit.scenes import Scene, grating, half_pixel_average, uniform
-from jpdkit.simulate import (SIM_CHUNK_FRAMES, EmccdCamera, IdealCamera,
-                             SpadCamera, _axis_capture, _bin_photons,
-                             _normalized_density, _sorted_search, analytic_jpd,
+from jpdkit.simulate import (RENDER_BLOCK, SIM_CHUNK_FRAMES, EmccdCamera,
+                             IdealCamera, SpadCamera, _axis_capture,
+                             _ChunkCounts, _normalized_density,
+                             _sorted_search, analytic_jpd,
                              camera_by_name, classical_fringe,
                              interference_rate, noon_density, simulate_chunks,
                              simulate_frames, simulate_intensity_frames)
@@ -132,23 +133,122 @@ def test_sorted_search_equals_searchsorted(case):
     assert np.array_equal(_sorted_search(cum, u), np.searchsorted(cum, u))
 
 
-def test_flat_binning_equals_indexed_add_at():
-    # the flat, same-dtype np.add.at bins exactly as the (frame, y, x) one,
-    # past the u16 full scale too (70 000 photons in one pixel)
+@pytest.mark.parametrize("n", [1, RENDER_BLOCK - 1, RENDER_BLOCK,
+                               RENDER_BLOCK + 1, 1100])
+def test_block_binning_equals_indexed_add_at(n):
+    # a chunk's counts, binned a block of frames at a time by the flat,
+    # same-dtype np.add.at, equal the (frame, y, x) one
     rng = np.random.default_rng(4)
-    n, m = 3, 5
-    py = np.concatenate([rng.uniform(-3, m + 2, 9000), np.full(70000, 1.2)])
-    px = np.concatenate([rng.uniform(-3, m + 2, 9000), np.full(70000, 3.4)])
-    frame_of = np.concatenate([rng.integers(0, n, 9000), np.full(70000, 2)])
-    counts = np.zeros((n, m, m), dtype=np.int32)
-    _bin_photons(counts, frame_of, py, px, m)
-    y, x = py + 0.5, px + 0.5
-    ok = (y >= 0) & (y < m) & (x >= 0) & (x < m)
+    m = 5
+    # photons in the last frame of each block and the first of the next
+    edges = [f for b in range(RENDER_BLOCK, n, RENDER_BLOCK) for f in (b - 1, b)]
+    frame_of = np.sort(np.concatenate([rng.integers(0, n, 9000),
+                                       np.repeat(edges, 40).astype(int)]))
+    source = _ChunkCounts(n, m)
     reference = np.zeros((n, m, m), dtype=np.int32)
-    np.add.at(reference, (frame_of[ok], y[ok].astype(np.int64),
-                          x[ok].astype(np.int64)), 1)
-    assert np.array_equal(counts, reference)
-    assert counts[2, 1, 3] > 70000
+    # one array per photon of a pair; the second adds 70 000 photons to
+    # one pixel of the last frame, past the u16 full scale
+    for extra in (0, 70000):
+        f = np.concatenate([frame_of, np.full(extra, n - 1)])
+        # some positions are off the sensor
+        py = np.concatenate([rng.uniform(-3, m + 2, frame_of.size),
+                             np.full(extra, 1.2)])
+        px = np.concatenate([rng.uniform(-3, m + 2, frame_of.size),
+                             np.full(extra, 3.4)])
+        source.add(f, py, px)
+        y, x = py + 0.5, px + 0.5
+        ok = (y >= 0) & (y < m) & (x >= 0) & (x < m)
+        np.add.at(reference, (f[ok], y[ok].astype(np.int64),
+                              x[ok].astype(np.int64)), 1)
+    blocks = [source[a:a + RENDER_BLOCK] for a in range(0, n, RENDER_BLOCK)]
+    assert source.shape == (n, m, m)
+    assert all(block.dtype == np.int32 for block in blocks)
+    assert np.array_equal(np.concatenate(blocks), reference)
+    assert np.array_equal(source[n // 3:n], reference[n // 3:])
+    assert reference[n - 1, 1, 3] >= 70000
+    assert reference.sum() < 2 * frame_of.size + 70000
+    assert all(reference[e].any() for e in edges)
+
+
+@st.composite
+def block_counts(draw):
+    """Counts of n frames (n on both sides of block edges), as an ndarray
+    and as the simulator's block source; a few pixels past the u16 scale."""
+    n = draw(st.sampled_from([1, 2, RENDER_BLOCK - 1, RENDER_BLOCK,
+                              RENDER_BLOCK + 1, 2 * RENDER_BLOCK + 3]))
+    m = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    counts = rng.poisson(draw(st.sampled_from([0.0, 0.3, 4.0])),
+                         (n, m, m)).astype(np.int32)
+    counts.flat[rng.integers(0, counts.size, draw(st.integers(0, 2)))] = 70000
+    # one photon at each pixel centre per count, frames in order
+    frame, y, x = np.unravel_index(
+        np.repeat(np.arange(counts.size), counts.ravel()), counts.shape)
+    source = _ChunkCounts(n, m)
+    source.add(frame, y.astype(float), x.astype(float))
+    return counts, source
+
+
+def _whole_chunk_render(camera, counts, rng):
+    """Each camera's render of a whole chunk at once, as it was before
+    chunks were rendered in blocks of frames."""
+    if isinstance(camera, SpadCamera):
+        return counts >= 1
+    if isinstance(camera, IdealCamera):
+        return np.minimum(counts, 65535).astype(np.uint16)
+    n = counts.shape[0]
+    gains = rng.normal(camera.gain_mean, camera.gain_cv * camera.gain_mean, n)
+    analog = counts * gains[:, None, None]
+    for y in range(1, analog.shape[1]):
+        analog[:, y] += camera.smear * analog[:, y - 1]
+    analog += rng.normal(0.0, camera.read_sigma, analog.shape)
+    np.clip(analog, 0, 65535, out=analog)
+    return np.round(analog, out=analog).astype(np.uint16)
+
+
+@settings(max_examples=60, deadline=None)
+@given(block_counts(), st.sampled_from([
+    IdealCamera(), SpadCamera(), EmccdCamera(),
+    EmccdCamera(gain_mean=300.0, gain_cv=0.4, read_sigma=5.0, smear=0.2)]),
+    st.integers(0, 2 ** 32 - 1))
+def test_block_render_equals_whole_chunk_render(case, camera, seed):
+    counts, source = case
+    expected = _whole_chunk_render(camera, counts.copy(),
+                                   np.random.default_rng(seed))
+    given_counts = counts.copy()
+    out = camera.render(given_counts, np.random.default_rng(seed))
+    assert out.dtype == expected.dtype
+    assert out.tobytes() == expected.tobytes()
+    # the counts are only read
+    assert np.array_equal(given_counts, counts)
+    # the simulator's source bins the same counts block by block
+    out = camera.render(source, np.random.default_rng(seed))
+    assert out.tobytes() == expected.tobytes()
+
+
+class _ForwardingCamera:
+    """Forwards only ``render`` and ``invalid_pair_separation``, as a
+    timing proxy around a camera does."""
+
+    def __init__(self, camera):
+        self._camera = camera
+
+    def render(self, counts, rng):
+        return self._camera.render(counts, rng)
+
+    def invalid_pair_separation(self, dy, dx):
+        return self._camera.invalid_pair_separation(dy, dx)
+
+
+def test_forwarding_camera_gives_the_same_stack():
+    scene = grating(8, period=3.0, duty=0.5)
+    for camera in (IdealCamera(), SpadCamera(),
+                   EmccdCamera(gain_mean=50.0, gain_cv=0.1, read_sigma=2.0,
+                               smear=0.1)):
+        stacks = [simulate_frames(scene, "far", 0.4, 3.0, RENDER_BLOCK + 7,
+                                  camera=cam, seed=5)
+                  for cam in (camera, _ForwardingCamera(camera))]
+        assert stacks[0].tobytes() == stacks[1].tobytes()
 
 
 def test_photon_bookkeeping_with_delta_density():
