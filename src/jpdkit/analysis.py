@@ -28,16 +28,23 @@ def spectrum_along_axis(image: GridImage, axis: int = 0,
     axis, normalized to the zero-frequency bin.
 
     Returns (frequencies in cycles per camera pixel, relative amplitudes).
+    This is the one check of a spectrum's input: the image must be a
+    non-empty 2-D array of booleans, integers or reals, and the pitch a
+    finite, positive number that is not a bool; anything else is a
+    :class:`ConfigurationError`.
     """
-    values = np.asarray(image.values, dtype=np.float64)
-    if values.ndim != 2:
-        raise ConfigurationError("spectrum needs a 2-D image")
+    values = np.asarray(image.values)
+    if values.ndim != 2 or values.size == 0 or values.dtype.kind not in "biuf":
+        raise ConfigurationError(
+            "spectrum needs a non-empty 2-D image of booleans, integers or "
+            f"reals, got {values.dtype} of shape {values.shape}")
     if axis not in (0, 1):
         raise ConfigurationError("axis must be 0 (y) or 1 (x)")
     pitch = image.pitch
-    if not (isinstance(pitch, numbers.Real) and 0 < pitch < np.inf):
-        raise ConfigurationError(f"pitch must be finite and > 0, got {pitch!r}")
-    work = values if axis == 0 else values.T
+    if isinstance(pitch, bool) or not (isinstance(pitch, numbers.Real)
+                                       and 0 < pitch < np.inf):
+        raise ConfigurationError(f"pitch must be a finite number > 0, got {pitch!r}")
+    work = np.asarray(values if axis == 0 else values.T, dtype=np.float64)
     n = work.shape[0]
     if window == "hann":
         work = work * np.hanning(n)[:, None]

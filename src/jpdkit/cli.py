@@ -9,8 +9,10 @@ Three subcommands cover the standard workflow:
 Every run directory gets a manifest with SHA-256 digests of its artifacts
 and no volatile content, so identical inputs reproduce identical bytes.
 
-Exit codes: 0 success, 2 configuration or usage error, 3 unreadable or
-malformed file, 4 processing failure on valid inputs.
+Exit codes: 0 success, else the code :data:`jpdkit.errors.EXIT_CODES`
+gives the error's category (2 configuration or usage error, 3 unreadable or
+malformed file, 4 processing failure on valid inputs), after one ``error:``
+line on stderr.
 """
 
 from __future__ import annotations
@@ -26,10 +28,10 @@ import numpy as np
 from ._version import __version__
 from .analysis import spectrum_along_axis
 from .config import (_PARSERS, DEFAULTS, _float_range, artifact_entry,
-                     build_camera, build_manifest, build_scene, load_config,
-                     parse_config, read_manifest, setting_error, sized_by,
+                     build_camera, build_manifest, build_scene, cite,
+                     load_config, parse_config, read_manifest, sized_by,
                      write_manifest)
-from .errors import ConfigurationError, FileFormatError, ProcessingError
+from .errors import EXIT_CODES, ConfigurationError, FileFormatError
 from .frames import open_frames, stack_bytes, write_frame_chunks
 from .images import GridImage, write_pgm16, write_spectrum_csv
 from .jpd import MODES, write_jpd_snapshot
@@ -129,9 +131,9 @@ def _check_free_space(config, out: Path, size: int) -> None:
     where = next(p for p in (out, *out.parents) if p.exists())
     free = shutil.disk_usage(where).free
     if size > free:
-        raise setting_error(config, ("pairs.frames", "scene.size"),
-                            f"make a {size}-byte frames.bpsr, but {where} "
-                            f"has {free} bytes free")
+        raise ConfigurationError(
+            f"{cite(config, 'pairs.frames', 'scene.size')} make a {size}-byte "
+            f"frames.bpsr, but {where} has {free} bytes free")
 
 
 def _cmd_simulate(args) -> int:
@@ -144,9 +146,10 @@ def _cmd_simulate(args) -> int:
         density, rate = noon_acquisition(scene, pairs["shift"],
                                          pairs["contrast"], rate)
         if rate == 0:
-            raise setting_error(config, ("pairs.shift", "pairs.contrast"),
-                                "leave the NOON acquisition no pair flux")
-    with sized_by(config, "pairs.rate", "pairs.frames"):
+            raise ConfigurationError(
+                f"{cite(config, 'pairs.shift', 'pairs.contrast')} leave the "
+                "NOON acquisition no pair flux")
+    with sized_by(cite(config, "pairs.rate", "pairs.frames")):
         chunks = simulate_chunks(scene, pairs["mode"], pairs["sigma"], rate,
                                  pairs["frames"], camera, config.seed,
                                  density)
@@ -199,8 +202,10 @@ def _cmd_reconstruct(args) -> int:
     # get the conservative profile (its invalid set covers the ideal one's)
     camera = camera_by_name(args.camera or profile or (
         "spad" if frames.dtype == np.bool_ else "emccd"))
-    result = reconstruct(frames, mode=mode, camera=camera,
-                         chunk_size=settings.pop("chunk"), **settings)
+    with sized_by("{1}x{2} frames, band_radius = {band_radius} and chunk = "
+                  "{chunk}".format(*frames.shape, **settings)):
+        result = reconstruct(frames, mode=mode, camera=camera,
+                             chunk_size=settings.pop("chunk"), **settings)
 
     out = _out_dir(args.out)
     write_jpd_snapshot(out / "jpd.bjpd", result.jpd)
@@ -226,12 +231,19 @@ def _cmd_spectrum(args) -> int:
     entry = manifest.get("artifacts", {}).get(Path(args.input).name, {})
     pitch = args.pitch or entry.get("pitch", 1.0)
     try:
-        values = np.load(args.input)
-    except ValueError as exc:
+        # mapped, not read: a header that claims more than the file holds,
+        # or a size that overflows, is refused before anything is allocated
+        with np.errstate(over="raise"):
+            values = np.lib.format.open_memmap(args.input, mode="r")
+    except (ValueError, ArithmeticError) as exc:
         raise FileFormatError(f"{args.input} is not a valid array file: {exc}") \
             from exc
-    freqs, amps = spectrum_along_axis(GridImage(values, pitch=pitch),
-                                      axis=args.axis, window=args.window)
+    # a non-finite image fails the zero-frequency check (exit 4) without a
+    # floating-point warning on the way
+    with sized_by(f"an image of shape {values.shape} and its spectrum"), \
+            np.errstate(all="ignore"):
+        freqs, amps = spectrum_along_axis(GridImage(values, pitch=pitch),
+                                          axis=args.axis, window=args.window)
     write_spectrum_csv(args.out, freqs, amps)
     print(f"wrote {len(freqs)} spectral bins to {args.out}")
     return 0
@@ -241,15 +253,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigurationError as exc:
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (FileFormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ProcessingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return next(code for category, code in EXIT_CODES.items()
+                    if isinstance(exc, category))
 
 
 if __name__ == "__main__":

@@ -295,27 +295,28 @@ def load_config(path, overrides: list[str] | None = None) -> RunConfig:
     return parse_config(text, overrides)
 
 
-def setting_error(config: RunConfig, names, message: str) -> ConfigurationError:
-    """A ConfigurationError that cites the ``section.key`` settings *names*
-    with their values, then *message*."""
-    values = [f"{name} = {_format_value(getattr(config, section)[key])}"
-              for name in names for section, key in [name.split(".")]]
-    return ConfigurationError(f"{' and '.join(values)} {message}")
+def cite(config: RunConfig, *names: str) -> str:
+    """The ``section.key`` settings *names* with their values, as an error
+    message that blames them begins."""
+    return " and ".join(
+        f"{name} = {_format_value(getattr(config, section)[key])}"
+        for name in names for section, key in [name.split(".")])
 
 
 @contextmanager
-def sized_by(config: RunConfig, *names: str):
-    """Re-raise a MemoryError of the block as a ConfigurationError that
-    names the ``section.key`` settings which size the allocation."""
+def sized_by(what: str):
+    """Re-raise a MemoryError of the block as a ConfigurationError (exit 2)
+    that says *what* sizes the allocation: the settings, frames or image.
+    The one memory rule of the commands."""
     try:
         yield
     except MemoryError:
-        raise setting_error(config, names, "need more memory than is "
-                            "available") from None
+        raise ConfigurationError(f"{what} need more memory than is "
+                                 "available") from None
 
 
 def build_scene(config: RunConfig) -> Scene:
-    with sized_by(config, "scene.size", "scene.oversample"):
+    with sized_by(cite(config, "scene.size", "scene.oversample")):
         return SCENES[config.scene["kind"]](**_applicable(config.scene, "scene"))
 
 
@@ -369,7 +370,8 @@ def read_manifest(path, command: str | None = None) -> dict:
         raise FileFormatError(f"manifest {path} is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("tool") != TOOL_NAME:
         raise FileFormatError(f"{path} is not a {TOOL_NAME} manifest")
-    # the fields a later stage reads
+    # the commands read only "config" and "artifacts"; "camera" and "mode"
+    # describe the run to a reader, and are checked all the same
     for key in ("config", "camera", "mode"):
         if not isinstance(payload.get(key, ""), str):
             raise FileFormatError(f"{path}: manifest {key!r} is not a string")

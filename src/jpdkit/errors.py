@@ -2,10 +2,12 @@
 
 Every error raised deliberately by this package derives from
 :class:`JpdkitError`.  The command line interface maps the three broad
-categories onto distinct exit codes:
+categories onto distinct exit codes, which :data:`EXIT_CODES` defines:
 
-* configuration problems (bad scene files, invalid parameter values) exit 2,
-* file format problems (corrupt or truncated stacks, unreadable paths) exit 3,
+* configuration problems (bad scene files, invalid parameter values,
+  inputs the available memory cannot hold) exit 2,
+* file format problems (corrupt or truncated stacks or arrays, unreadable
+  paths: an ``OSError`` too) exit 3,
 * processing problems (shape mismatches, empty filters, degenerate planes,
   stacks too long to accumulate exactly) exit 4.
 """
@@ -59,3 +61,8 @@ class DegeneratePlaneError(ProcessingError):
 
 class DegenerateDensityError(ProcessingError):
     """A scene density is empty, negative or not normalizable."""
+
+
+# the command line's exit code for an error of each category
+EXIT_CODES = {ConfigurationError: 2, FileFormatError: 3, OSError: 3,
+              ProcessingError: 4}

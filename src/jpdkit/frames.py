@@ -59,12 +59,18 @@ def _row_bytes(width: int, dtype) -> int:
     return (width + 7) // 8 if dtype == bool else width * dtype.itemsize
 
 
+def check_stack_shape(shape) -> None:
+    """Refuse a frame stack *shape* that is not (count, height, width) with
+    non-empty frames; the writer and the accumulator both apply it."""
+    if len(shape) != 3:
+        raise FrameShapeError(f"frame stack must be 3-D, got shape {shape}")
+    if shape[1] == 0 or shape[2] == 0:
+        raise FrameShapeError("frames must have non-zero height and width")
+
+
 def _sample_code(frames: np.ndarray) -> int:
     """The header's sample code of a chunk; its shape is checked too."""
-    if frames.ndim != 3:
-        raise FrameShapeError(f"frame stack must be 3-D, got shape {frames.shape}")
-    if frames.shape[1] == 0 or frames.shape[2] == 0:
-        raise FrameShapeError("frames must have non-zero height and width")
+    check_stack_shape(frames.shape)
     if max(frames.shape) > MAX_FIELD:
         raise FrameShapeError(
             f"frame stack shape {frames.shape} exceeds the header's u32 "
@@ -92,11 +98,13 @@ def write_frame_chunks(path, chunks) -> None:
 
     Each chunk is a (count, height, width) array as :func:`write_frames`
     takes, and every chunk has the first one's height, width and dtype.
-    The first chunk is checked before *path* is opened.  If a later chunk
-    is refused, or producing it raises, the partial file is removed.
+    The first chunk is checked before *path* is opened, so no chunk at all
+    is refused then.  If a later chunk is refused, or producing it raises,
+    the partial file is removed.
     """
     chunks = iter(chunks)
-    first = np.asarray(next(chunks))
+    # no chunk at all reads as an empty 1-D array, which is no stack shape
+    first = np.asarray(next(chunks, ()))
     code = _sample_code(first)
     height, width = first.shape[1:]
     stream = itertools.chain([first], chunks)

@@ -43,12 +43,11 @@ import numpy as np
 from .errors import (
     ConfigurationError,
     FileFormatError,
-    FrameShapeError,
     InsufficientDataError,
     PrecisionError,
     StateError,
 )
-from .frames import FrameSource, unpack_header
+from .frames import FrameSource, check_stack_shape, unpack_header
 from .images import GridImage
 
 MODES = ("near", "far")  # the imaging geometries
@@ -163,13 +162,10 @@ def _check_args(frames, mode: str, band_radius: int):
     as the :class:`~jpdkit.frames.FrameSource` it is."""
     if not isinstance(frames, FrameSource):
         frames = np.asarray(frames)
-    if frames.ndim != 3:
-        raise FrameShapeError(f"frame stack must be 3-D, got shape {frames.shape}")
+    check_stack_shape(frames.shape)
     if frames.shape[0] < 2:
         raise InsufficientDataError(
             f"estimator needs at least 2 frames, got {frames.shape[0]}")
-    if frames.shape[1] < 1 or frames.shape[2] < 1:
-        raise FrameShapeError("frames must be non-empty")
     check_mode(mode)
     if band_radius < 0:
         raise ConfigurationError("band radius must be >= 0")

@@ -53,8 +53,26 @@ def test_spectrum_axis_and_window():
         spectrum_along_axis(GridImage(np.zeros((8, 8))))
 
 
+def test_spectrum_takes_only_non_empty_2d_real_images():
+    # complex values would lose their imaginary part, dates would count
+    # days and fields would read as zeros, so each is refused by kind
+    for values in (np.ones((8, 8), dtype=complex), np.full((8, 8), "1"),
+                   np.arange(64).astype("M8[D]").reshape(8, 8),
+                   np.ones((8, 8), dtype=[("a", "<f8")]),
+                   np.ones((8, 8), dtype=object), np.ones((0, 5)),
+                   np.ones((5, 0)), np.ones(()), np.ones((2, 4, 4))):
+        with pytest.raises(ConfigurationError, match="non-empty 2-D image"):
+            spectrum_along_axis(GridImage(values))
+    rows = cosine_image().values
+    reference = spectrum_along_axis(GridImage(rows))
+    for values in (rows > 1, (rows * 100).astype(np.int16),
+                   (rows * 100).astype(np.uint8)):
+        freqs, amps = spectrum_along_axis(GridImage(values))
+        assert np.array_equal(freqs, reference[0]) and amps[0] == 1
+
+
 def test_spectrum_rejects_non_positive_or_non_finite_pitch():
-    for pitch in (0.0, -1.0, np.nan, np.inf, "0.5", None):
+    for pitch in (0.0, -1.0, np.nan, np.inf, "0.5", None, True):
         with pytest.raises(ConfigurationError, match="pitch"):
             spectrum_along_axis(cosine_image(pitch=pitch))
 

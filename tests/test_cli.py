@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -410,6 +411,92 @@ def test_malformed_files_exit_3(tmp_path):
     assert not (tmp_path / "u").exists()
 
 
+def test_spectrum_refuses_a_header_beyond_the_address_space(tmp_path,
+                                                           capsys):
+    # 10^7 x 10^7 float64 is 800 TB, beyond a 47-bit address space, so a
+    # whole read fails at once whatever the overcommit policy; the header
+    # alone, 128 bytes, claims more than the file holds
+    image = tmp_path / "claims.npy"
+    header = io.BytesIO()
+    np.lib.format.write_array_header_1_0(header, {
+        "descr": "<f8", "fortran_order": False, "shape": (10 ** 7, 10 ** 7)})
+    image.write_bytes(header.getvalue())
+    csv = tmp_path / "spec.csv"
+    assert main(["spectrum", "--input", str(image), "--out", str(csv)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {image} is not a valid array file: ")
+    assert err.count("\n") == 1
+    assert not csv.exists()
+
+
+def test_manifest_pitch_must_be_a_number_not_a_bool(tmp_path, capsys):
+    image = tmp_path / "image.npy"
+    np.save(image, np.ones((8, 8)))
+    manifest = tmp_path / "rec.json"
+    write_manifest(manifest, build_manifest(
+        "reconstruct", {"image.npy": {"pitch": True}}))
+    csv = tmp_path / "spec.csv"
+    assert main(["spectrum", "--input", str(image), "--manifest",
+                 str(manifest), "--out", str(csv)]) == 2
+    assert capsys.readouterr().err == (
+        "error: pitch must be a finite number > 0, got True\n")
+    assert not csv.exists()
+
+
+# the dtype kinds b, i, u, f, c, U, M and V (plain and structured), some
+# of them big-endian
+SPECTRUM_DTYPES = ["?", "<i2", ">i8", "u1", "<u4", "<f2", "<f4", ">f8",
+                   "<c8", ">c16", "<U3", "<M8[D]", "V3",
+                   [("a", "<f8"), ("b", "u1")]]
+
+
+@st.composite
+def npy_files(draw):
+    """The bytes of a .npy file, the array it was made from and how it was
+    made: whole, empty, cut short anywhere or cut to its header.  The array
+    has 0 to 3 sides of 0 to 5 entries and arbitrary bytes as values."""
+    dtype = np.dtype(draw(st.sampled_from(SPECTRUM_DTYPES)))
+    shape = tuple(draw(st.lists(st.integers(0, 5), max_size=3)))
+    size = int(np.prod(shape)) * dtype.itemsize
+    values = np.frombuffer(draw(st.binary(min_size=size, max_size=size)),
+                           dtype).reshape(shape)
+    buffer = io.BytesIO()
+    np.save(buffer, values)
+    data = buffer.getvalue()
+    how = draw(st.sampled_from(["whole", "empty", "cut", "header"]))
+    if how == "empty":
+        data = b""
+    elif how == "cut":
+        data = data[:draw(st.integers(0, len(data) - 1))]
+    elif how == "header":
+        data = data[:len(data) - values.nbytes]
+    return data, values, how
+
+
+@settings(max_examples=200, deadline=None)
+@given(npy_files(), st.sampled_from(["0", "1"]),
+       st.sampled_from(["hann", "none"]))
+def test_spectrum_over_npy_files(npy, axis, window):
+    data, values, how = npy
+    with tempfile.TemporaryDirectory() as tmp:
+        image, csv = Path(tmp) / "image.npy", Path(tmp) / "spec.csv"
+        image.write_bytes(data)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = _fuzz_main(["spectrum", "--input", str(image), "--axis",
+                               axis, "--window", window, "--out", str(csv)])
+        assert [w for w in caught
+                if not issubclass(w.category, ResourceWarning)] == []
+        assert csv.exists() == (code == 0)
+    if how != "whole" and (how != "header" or values.nbytes):
+        assert code == 3    # a file that holds less than its header claims
+    elif (values.ndim != 2 or values.size == 0
+          or values.dtype.kind not in "biuf"):
+        assert code == 2    # outside the image contract
+    else:
+        assert code in (0, 4)   # 4: a non-finite or zero-mean image
+
+
 def test_reconstruct_resolves_its_settings_before_reading_the_stack(
         tmp_path, monkeypatch):
     def unread(path):
@@ -658,6 +745,24 @@ def test_simulation_beyond_memory_exits_2(tmp_path, capsys, override, names):
                  "--out", str(out)]) == 2
     assert capsys.readouterr().err == (
         f"error: {names} need more memory than is available\n")
+    assert not out.exists()
+
+
+def test_reconstruct_beyond_memory_exits_2(tmp_path, capsys, monkeypatch):
+    stack = tmp_path / "stack.bpsr"
+    write_frames(stack, np.ones((5, 6, 7), dtype=np.uint16))
+
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(jpd_module, "_accumulate_chunk", exhausted)
+    out = tmp_path / "rec"
+    assert main(["reconstruct", "--frames", str(stack), "--camera", "ideal",
+                 "--band-radius", "2", "--chunk", "3",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: 6x7 frames, band_radius = 2 and chunk = 3 need more memory "
+        "than is available\n")
     assert not out.exists()
 
 

@@ -240,6 +240,14 @@ def test_chunk_writer_removes_its_partial_file(tmp_path, fault, error):
     assert not path.exists()
 
 
+def test_chunk_writer_refuses_no_chunks_and_leaves_no_file(tmp_path):
+    path = tmp_path / "stack.bpsr"
+    for chunks in ([], iter(())):
+        with pytest.raises(FrameShapeError, match="must be 3-D"):
+            write_frame_chunks(path, chunks)
+        assert not path.exists()
+
+
 @settings(max_examples=200, deadline=None)
 @given(frames=frame_stacks(), data=st.data())
 def test_source_slices_equal_the_read_stack(tmp_path_factory, frames, data):
