@@ -53,8 +53,12 @@ from .images import GridImage
 MODES = ("near", "far")  # the imaging geometries
 DEFAULT_BAND_RADIUS = 3
 DEFAULT_CHUNK_SIZE = 256
-TILE_WIDTH = 4  # pixel columns per band-kernel GEMM tile, fastest measured
+# pixel columns per band-kernel GEMM tile: 4 measured fastest, for the
+# float32 kernel too (grating_superres.ini reconstruct on 2 cores: 0.100 s
+# at 4 against 0.106 s at 8)
+TILE_WIDTH = 4
 EXACT_SUM_LIMIT = 2 ** 53  # float64 holds every integer below this exactly
+FLOAT32_SUM_LIMIT = 2 ** 24  # float32 holds every integer below this exactly
 
 
 @dataclass(frozen=True)
@@ -186,28 +190,39 @@ def accumulate_partial(frames: np.ndarray, mode: str = "near",
 def _accumulate_chunk(frames: np.ndarray, mode: str, band_radius: int,
                       scratch: dict) -> PartialJpd:
     """:func:`accumulate_partial` of a checked chunk.  Its ``pix`` and
-    ``dpad`` buffers come from *scratch* when a chunk of the same shape left
-    them there, and are left there for the next chunk; a chunk of another
-    shape replaces them.  Their padding is never written, so it is zeroed
-    only when they are allocated.  One *scratch* serves one band radius."""
+    ``dpad`` buffers come from *scratch* when a chunk of the same shape and
+    kernel dtype left them there, and are left there for the next chunk;
+    any other chunk replaces them.  Their padding is never written, so it is
+    zeroed only when they are allocated.  One *scratch* serves one band
+    radius."""
     h, w = frames.shape[1:]
     k = band_radius
     ky, kx = min(k, h - 1), min(k, w - 1)
     n = frames.shape[0] - 1
     b = TILE_WIDTH
     tiles = -(-w // b)
-    # Pixel-major float64 frames, zero-padded to whole tiles of b columns;
-    # a is a view of them, (h, tiles, b, n).  d_l = a_l - a_{l+1} goes
-    # straight into a partner buffer with kx zero columns on either side,
-    # and each tile's partner columns plus a kx-column halo on either side
-    # are an overlapping window view of it, (h, tiles, n, b + 2 kx).
+    # The kernel runs in float32 when every sum of the chunk is an integer
+    # below 2**24, and in float64 otherwise (accumulate_jpd has checked
+    # that integer sums stay below 2**53).  Either way every partial sum is
+    # exact under any summation order, so the float64 sums get the same
+    # bits from both kernels, whatever b, BLAS's blocking, the chunking or
+    # the thread count.
+    exact32 = (frames.dtype.kind in "biu"
+               and _range_past(frames, FLOAT32_SUM_LIMIT) is None)
+    dtype = np.float32 if exact32 else np.float64
+    # Pixel-major frames, zero-padded to whole tiles of b columns; a is a
+    # view of them, (h, tiles, b, n).  d_l = a_l - a_{l+1} goes straight
+    # into a partner buffer with kx zero columns on either side, and each
+    # tile's partner columns plus a kx-column halo on either side are an
+    # overlapping window view of it, (h, tiles, n, b + 2 kx).
     # Far field: plane u pairs r with c - r + u, so the partner rows and
     # columns are stored reversed, which turns plane u into offset -u.
-    if frames.shape not in scratch:
+    key = frames.shape, dtype
+    if key not in scratch:
         scratch.clear()
-        scratch[frames.shape] = (np.zeros((h, tiles * b, n + 1)),
-                                 np.zeros((h, tiles * b + 2 * kx, n)))
-    pix, dpad = scratch[frames.shape]
+        scratch[key] = (np.zeros((h, tiles * b, n + 1), dtype),
+                        np.zeros((h, tiles * b + 2 * kx, n), dtype))
+    pix, dpad = scratch[key]
     pix[:, :w] = np.moveaxis(frames, 0, -1)
     a = pix[..., :-1].reshape(h, tiles, b, n)
     sign = 1 if mode == "near" else -1
@@ -217,12 +232,9 @@ def _accumulate_chunk(frames: np.ndarray, mode: str, band_radius: int,
         dpad, b + 2 * kx, axis=1)[:, ::b]
     # Band-only GEMMs: one batched matmul per row offset dy gives
     # prod[y, t, i, j] = sum_l a_l(y, tb + i) d_l(partner row, tb + j - kx),
-    # so plane (dy, dx) is the diagonal at offset dx + kx.  Entries whose
-    # pixel or partner lies in the padding are computed as zeros and never
-    # stored.  Integer frames are exact in float64 under any summation order
-    # while every sum stays below 2**53 (accumulate_jpd checks this first),
-    # so the bits depend neither on b, nor on BLAS's blocking, nor on the
-    # chunking and thread count.
+    # so plane (dy, dx) is the diagonal at offset dx + kx, widened to
+    # float64 as it is stored.  Entries whose pixel or partner lies in the
+    # padding are computed as zeros and never stored.
     sums = np.zeros((2 * k + 1, 2 * k + 1, h, w))
     for dy in range(-ky, ky + 1):
         ya, yb = max(0, -dy), h - max(0, dy)
@@ -234,35 +246,49 @@ def _accumulate_chunk(frames: np.ndarray, mode: str, band_radius: int,
     return PartialJpd(mode, k, (h, w), sums, n)
 
 
-def _check_exact(frames, spans) -> None:
-    """Raise PrecisionError if the sums of an integer stack could reach
-    EXACT_SUM_LIMIT, where float64 stops holding integers exactly.
+def _range_past(frames, limit, spans=None):
+    """The value range (lo, hi) of the integer or bool stack *frames* if
+    its sums could reach *limit*; None when every sum stays below it.
 
     Every sum is bounded by n_terms * max|a| * max|a - a'|.  The dtype's
-    range decides this without reading the frames for every stack short
-    enough (u16: under about 2e6 frames); only beyond that is the stack's
-    own range used, read chunk by chunk over *spans*.  Bool stacks cannot
-    get there, and float stacks are not summed exactly in any case.
+    range decides this without reading the frames when it can (bool
+    against 2**24: under 2**24 terms; u16 against 2**53: under about 2e6
+    frames); only otherwise is the stack's own range read, chunk by chunk
+    over *spans* (by default the whole stack at once).
     """
-    if frames.dtype == np.bool_ or not np.issubdtype(frames.dtype, np.integer):
-        return
     n_terms = frames.shape[0] - 1
 
     def bound(lo, hi):
         return n_terms * max(-lo, hi) * (hi - lo)
 
-    info = np.iinfo(frames.dtype)
-    if bound(int(info.min), int(info.max)) < EXACT_SUM_LIMIT:
-        return
-    lo, hi = int(info.max), int(info.min)
-    for a, b in spans:
+    if frames.dtype == np.bool_:
+        lo, hi = 0, 1
+    else:
+        info = np.iinfo(frames.dtype)
+        lo, hi = int(info.min), int(info.max)
+    if bound(lo, hi) < limit:
+        return None
+    lo, hi = hi, lo
+    for a, b in spans or [(0, frames.shape[0])]:
         chunk = frames[a:b]
         lo, hi = min(lo, int(chunk.min())), max(hi, int(chunk.max()))
-    if bound(lo, hi) >= EXACT_SUM_LIMIT:
+    return None if bound(lo, hi) < limit else (lo, hi)
+
+
+def _check_exact(frames, spans) -> None:
+    """Raise PrecisionError if the sums of an integer or bool stack could
+    reach EXACT_SUM_LIMIT, where float64 stops holding integers exactly;
+    the stack's range is read chunk by chunk over *spans* when its dtype
+    cannot decide.  Float stacks are not summed exactly in any case."""
+    if frames.dtype.kind not in "biu":
+        return
+    over = _range_past(frames, EXACT_SUM_LIMIT, spans)
+    if over is not None:
+        lo, hi = over
         raise PrecisionError(
-            f"{n_terms} frame pairs with values in [{lo}, {hi}] may sum past "
-            f"{EXACT_SUM_LIMIT}, beyond which float64 accumulation is not "
-            "exact; split the stack")
+            f"{frames.shape[0] - 1} frame pairs with values in [{lo}, {hi}] "
+            f"may sum past {EXACT_SUM_LIMIT}, beyond which float64 "
+            "accumulation is not exact; split the stack")
 
 
 def merge_partials(parts) -> PartialJpd:
@@ -331,13 +357,18 @@ def _symmetrize(jpd: Jpd) -> Jpd:
     """
     planes, k, (h, w) = jpd.planes, jpd.band_radius, jpd.shape
     ab = np.arange(2 * k + 1)[::-1 if jpd.mode == "near" else 1]
-    # off-sensor partners are clipped onto it; np.where drops those entries
+    # off-sensor partners are clipped onto it; those entries are invalid,
+    # and keep their plane value
     py = np.clip(_partners(jpd.mode, k, h), 0, h - 1)
     px = np.clip(_partners(jpd.mode, k, w), 0, w - 1)
-    swapped = planes[ab[:, None, None, None], ab[None, :, None, None],
-                     py[:, None, :, None], px[None, :, None, :]]
-    return replace(jpd, planes=np.where(jpd.valid, 0.5 * (planes + swapped),
-                                        planes))
+    # the result is built in the gathered copy, so finalizing holds two
+    # bands and a mask at most
+    out = planes[ab[:, None, None, None], ab[None, :, None, None],
+                 py[:, None, :, None], px[None, :, None, :]]
+    out += planes
+    out *= 0.5
+    np.copyto(out, planes, where=~jpd.valid)
+    return replace(jpd, planes=out)
 
 
 def finalize_jpd(partial: PartialJpd, symmetrize: bool = True) -> Jpd:

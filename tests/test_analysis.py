@@ -5,7 +5,8 @@ from jpdkit.analysis import (banded_from_dense, dense_jpd_matrix,
                              local_noise_floor, peak_amplitude,
                              spectrum_along_axis, stripe_metric,
                              strongest_peak)
-from jpdkit.errors import ConfigurationError, ProcessingError
+from jpdkit.errors import (ConfigurationError, FrameShapeError,
+                           InsufficientDataError, ProcessingError)
 from jpdkit.images import GridImage
 from jpdkit.jpd import accumulate_jpd
 
@@ -141,7 +142,12 @@ def test_dense_matrix_literal_value():
     assert dense[1, 0] == pytest.approx(0.0)
     sym = dense_jpd_matrix(frames, symmetrize=True)
     assert sym[0, 1] == sym[1, 0] == pytest.approx(-4.25)
-    with pytest.raises(ConfigurationError):
+    # the accumulator's refusals, with its errors
+    with pytest.raises(InsufficientDataError):
         dense_jpd_matrix(frames[:1])
+    with pytest.raises(FrameShapeError):
+        dense_jpd_matrix(frames[0])
+    with pytest.raises(FrameShapeError):
+        dense_jpd_matrix(np.zeros((3, 0, 2)))
     with pytest.raises(ConfigurationError):
         banded_from_dense(dense, "near", 1, (2, 2))

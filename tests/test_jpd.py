@@ -1,5 +1,6 @@
 import dataclasses
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -157,13 +158,15 @@ def test_result_independent_of_chunking_and_workers():
 
 
 def test_reused_kernel_scratch_gives_fresh_buffer_sums():
-    # one scratch through chunks whose shape changes and changes back; 7
-    # columns leave padding in the 4-column tiles, which is never written
+    # one scratch through chunks whose shape or kernel dtype changes and
+    # changes back (a 65535 takes a chunk to float64); 7 columns leave
+    # padding in the 4-column tiles, which is never written
     rng = np.random.default_rng(2)
     scratch = {}
     for mode in jpd_module.MODES:
-        for n in (9, 9, 4, 9):
+        for n, top in ((9, 50), (9, 50), (4, 50), (9, 65535), (9, 50)):
             chunk = rng.integers(0, 50, size=(n, 6, 7), dtype=np.uint16)
+            chunk[1, 2, 3] = top
             reused = jpd_module._accumulate_chunk(chunk, mode, 2, scratch)
             assert np.array_equal(reused.sums,
                                   accumulate_partial(chunk, mode, 2).sums)
@@ -219,8 +222,14 @@ def test_banded_equals_dense_on_edge_shapes(frames, data):
     symmetrize = data.draw(st.booleans(), label="symmetrize")
     chunk = data.draw(st.integers(1, n), label="chunk_size")
     workers = data.draw(st.sampled_from([None, 2]), label="workers")
-    jpd = accumulate_jpd(frames, mode, k, chunk_size=chunk, workers=workers,
-                         symmetrize=symmetrize)
+    # the default limit lets bool and low-valued chunks run in float32;
+    # 0 holds every chunk to float64
+    limit = data.draw(st.sampled_from([jpd_module.FLOAT32_SUM_LIMIT, 0]),
+                      label="float32_limit")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(jpd_module, "FLOAT32_SUM_LIMIT", limit)
+        jpd = accumulate_jpd(frames, mode, k, chunk_size=chunk,
+                             workers=workers, symmetrize=symmetrize)
     ref = banded_from_dense(dense_jpd_matrix(frames, symmetrize=symmetrize),
                             mode, k, (h, w))
     assert np.array_equal(np.where(jpd.valid, ref, 0.0), jpd.planes)
@@ -233,6 +242,52 @@ def test_banded_equals_dense_on_edge_shapes(frames, data):
     assert np.array_equal(from_list.sums, from_iter.sums)
     assert from_list.n_terms == from_iter.n_terms == n - 1
     assert np.array_equal(parts[0].sums, first)
+
+
+def _kernel_dtype(scratch):
+    (_, dtype), = scratch
+    return np.dtype(dtype)
+
+
+def test_float32_kernel_only_below_the_limit(monkeypatch):
+    # 10 terms, values in [0, 9]: every sum is bounded by 10 * 9 * 9
+    frames = np.random.default_rng(3).integers(0, 10, (11, 5, 6),
+                                               dtype=np.uint16)
+    frames[2, 0, 0], frames[3, 0, 0] = 9, 0
+    bound = 10 * 9 * 9
+    sums = {}
+    for limit, dtype in ((bound, np.float64), (bound + 1, np.float32)):
+        monkeypatch.setattr(jpd_module, "FLOAT32_SUM_LIMIT", limit)
+        for mode in jpd_module.MODES:
+            scratch = {}
+            part = jpd_module._accumulate_chunk(frames, mode, 3, scratch)
+            assert _kernel_dtype(scratch) == dtype
+            sums.setdefault(mode, []).append(part.sums.tobytes())
+    assert all(wide == narrow for wide, narrow in sums.values())
+
+
+def test_bright_chunk_falls_back_to_float64_with_the_same_bits(monkeypatch):
+    frames = np.random.default_rng(11).integers(0, 4, (65, 6, 7),
+                                                dtype=np.uint16)
+    frames[20, 3, 4], frames[21, 3, 4] = 65535, 0  # in the second chunk
+    monkeypatch.setattr(jpd_module, "FLOAT32_SUM_LIMIT", 0)
+    wide = accumulate_jpd(frames, band_radius=2, chunk_size=16)
+    monkeypatch.undo()
+    kernel = jpd_module._accumulate_chunk
+    dtypes = []
+
+    def spy(chunk, mode, k, scratch):
+        part = kernel(chunk, mode, k, scratch)
+        dtypes.append(_kernel_dtype(scratch).name)
+        return part
+
+    monkeypatch.setattr(jpd_module, "_accumulate_chunk", spy)
+    for workers in (None, 2):
+        dtypes.clear()
+        mixed = accumulate_jpd(frames, band_radius=2, chunk_size=16,
+                               workers=workers)
+        assert sorted(dtypes) == ["float32"] * 3 + ["float64"]
+        assert mixed.planes.tobytes() == wide.planes.tobytes()
 
 
 def test_accumulate_refuses_integer_sums_beyond_exact_range(monkeypatch):
@@ -311,6 +366,26 @@ def test_float_stack_bits_follow_the_chunking_not_the_threads():
         other = accumulate_jpd(frames, band_radius=2, chunk_size=chunk)
         np.testing.assert_allclose(other.planes, base.planes, rtol=1e-9,
                                    atol=1e-12 * np.abs(base.planes).max())
+
+
+@pytest.mark.parametrize("mode", ["near", "far"])
+def test_finalize_holds_few_band_copies(mode):
+    # one band: (2K+1)^2 float64 planes of the frame size
+    k, h, w = 3, 64, 64
+    rng = np.random.default_rng(13)
+    sums = rng.integers(-1000, 1000, (2 * k + 1, 2 * k + 1, h, w)) * 1.0
+    partial = PartialJpd(mode, k, (h, w), sums, 100)
+    before = sums.copy()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        finalize_jpd(partial)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * sums.nbytes
+    assert np.array_equal(sums, before)
 
 
 def test_input_validation():
