@@ -150,20 +150,20 @@ def _cmd_simulate(args) -> int:
                 f"{cite(config, 'pairs.shift', 'pairs.contrast')} leave the "
                 "NOON acquisition no pair flux")
     with sized_by(cite(config, "pairs.rate", "pairs.frames")):
-        chunks = simulate_chunks(scene, pairs["mode"], pairs["sigma"], rate,
+        blocks = simulate_chunks(scene, pairs["mode"], pairs["sigma"], rate,
                                  pairs["frames"], camera, config.seed,
                                  density)
-        # the first chunk is rendered and the file's size checked before
+        # the first block is rendered and the file's size checked before
         # anything is written, so a run refused for memory or disk leaves
         # nothing behind
-        first = next(chunks)
+        first = next(blocks)
         shape = (pairs["frames"], *first.shape[1:])
         _check_free_space(config, Path(args.out),
                           stack_bytes(shape, first.dtype))
-        chunks = itertools.chain([first], chunks)
-        del first  # the writer then holds the only reference to each chunk
+        blocks = itertools.chain([first], blocks)
+        del first  # the writer then holds the only reference to each block
         out = _out_dir(args.out)
-        write_frame_chunks(out / "frames.bpsr", chunks)
+        write_frame_chunks(out / "frames.bpsr", blocks)
     manifest = build_manifest(
         "simulate",
         {"frames.bpsr": artifact_entry(out / "frames.bpsr")},

@@ -32,6 +32,7 @@ their exclusion, so silent drop-outs cannot skew downstream images.
 
 from __future__ import annotations
 
+import collections
 import os
 import struct
 import threading
@@ -57,6 +58,10 @@ DEFAULT_CHUNK_SIZE = 256
 # float32 kernel too (grating_superres.ini reconstruct on 2 cores: 0.100 s
 # at 4 against 0.106 s at 8)
 TILE_WIDTH = 4
+# bytes of a band-kernel chunk's pix and dpad buffers, past which it runs
+# over bands of frame rows: at chunk 256 and K = 1 in float64, 32 x 32
+# frames take 4.3 MB, 256 x 256 frames 270 MB
+KERNEL_BYTES = 2 ** 23
 EXACT_SUM_LIMIT = 2 ** 53  # float64 holds every integer below this exactly
 FLOAT32_SUM_LIMIT = 2 ** 24  # float32 holds every integer below this exactly
 
@@ -189,12 +194,13 @@ def accumulate_partial(frames: np.ndarray, mode: str = "near",
 
 def _accumulate_chunk(frames: np.ndarray, mode: str, band_radius: int,
                       scratch: dict) -> PartialJpd:
-    """:func:`accumulate_partial` of a checked chunk.  Its ``pix`` and
-    ``dpad`` buffers come from *scratch* when a chunk of the same shape and
-    kernel dtype left them there, and are left there for the next chunk;
-    any other chunk replaces them.  Their padding is never written, so it is
-    zeroed only when they are allocated.  One *scratch* serves one band
-    radius."""
+    """:func:`accumulate_partial` of a checked chunk, run over bands of
+    frame rows whose ``pix`` and ``dpad`` buffers fit KERNEL_BYTES; a chunk
+    whose buffers fit runs as one band.  The buffers come from *scratch*
+    when a chunk of the same shape and kernel dtype left them there, and
+    are left there for the next chunk; any other chunk replaces them.
+    Their padding is never written, so it is zeroed only when they are
+    allocated.  One *scratch* serves one band radius."""
     h, w = frames.shape[1:]
     k = band_radius
     ky, kx = min(k, h - 1), min(k, w - 1)
@@ -205,44 +211,72 @@ def _accumulate_chunk(frames: np.ndarray, mode: str, band_radius: int,
     # below 2**24, and in float64 otherwise (accumulate_jpd has checked
     # that integer sums stay below 2**53).  Either way every partial sum is
     # exact under any summation order, so the float64 sums get the same
-    # bits from both kernels, whatever b, BLAS's blocking, the chunking or
-    # the thread count.
+    # bits from both kernels, whatever b, BLAS's blocking, the row bands,
+    # the chunking or the thread count.
     exact32 = (frames.dtype.kind in "biu"
                and _range_past(frames, FLOAT32_SUM_LIMIT) is None)
     dtype = np.float32 if exact32 else np.float64
-    # Pixel-major frames, zero-padded to whole tiles of b columns; a is a
-    # view of them, (h, tiles, b, n).  d_l = a_l - a_{l+1} goes straight
-    # into a partner buffer with kx zero columns on either side, and each
-    # tile's partner columns plus a kx-column halo on either side are an
-    # overlapping window view of it, (h, tiles, n, b + 2 kx).
-    # Far field: plane u pairs r with c - r + u, so the partner rows and
-    # columns are stored reversed, which turns plane u into offset -u.
+    sign = 1 if mode == "near" else -1
+    # Rows per band: all h if one band's buffers fit the budget, else as
+    # many as fit (at least one) beside the 2 ky halo rows of pix and dpad;
+    # far-field bands also copy their own rows (see below).
+    pix_row = tiles * b * (n + 1) * np.dtype(dtype).itemsize
+    row = pix_row + (tiles * b + 2 * kx) * n * np.dtype(dtype).itemsize
+    rows = h if h * row <= KERNEL_BYTES else max(1, (
+        KERNEL_BYTES - 2 * ky * row) // (row + (pix_row if sign < 0 else 0)))
+    # Pixel-major frames, zero-padded to whole tiles of b columns.
+    # d_l = a_l - a_{l+1} goes straight into a partner buffer with kx zero
+    # columns on either side, and each tile's partner columns plus a
+    # kx-column halo on either side are an overlapping window view of it,
+    # (rows, tiles, n, b + 2 kx).  Far field: plane u pairs r with
+    # c - r + u, so the partner rows and columns are stored reversed, which
+    # turns plane u into offset -u.  pix stages a band's partner rows with
+    # their ky-row halo; the band's own rows are a view of them when they
+    # lie inside (always in the near field, and for one band), else they
+    # are copied to pix's last `rows` rows, which only far-field bands have.
     key = frames.shape, dtype
     if key not in scratch:
         scratch.clear()
-        scratch[key] = (np.zeros((h, tiles * b, n + 1), dtype),
-                        np.zeros((h, tiles * b + 2 * kx, n), dtype))
+        staged = min(h, rows + 2 * ky)
+        own = rows if sign < 0 and rows < h else 0
+        scratch[key] = (np.zeros((staged + own, tiles * b, n + 1), dtype),
+                        np.zeros((staged, tiles * b + 2 * kx, n), dtype))
     pix, dpad = scratch[key]
-    pix[:, :w] = np.moveaxis(frames, 0, -1)
-    a = pix[..., :-1].reshape(h, tiles, b, n)
-    sign = 1 if mode == "near" else -1
-    src = pix[::sign, :w][:, ::sign]
-    np.subtract(src[..., :-1], src[..., 1:], out=dpad[:, kx:kx + w])
-    halo = np.lib.stride_tricks.sliding_window_view(
-        dpad, b + 2 * kx, axis=1)[:, ::b]
-    # Band-only GEMMs: one batched matmul per row offset dy gives
-    # prod[y, t, i, j] = sum_l a_l(y, tb + i) d_l(partner row, tb + j - kx),
-    # so plane (dy, dx) is the diagonal at offset dx + kx, widened to
-    # float64 as it is stored.  Entries whose pixel or partner lies in the
-    # padding are computed as zeros and never stored.
     sums = np.zeros((2 * k + 1, 2 * k + 1, h, w))
-    for dy in range(-ky, ky + 1):
-        ya, yb = max(0, -dy), h - max(0, dy)
-        prod = np.matmul(a[ya:yb], halo[ya + dy:yb + dy])
-        for dx in range(-kx, kx + 1):
-            xa, xb = max(0, -dx), w - max(0, dx)
-            band = np.diagonal(prod, dx + kx, 2, 3).reshape(yb - ya, -1)
-            sums[sign * dy + k, sign * dx + k, ya:yb, xa:xb] = band[:, xa:xb]
+    for y0 in range(0, h, rows):
+        y1 = min(h, y0 + rows)
+        # the band's partner rows [lo, hi) in dpad's row order, and the
+        # frame rows [f0, f1) they come from
+        lo, hi = max(0, y0 - ky), min(h, y1 + ky)
+        f0, f1 = (lo, hi) if sign > 0 else (h - hi, h - lo)
+        stage, d = pix[:f1 - f0], dpad[:hi - lo]
+        stage[:, :w] = np.moveaxis(frames[:, f0:f1], 0, -1)
+        src = stage[::sign, :w][:, ::sign]
+        np.subtract(src[..., :-1], src[..., 1:], out=d[:, kx:kx + w])
+        halo = np.lib.stride_tricks.sliding_window_view(
+            d, b + 2 * kx, axis=1)[:, ::b]
+        if f0 <= y0 and y1 <= f1:
+            mine = stage[y0 - f0:y1 - f0]
+        else:
+            mine = pix[-rows:][:y1 - y0]
+            mine[:, :w] = np.moveaxis(frames[:, y0:y1], 0, -1)
+        a = mine[..., :-1].reshape(y1 - y0, tiles, b, n)
+        # Band-only GEMMs: one batched matmul per row offset dy gives
+        # prod[y, t, i, j] = sum_l a_l(y, tb + i) d_l(partner row, tb + j - kx),
+        # so plane (dy, dx) is the diagonal at offset dx + kx, widened to
+        # float64 as it is stored.  Entries whose pixel or partner lies in
+        # the padding are computed as zeros and never stored.
+        for dy in range(-ky, ky + 1):
+            ya, yb = max(y0, -dy), min(y1, h - dy)
+            if ya >= yb:
+                continue  # no row of this band has a partner row at dy
+            prod = np.matmul(a[ya - y0:yb - y0],
+                             halo[ya + dy - lo:yb + dy - lo])
+            for dx in range(-kx, kx + 1):
+                xa, xb = max(0, -dx), w - max(0, dx)
+                diag = np.diagonal(prod, dx + kx, 2, 3).reshape(yb - ya, -1)
+                sums[sign * dy + k, sign * dx + k, ya:yb, xa:xb] = \
+                    diag[:, xa:xb]
     return PartialJpd(mode, k, (h, w), sums, n)
 
 
@@ -395,13 +429,17 @@ def accumulate_jpd(frames, mode: str = "near",
 
     The stack is processed in fixed chunks of ``chunk_size`` consecutive-frame
     terms (optionally on up to ``workers`` threads, never more than there
-    are chunks or processors) and merged in chunk order as the chunks
-    finish, so only one merged sum is held.  The thread count never changes
-    the result's bits.  For integer and bool stacks the chunking does not
-    either; for float stacks it may move the last bits, as the sums are
-    rounded in another order.  Integer stacks whose sums could leave
-    float64's exact range raise :class:`PrecisionError` before any chunk is
-    accumulated.
+    are chunks or processors this process may use) and merged in chunk
+    order as the chunks finish, so only one merged sum is held; with
+    threads, at most one chunk more than there are threads is in flight.
+    Each chunk runs over bands of frame rows whose kernel buffers fit
+    KERNEL_BYTES, so its memory does not grow with the frame area beyond
+    the chunk's frames and its band sums.  The thread count and the row
+    bands never change the result's bits.  For integer and bool stacks the
+    chunking does not either; for float stacks it may move the last bits,
+    as the sums are rounded in another order.  Integer stacks whose sums
+    could leave float64's exact range raise :class:`PrecisionError` before
+    any chunk is accumulated.
     """
     frames = _check_args(frames, mode, band_radius)
     if chunk_size < 1:
@@ -420,13 +458,36 @@ def accumulate_jpd(frames, mode: str = "near",
         return _accumulate_chunk(frames[span[0]:span[1]], mode, band_radius,
                                  mine)
 
-    threads = min(workers or 1, len(spans), os.cpu_count() or 1)
+    threads = min(workers or 1, len(spans), _usable_cpus())
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            merged = merge_partials(pool.map(run, spans))
+            merged = merge_partials(_in_order(pool, run, spans, threads + 1))
     else:
         merged = merge_partials(map(run, spans))
     return finalize_jpd(merged, symmetrize=symmetrize)
+
+
+def _usable_cpus() -> int:
+    """The processors this process may run on: its affinity set where the
+    system has one (a cpuset or taskset narrows it below the machine's
+    count), else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _in_order(pool, fn, items, depth: int):
+    """``fn`` of each of *items*, run on *pool* and yielded in order, with
+    at most *depth* items submitted and not yet taken, so results that
+    finish early do not pile up behind a slow one."""
+    pending = collections.deque()
+    for item in items:
+        if len(pending) == depth:
+            yield pending.popleft().result()
+        pending.append(pool.submit(fn, item))
+    while pending:
+        yield pending.popleft().result()
 
 
 def apply_separation_policy(jpd: Jpd, invalid_separation) -> Jpd:

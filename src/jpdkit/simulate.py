@@ -3,8 +3,12 @@
 The simulator draws pair birth positions from a scene-derived density on the
 oversampled grid, applies the pair correlation model and a camera profile,
 and bins photons into sensor frames.  Each photon of a chunk is kept as its
-flat (frame, y, x) index; the camera then bins and renders the chunk
-RENDER_BLOCK frames at a time, so no whole-chunk counts array is made.
+flat (frame, y, x) index; the camera then bins and renders the chunk in
+blocks of at most RENDER_PIXELS pixels (and at least one frame), which the
+simulator yields one by one, so neither a whole-chunk counts array nor a
+whole-chunk frame array is made and the memory of a block does not grow
+with the frame area.  The event stage builds its arrays in place where the
+result keeps its bits.
 
 Correlation model: the two photons of a pair land at ``x + xi_1`` and, in the
 near-field geometry, ``x + xi_2`` (far field: ``C - x + xi_2`` with
@@ -22,6 +26,7 @@ for a given seed no matter how the generation is batched.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import ClassVar, Iterator
@@ -34,8 +39,12 @@ from .jpd import (DEFAULT_BAND_RADIUS, Jpd, _partners, check_mode,
 from .scenes import Scene
 
 SIM_CHUNK_FRAMES = 4096
-# frames binned and rendered at a time; the random streams stay per chunk
-RENDER_BLOCK = 512
+# pixels binned and rendered at a time: 512 frames of 32 x 32, 8 of
+# 256 x 256, and one frame of any larger size; the random streams stay per
+# chunk
+RENDER_PIXELS = 512 * 32 * 32
+# EMCCD read-noise values drawn at a time into a block
+NOISE_PIXELS = 2 ** 16
 # the largest mean number of pairs or photons per frame; numpy's Poisson
 # sampler refuses means above about 9.2e18
 MAX_RATE = 1e18
@@ -46,13 +55,17 @@ _STAGE_CAMERA = 1
 # ---------------------------------------------------------------------------
 # camera profiles
 
-def _render_blocks(counts, dtype, fill) -> np.ndarray:
-    """The frames of *counts* in a new array of *dtype*, filled by
-    ``fill(block_counts, out_block, start)`` one block at a time."""
-    out = np.empty(counts.shape, dtype)
-    for a in range(0, len(out), RENDER_BLOCK):
-        fill(counts[a:a + RENDER_BLOCK], out[a:a + RENDER_BLOCK], a)
-    return out
+def _render_blocks(counts, dtype, fill) -> Iterator[np.ndarray]:
+    """The frames of *counts* in order, a block of at most RENDER_PIXELS
+    pixels (and at least one frame) at a time, each a new array of *dtype*
+    filled by ``fill(block_counts, out_block, start)``."""
+    n, h, w = counts.shape
+    step = max(1, RENDER_PIXELS // (h * w))
+    for a in range(0, n, step):
+        out = np.empty((min(step, n - a), h, w), dtype)
+        fill(counts[a:a + step], out, a)
+        yield out
+        del out  # released before the next block is made
 
 
 @dataclass(frozen=True)
@@ -63,13 +76,15 @@ class IdealCamera:
 
     name: ClassVar[str] = "ideal"
 
-    def render(self, counts, rng: np.random.Generator) -> np.ndarray:
-        """The frames of the photon *counts* of n frames of h x w pixels:
-        anything with ``.shape == (n, h, w)`` whose ``counts[a:b]`` is the
-        int32 counts of frames a to b - 1, such as an ndarray, or the
-        simulator's chunk source, which bins a block of frames when it is
-        sliced.  Frames are rendered RENDER_BLOCK at a time, so only one
-        block's counts are held; *counts* is not written to."""
+    def render(self, counts, rng: np.random.Generator) -> Iterator[np.ndarray]:
+        """The frames of the photon *counts* of n frames of h x w pixels, as
+        an iterator over blocks of frames in order: *counts* is anything
+        with ``.shape == (n, h, w)`` whose ``counts[a:b]`` is the int32
+        counts of frames a to b - 1, such as an ndarray, or the simulator's
+        chunk source, which bins a block of frames when it is sliced.  A
+        block holds at most RENDER_PIXELS pixels (and at least one frame),
+        so only one block's counts and frames are held; *counts* is not
+        written to."""
         # clipped in int32 and cast into the u16 block; np.clip's cast is
         # faster than np.minimum's
         return _render_blocks(counts, np.uint16, lambda c, out, a: np.clip(
@@ -104,11 +119,12 @@ class EmccdCamera:
                 and 0 <= self.smear < 1):
             raise ConfigurationError("EMCCD noise parameters out of range")
 
-    def render(self, counts, rng: np.random.Generator) -> np.ndarray:
-        """The frames of *counts*, read as :meth:`IdealCamera.render`
-        reads them."""
-        # all n gains first, then the read noise block by block: consecutive
-        # normal draws are bit for bit one whole draw
+    def render(self, counts, rng: np.random.Generator) -> Iterator[np.ndarray]:
+        """The blocks of frames of *counts*, read and yielded as
+        :meth:`IdealCamera.render` reads and yields them."""
+        # all n gains first, then the read noise NOISE_PIXELS values at a
+        # time, added into the block: consecutive normal draws are bit for
+        # bit one whole draw
         gains = rng.normal(self.gain_mean, self.gain_cv * self.gain_mean,
                            counts.shape[0])
 
@@ -118,7 +134,10 @@ class EmccdCamera:
                 # charge leaks down the readout column: out[y] = in[y] + smear*out[y-1]
                 for y in range(1, analog.shape[1]):
                     analog[:, y] += self.smear * analog[:, y - 1]
-            analog += rng.normal(0.0, self.read_sigma, analog.shape)
+            flat = analog.reshape(-1)
+            for i in range(0, flat.size, NOISE_PIXELS):
+                part = flat[i:i + NOISE_PIXELS]
+                part += rng.normal(0.0, self.read_sigma, part.size)
             np.clip(analog, 0, 65535, out=analog)
             out[...] = np.round(analog, out=analog)
 
@@ -138,9 +157,9 @@ class SpadCamera:
 
     name: ClassVar[str] = "spad"
 
-    def render(self, counts, rng: np.random.Generator) -> np.ndarray:
-        """The frames of *counts*, read as :meth:`IdealCamera.render`
-        reads them."""
+    def render(self, counts, rng: np.random.Generator) -> Iterator[np.ndarray]:
+        """The blocks of frames of *counts*, read and yielded as
+        :meth:`IdealCamera.render` reads and yields them."""
         return _render_blocks(counts, np.bool_, lambda c, out, a: np.greater_equal(
             c, 1, out=out))
 
@@ -248,14 +267,22 @@ class _ChunkCounts:
         self.shape, self._photons = (n, size, size), []
 
     def add(self, frame_of: np.ndarray, py: np.ndarray, px: np.ndarray) -> None:
-        """Add photons at (py, px) in the frames *frame_of*, which is sorted."""
+        """Add photons at (py, px) in the frames *frame_of*, which is sorted;
+        the three arrays are only read."""
         size = self.shape[1]
         # pixel floor(p + 0.5); only positions on the sensor are cast, where
         # truncation is that floor and the cast is defined
         y, x = py + 0.5, px + 0.5
         ok = (y >= 0) & (y < size) & (x >= 0) & (x < size)
-        self._photons.append((frame_of[ok] * size + y[ok].astype(np.int64))
-                             * size + x[ok].astype(np.int64))
+        # (frame * size + row) * size + column, built in one int64 buffer;
+        # truncated first, each float sum is an exact integer below 2**53,
+        # so casting it back is exact
+        flat = frame_of[ok].astype(np.int64)
+        for pixel in (y, x):
+            np.trunc(pixel, out=pixel)
+            flat *= size
+            np.add(flat, pixel[ok], out=flat, casting="unsafe")
+        self._photons.append(flat)
 
     def __getitem__(self, key: slice) -> np.ndarray:
         a, b, _ = key.indices(self.shape[0])
@@ -273,48 +300,72 @@ class _ChunkCounts:
 def _sorted_search(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     """``np.searchsorted(cum, u)``, searched in the order of the sorted
     draws (which keeps a large CDF in cache) and scattered back.  Equal
-    draws get equal indices, so the sort need not be stable."""
+    draws get equal indices, so the sort need not be stable.  The unsorted
+    draws are dropped once sorted, so a caller that passes them on holds
+    one copy of them at a time."""
     order = np.argsort(u)
-    found = np.searchsorted(cum, u[order])
+    u = u[order]
+    found = np.searchsorted(cum, u)
+    del u
     index = np.empty_like(found)
     index[order] = found
     return index
 
 
+def _coordinate(rng: np.random.Generator, cell: np.ndarray,
+                f: int) -> np.ndarray:
+    """``-0.5 + (cell + u) / f`` for a uniform draw u per subcell index
+    *cell*: a position drawn inside each subcell, in pixel units.  It is
+    built in the draw's buffer, in an order that gives the same bits."""
+    u = rng.random(cell.size)
+    u += cell
+    u /= f
+    u += -0.5
+    return u
+
+
 def _render_chunk(scene: Scene, cum: np.ndarray, rate: float, n: int,
-                  camera, entropy: tuple, chunk: int, photons) -> np.ndarray:
-    """Chunk number *chunk*, of *n* frames (see :func:`_simulate`); each
-    temporary is freed once used, to keep the chunk's peak memory low."""
+                  camera, entropy: tuple, chunk: int,
+                  photons) -> Iterator[np.ndarray]:
+    """The blocks of chunk number *chunk*, of *n* frames (see
+    :func:`_simulate`), in order.  The event stage builds its arrays in
+    place where it can and frees each once used, so the chunk's peak
+    memory stays low."""
     rng_e = np.random.default_rng((*entropy, _STAGE_EVENTS, chunk))
     m, f = scene.size, scene.oversample
     frame_counts = rng_e.poisson(rate, n)
     tot = int(frame_counts.sum())
-    index = _sorted_search(cum, rng_e.random(tot))
-    np.minimum(index, cum.size - 1, out=index)
-    jy, jx = np.divmod(index, m * f)
-    del index
-    y = -0.5 + (jy + rng_e.random(tot)) / f
-    x = -0.5 + (jx + rng_e.random(tot)) / f
-    del jy, jx
-    frame_of = np.repeat(np.arange(n), frame_counts)
+    # each event's subcell: its flat index, then its row, with the column
+    # left in the index's buffer
+    column = _sorted_search(cum, rng_e.random(tot))
+    np.minimum(column, cum.size - 1, out=column)
+    row = np.empty_like(column)
+    np.divmod(column, m * f, out=(row, column))
+    y = _coordinate(rng_e, row, f)
+    del row
+    x = _coordinate(rng_e, column, f)
+    del column
+    frame_of = np.repeat(np.arange(n, dtype=np.int32), frame_counts)
     counts = _ChunkCounts(n, m)
     photons(rng_e, y, x, lambda py, px: counts.add(frame_of, py, px))
     del y, x, frame_of
-    return camera.render(
+    yield from camera.render(
         counts, np.random.default_rng((*entropy, _STAGE_CAMERA, chunk)))
 
 
 def _simulate(scene: Scene, p: np.ndarray, rate: float, n_frames: int,
               camera, seed, photons) -> Iterator[np.ndarray]:
-    """The one checked entry of both simulators: an iterator that renders
-    each chunk of at most SIM_CHUNK_FRAMES frames in order, as it is asked
-    for.  A chunk is Poisson events per frame and event sites drawn from
-    the normalized density *p*; then ``photons(rng, y, x, emit)`` draws any
-    further randomness and calls ``emit(py, px)`` per photon of an event,
-    which keeps those positions' flat indices (one photon's position arrays
-    are alive at a time), and the camera bins and renders them.  The rate,
-    the frame count and the seed are checked when this is called, before
-    any chunk is rendered."""
+    """The one checked entry of both simulators: an iterator over the
+    stack's blocks of frames in order, each rendered as it is asked for.
+    Each chunk of at most SIM_CHUNK_FRAMES frames is Poisson events per
+    frame and event sites drawn from the normalized density *p*; then
+    ``photons(rng, y, x, emit)`` draws any further randomness and calls
+    ``emit(py, px)`` per photon of an event, which keeps those positions'
+    flat indices (one photon's position arrays are alive at a time;
+    *photons* may build the last photon in y and x themselves), and
+    the camera bins and renders them block by block.  The rate, the frame
+    count and the seed are checked when this is called, before any chunk
+    is rendered."""
     if not 0 < rate <= MAX_RATE or n_frames < 1:
         raise ConfigurationError(f"need 0 < rate <= {MAX_RATE:g} events per "
                                  f"frame and n_frames >= 1, got rate {rate!r} "
@@ -323,20 +374,20 @@ def _simulate(scene: Scene, p: np.ndarray, rate: float, n_frames: int,
     camera = camera if camera is not None else IdealCamera()
     cum = np.cumsum(p)
     # the chunk's temporaries go with _render_chunk's frame
-    return (_render_chunk(scene, cum, rate,
-                          min(SIM_CHUNK_FRAMES, n_frames - start), camera,
-                          entropy, chunk, photons)
-            for chunk, start in enumerate(range(0, n_frames, SIM_CHUNK_FRAMES)))
+    return itertools.chain.from_iterable(
+        _render_chunk(scene, cum, rate, min(SIM_CHUNK_FRAMES, n_frames - start),
+                      camera, entropy, chunk, photons)
+        for chunk, start in enumerate(range(0, n_frames, SIM_CHUNK_FRAMES)))
 
 
-def _stack(chunks: Iterator[np.ndarray], n_frames: int) -> np.ndarray:
-    """The frames of *chunks* in one preallocated (n_frames, h, w) array."""
+def _stack(blocks: Iterator[np.ndarray], n_frames: int) -> np.ndarray:
+    """The frames of *blocks* in one preallocated (n_frames, h, w) array."""
     out, start = None, 0
-    for chunk in chunks:
+    for block in blocks:
         if out is None:
-            out = np.empty((n_frames, *chunk.shape[1:]), dtype=chunk.dtype)
-        out[start:start + len(chunk)] = chunk
-        start += len(chunk)
+            out = np.empty((n_frames, *block.shape[1:]), dtype=block.dtype)
+        out[start:start + len(block)] = block
+        start += len(block)
     return out
 
 
@@ -344,20 +395,29 @@ def simulate_chunks(scene: Scene, mode: str = "near", sigma: float = 0.25,
                     pair_rate: float = 60.0, n_frames: int = 1000,
                     camera=None, seed: int | tuple = 0,
                     density: np.ndarray | None = None) -> Iterator[np.ndarray]:
-    """The frames of :func:`simulate_frames`, as an iterator over chunks of
-    at most SIM_CHUNK_FRAMES frames in order, rendered as they are asked
-    for.  The parameters are checked when this is called, before any chunk
-    is rendered."""
+    """The frames of :func:`simulate_frames`, as an iterator over blocks of
+    frames in order, each rendered as it is asked for: a block holds at
+    most RENDER_PIXELS pixels (and at least one frame) and never spans two
+    SIM_CHUNK_FRAMES-frame chunks.  The parameters are checked when this is
+    called, before any block is rendered."""
     if not 0 <= sigma < math.inf:
         raise ConfigurationError(f"need finite sigma >= 0, got {sigma!r}")
 
     def pair(rng, y, x, emit):
-        # the jitter is the chunk's last event draw, one photon's at a time
-        jit = rng.normal(0.0, sigma / math.sqrt(2.0), (2, y.size))
-        emit(y + jit[0], x + jit[1])
-        jit = rng.normal(0.0, sigma / math.sqrt(2.0), (2, y.size))
-        emit(reflect(mode, y, scene.size) + jit[0],
-             reflect(mode, x, scene.size) + jit[1])
+        # The jitter is the chunk's last event draw: photon one's y and x,
+        # then photon two's (consecutive normal draws are bit for bit one
+        # draw).  Photon one is built in its jitter's buffers, photon two,
+        # the partner, in y and x themselves, which nothing reads after it.
+        scale = sigma / math.sqrt(2.0)
+        first = [rng.normal(0.0, scale, y.size) for _ in (y, x)]
+        first[0] += y
+        first[1] += x
+        emit(*first)
+        del first
+        for r in (y, x):
+            r[...] = reflect(mode, r, scene.size)
+            r += rng.normal(0.0, scale, r.size)
+        emit(y, x)
 
     return _simulate(scene, _normalized_density(scene, mode, density),
                      pair_rate, n_frames, camera, seed, pair)

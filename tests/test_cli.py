@@ -808,7 +808,7 @@ def test_simulation_beyond_free_disk_exits_2(tmp_path, config_path, capsys,
 
 def test_chunk_failing_midway_leaves_no_frame_file(tmp_path, config_path,
                                                    capsys, monkeypatch):
-    # the second of two chunks runs out of memory after the first one
+    # the second block of frames runs out of memory after the first one
     # reached the file
     render = cli.simulate_chunks
 

@@ -1,6 +1,9 @@
 import dataclasses
 import struct
+import threading
+import time
 import tracemalloc
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -184,19 +187,81 @@ def test_thread_pool_bounded_by_chunks_and_processors(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            return map(fn, items)
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
 
     frames = np.random.default_rng(8).integers(0, 9, (6, 4, 4), dtype=np.uint16)
     base = accumulate_jpd(frames, band_radius=1)
     monkeypatch.setattr(jpd_module, "ThreadPoolExecutor", SerialPool)
     for cpus, expected in ((64, 5), (3, 3)):  # five chunks of one term
         sizes = []
-        monkeypatch.setattr(jpd_module.os, "cpu_count", lambda: cpus)
+        # the processors this process may use, not the machine's count
+        monkeypatch.setattr(jpd_module.os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)), raising=False)
+        monkeypatch.setattr(jpd_module.os, "cpu_count", lambda: 10 ** 3)
         got = accumulate_jpd(frames, band_radius=1, chunk_size=1,
                              workers=10 ** 6)
         assert sizes == [expected]
         assert np.array_equal(got.planes, base.planes)
+
+
+def test_slow_first_chunk_holds_at_most_one_more_chunk_than_threads(
+        monkeypatch):
+    # while the first of 12 chunks is held up, the other thread may run
+    # ahead by the one span submitted past the thread count, no further
+    frames = np.random.default_rng(5).integers(0, 9, (25, 5, 6),
+                                               dtype=np.uint16)
+    base = accumulate_jpd(frames, band_radius=2, chunk_size=2)
+    monkeypatch.setattr(jpd_module, "_usable_cpus", lambda: 2)
+    kernel = jpd_module._accumulate_chunk
+    started, lock, first_done = [], threading.Lock(), threading.Event()
+    ahead = []
+
+    def spy(chunk, mode, k, scratch):
+        with lock:
+            first = not started
+            started.append(chunk)
+        if first:
+            time.sleep(0.3)
+            ahead.append(len(started))
+            first_done.set()
+        return kernel(chunk, mode, k, scratch)
+
+    monkeypatch.setattr(jpd_module, "_accumulate_chunk", spy)
+    got = accumulate_jpd(frames, band_radius=2, chunk_size=2, workers=2)
+    assert first_done.is_set() and len(started) == 12
+    # at most the first chunk and the next two, submitted before its
+    # result is taken
+    assert len(ahead) == 1 and ahead[0] <= 3
+    assert got.planes.tobytes() == base.planes.tobytes()
+
+
+@pytest.mark.parametrize("mode", ["near", "far"])
+@pytest.mark.parametrize("dtype", [np.uint16, np.bool_, np.float32])
+def test_row_bands_equal_one_band(mode, dtype):
+    # float32 frames sum inexactly in the float64 kernel, so only the same
+    # products in the same order give the same bits
+    rng = np.random.default_rng(6)
+    gains = rng.gamma(2.0, 50.0, (40, 11, 9))
+    frames = (gains * rng.poisson(0.3, gains.shape)).astype(dtype)
+    for k in (1, 3):
+        whole = jpd_module._accumulate_chunk(frames, mode, k, {}).sums
+        chunked = accumulate_jpd(frames, mode, k, chunk_size=13)
+        # a row of the chunk's kernel buffers takes 4 to 10 kB here: bands
+        # of one row, of several and of all 11
+        for budget in [1, *np.geomspace(2 ** 12, 2 ** 17, 16).astype(int)]:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(jpd_module, "KERNEL_BYTES", budget)
+                scratch = {}
+                for _ in range(2):  # fresh and reused buffers
+                    banded = jpd_module._accumulate_chunk(frames, mode, k,
+                                                          scratch)
+                    assert banded.sums.tobytes() == whole.tobytes()
+                threaded = accumulate_jpd(frames, mode, k, chunk_size=13,
+                                          workers=2)
+            assert threaded.planes.tobytes() == chunked.planes.tobytes()
 
 
 @st.composite

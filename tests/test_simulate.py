@@ -1,6 +1,8 @@
+import collections
 import hashlib
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,13 +15,23 @@ from jpdkit.errors import ConfigurationError, DegenerateDensityError
 from jpdkit.jpd import (accumulate_jpd, minus_projection, structural_validity,
                         sum_projection)
 from jpdkit.scenes import Scene, grating, half_pixel_average, uniform
-from jpdkit.simulate import (RENDER_BLOCK, SIM_CHUNK_FRAMES, EmccdCamera,
+import jpdkit.simulate as simulate_module
+from jpdkit.simulate import (RENDER_PIXELS, SIM_CHUNK_FRAMES, EmccdCamera,
                              IdealCamera, SpadCamera, _axis_capture,
                              _ChunkCounts, _normalized_density,
                              _sorted_search, analytic_jpd,
                              camera_by_name, classical_fringe,
                              interference_rate, noon_density, simulate_chunks,
                              simulate_frames, simulate_intensity_frames)
+
+# frames per render block of 32 x 32 frames; the tests below cut stacks of
+# other frame sizes into blocks of as many frames
+BLOCK = RENDER_PIXELS // 32 ** 2
+
+
+def _render(camera, counts, rng):
+    """A camera's render of *counts*, its blocks joined into one array."""
+    return np.concatenate(list(camera.render(counts, rng)))
 
 
 def test_photons_far_off_the_sensor_are_dropped_before_any_cast():
@@ -133,15 +145,14 @@ def test_sorted_search_equals_searchsorted(case):
     assert np.array_equal(_sorted_search(cum, u), np.searchsorted(cum, u))
 
 
-@pytest.mark.parametrize("n", [1, RENDER_BLOCK - 1, RENDER_BLOCK,
-                               RENDER_BLOCK + 1, 1100])
+@pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 1100])
 def test_block_binning_equals_indexed_add_at(n):
     # a chunk's counts, binned a block of frames at a time by the flat,
     # same-dtype np.add.at, equal the (frame, y, x) one
     rng = np.random.default_rng(4)
     m = 5
     # photons in the last frame of each block and the first of the next
-    edges = [f for b in range(RENDER_BLOCK, n, RENDER_BLOCK) for f in (b - 1, b)]
+    edges = [f for b in range(BLOCK, n, BLOCK) for f in (b - 1, b)]
     frame_of = np.sort(np.concatenate([rng.integers(0, n, 9000),
                                        np.repeat(edges, 40).astype(int)]))
     source = _ChunkCounts(n, m)
@@ -160,7 +171,7 @@ def test_block_binning_equals_indexed_add_at(n):
         ok = (y >= 0) & (y < m) & (x >= 0) & (x < m)
         np.add.at(reference, (f[ok], y[ok].astype(np.int64),
                               x[ok].astype(np.int64)), 1)
-    blocks = [source[a:a + RENDER_BLOCK] for a in range(0, n, RENDER_BLOCK)]
+    blocks = [source[a:a + BLOCK] for a in range(0, n, BLOCK)]
     assert source.shape == (n, m, m)
     assert all(block.dtype == np.int32 for block in blocks)
     assert np.array_equal(np.concatenate(blocks), reference)
@@ -174,8 +185,8 @@ def test_block_binning_equals_indexed_add_at(n):
 def block_counts(draw):
     """Counts of n frames (n on both sides of block edges), as an ndarray
     and as the simulator's block source; a few pixels past the u16 scale."""
-    n = draw(st.sampled_from([1, 2, RENDER_BLOCK - 1, RENDER_BLOCK,
-                              RENDER_BLOCK + 1, 2 * RENDER_BLOCK + 3]))
+    n = draw(st.sampled_from([1, 2, BLOCK - 1, BLOCK, BLOCK + 1,
+                              2 * BLOCK + 3]))
     m = draw(st.integers(1, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     counts = rng.poisson(draw(st.sampled_from([0.0, 0.3, 4.0])),
@@ -213,17 +224,24 @@ def _whole_chunk_render(camera, counts, rng):
     st.integers(0, 2 ** 32 - 1))
 def test_block_render_equals_whole_chunk_render(case, camera, seed):
     counts, source = case
+    n, h, w = counts.shape
     expected = _whole_chunk_render(camera, counts.copy(),
                                    np.random.default_rng(seed))
     given_counts = counts.copy()
-    out = camera.render(given_counts, np.random.default_rng(seed))
-    assert out.dtype == expected.dtype
-    assert out.tobytes() == expected.tobytes()
-    # the counts are only read
-    assert np.array_equal(given_counts, counts)
-    # the simulator's source bins the same counts block by block
-    out = camera.render(source, np.random.default_rng(seed))
-    assert out.tobytes() == expected.tobytes()
+    with pytest.MonkeyPatch.context() as mp:
+        # blocks of BLOCK frames, whatever the frame size
+        mp.setattr(simulate_module, "RENDER_PIXELS", BLOCK * h * w)
+        blocks = list(camera.render(given_counts, np.random.default_rng(seed)))
+        assert [len(b) for b in blocks] == [min(BLOCK, n - a)
+                                            for a in range(0, n, BLOCK)]
+        out = np.concatenate(blocks)
+        assert out.dtype == expected.dtype
+        assert out.tobytes() == expected.tobytes()
+        # the counts are only read
+        assert np.array_equal(given_counts, counts)
+        # the simulator's source bins the same counts block by block
+        out = _render(camera, source, np.random.default_rng(seed))
+        assert out.tobytes() == expected.tobytes()
 
 
 class _ForwardingCamera:
@@ -240,15 +258,54 @@ class _ForwardingCamera:
         return self._camera.invalid_pair_separation(dy, dx)
 
 
-def test_forwarding_camera_gives_the_same_stack():
+def test_forwarding_camera_gives_the_same_stack(monkeypatch):
     scene = grating(8, period=3.0, duty=0.5)
+    # blocks of BLOCK frames of 8 x 8, so the stack spans two
+    monkeypatch.setattr(simulate_module, "RENDER_PIXELS", BLOCK * 8 * 8)
     for camera in (IdealCamera(), SpadCamera(),
                    EmccdCamera(gain_mean=50.0, gain_cv=0.1, read_sigma=2.0,
                                smear=0.1)):
-        stacks = [simulate_frames(scene, "far", 0.4, 3.0, RENDER_BLOCK + 7,
+        stacks = [simulate_frames(scene, "far", 0.4, 3.0, BLOCK + 7,
                                   camera=cam, seed=5)
                   for cam in (camera, _ForwardingCamera(camera))]
         assert stacks[0].tobytes() == stacks[1].tobytes()
+
+
+@pytest.mark.parametrize("camera", [
+    IdealCamera(), SpadCamera(),
+    EmccdCamera(gain_mean=50.0, gain_cv=0.3, read_sigma=2.0, smear=0.1)])
+def test_frame_larger_than_the_pixel_budget_renders_one_frame_per_block(
+        monkeypatch, camera):
+    args = (grating(6, period=3.0, duty=0.5), "near", 0.4, 5.0, 9, camera, 2)
+    whole = simulate_frames(*args)
+    # 36-pixel frames against a 20-pixel budget, and the read noise drawn
+    # 7 values at a time
+    monkeypatch.setattr(simulate_module, "RENDER_PIXELS", 20)
+    monkeypatch.setattr(simulate_module, "NOISE_PIXELS", 7)
+    blocks = list(simulate_chunks(*args))
+    assert [len(block) for block in blocks] == [1] * 9
+    assert np.concatenate(blocks).tobytes() == whole.tobytes()
+
+
+def test_chunk_peak_memory_does_not_grow_with_the_frame_area():
+    # one chunk of 512 EMCCD frames at the same pair rate: its events take
+    # the same memory at either size, and each render block holds
+    # RENDER_PIXELS pixels (128 frames of 64 x 64, 32 of 128 x 128)
+    peaks = []
+    for size in (64, 128):
+        blocks = simulate_chunks(uniform(size, oversample=1), "near", 0.5,
+                                 20.0, 512, EmccdCamera(), 0)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            # each block is dropped as soon as it is made
+            collections.deque(blocks, maxlen=0)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.05 * peaks[0]
+    # far below one float64 array of the 128 x 128 chunk (67 MB)
+    assert peaks[1] < 12e6, peaks
 
 
 def test_photon_bookkeeping_with_delta_density():
@@ -344,13 +401,14 @@ def test_analytic_jpd_is_estimator_expectation():
 def test_emccd_gain_and_read_noise():
     cam = EmccdCamera(gain_mean=200.0, gain_cv=0.0, read_sigma=0.0)
     counts = np.ones((3, 4, 4), dtype=np.int32)
-    out = cam.render(counts, np.random.default_rng(0))
+    out = _render(cam, counts, np.random.default_rng(0))
     assert out.dtype == np.uint16
     assert np.all(out == 200)
     noisy = EmccdCamera(gain_mean=200.0, gain_cv=0.5, read_sigma=8.0)
-    out = noisy.render(counts, np.random.default_rng(0))
+    out = _render(noisy, counts, np.random.default_rng(0))
     assert out.std() > 0
-    dark = noisy.render(np.zeros((4, 16, 16), np.int32), np.random.default_rng(1))
+    dark = _render(noisy, np.zeros((4, 16, 16), np.int32),
+                   np.random.default_rng(1))
     # read noise alone: negative excursions clip at zero, positive ones remain
     assert dark.max() > 0
     assert (dark == 0).sum() > dark.size // 3
@@ -360,7 +418,7 @@ def test_emccd_smear_decays_down_columns():
     cam = EmccdCamera(gain_mean=100.0, gain_cv=0.0, read_sigma=0.0, smear=0.3)
     counts = np.zeros((1, 6, 3), dtype=np.int32)
     counts[0, 1, 1] = 10
-    out = cam.render(counts, np.random.default_rng(0)).astype(float)
+    out = _render(cam, counts, np.random.default_rng(0)).astype(float)
     assert out[0, 1, 1] == 1000
     assert out[0, 2, 1] == pytest.approx(300, abs=1)
     assert out[0, 3, 1] == pytest.approx(90, abs=1)
@@ -384,7 +442,7 @@ def test_emccd_smear_recurrence_matches_lfilter():
             for gain_cv in (0.0, 0.7):
                 cam = EmccdCamera(gain_mean=300.0, gain_cv=gain_cv,
                                   read_sigma=4.0, smear=smear)
-                out = cam.render(counts, np.random.default_rng(8))
+                out = _render(cam, counts, np.random.default_rng(8))
                 ref = _render_with_lfilter(cam, counts, np.random.default_rng(8))
                 assert out.tobytes() == ref.tobytes(), (shape, smear, gain_cv)
 
@@ -415,7 +473,7 @@ def test_ideal_camera_saturates_at_u16_full_scale():
 def test_spad_binarizes():
     cam = SpadCamera()
     counts = np.array([[[0, 1], [2, 5]]], dtype=np.int32)
-    out = cam.render(counts, np.random.default_rng(0))
+    out = _render(cam, counts, np.random.default_rng(0))
     assert out.dtype == np.bool_
     assert np.array_equal(out[0], [[False, True], [True, True]])
     frames = simulate_frames(uniform(4), pair_rate=3.0, n_frames=5, camera=cam)
