@@ -344,11 +344,12 @@ def merge_partials(parts) -> PartialJpd:
     return PartialJpd(first.mode, first.band_radius, first.shape, sums, n_terms)
 
 
-def reflect(mode: str, r, n: int):
+def reflect(mode: str, r, n: int, out=None):
     """Where the partner of a photon at coordinate *r* lands, along one axis
     of side n: at r itself in the near field, at its point reflection
-    (n - 1) - r about the sensor centre in the far field."""
-    return r if mode == "near" else (n - 1) - r
+    (n - 1) - r about the sensor centre in the far field.  ``out=r``
+    reflects the array r in place."""
+    return r if mode == "near" else np.subtract(n - 1, r, out=out)
 
 
 def _partners(mode: str, band_radius: int, n: int) -> np.ndarray:

@@ -3,12 +3,15 @@
 The simulator draws pair birth positions from a scene-derived density on the
 oversampled grid, applies the pair correlation model and a camera profile,
 and bins photons into sensor frames.  Each photon of a chunk is kept as its
-flat (frame, y, x) index; the camera then bins and renders the chunk in
-blocks of at most RENDER_PIXELS pixels (and at least one frame), which the
-simulator yields one by one, so neither a whole-chunk counts array nor a
-whole-chunk frame array is made and the memory of a block does not grow
-with the frame area.  The event stage builds its arrays in place where the
-result keeps its bits.
+flat (frame, y, x) index, in int32 wherever the chunk's indices fit; the
+camera then bins and renders the chunk in blocks of at most RENDER_PIXELS
+pixels (and at least one frame), which the simulator yields one by one, so
+neither a whole-chunk counts array nor a whole-chunk frame array is made
+and the memory of a block does not grow with the frame area.  The event
+stage builds its arrays in place where the result keeps its bits: each
+draw in its own buffer, and each photon one axis at a time, its y position
+reduced to part of its flat index before its x position is made.  A chunk
+then peaks at about 44 bytes per event.
 
 Correlation model: the two photons of a pair land at ``x + xi_1`` and, in the
 near-field geometry, ``x + xi_2`` (far field: ``C - x + xi_2`` with
@@ -29,7 +32,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import ClassVar, Iterator
+from typing import ClassVar, Iterable, Iterator
 
 import numpy as np
 
@@ -43,7 +46,9 @@ SIM_CHUNK_FRAMES = 4096
 # 256 x 256, and one frame of any larger size; the random streams stay per
 # chunk
 RENDER_PIXELS = 512 * 32 * 32
-# EMCCD read-noise values drawn at a time into a block
+# EMCCD analog (float64) frames are made a piece of a render block at a
+# time, of at most this many pixels and at least one frame, and their read
+# noise is drawn at most this many values at a time
 NOISE_PIXELS = 2 ** 16
 # the largest mean number of pairs or photons per frame; numpy's Poisson
 # sampler refuses means above about 9.2e18
@@ -123,23 +128,28 @@ class EmccdCamera:
         """The blocks of frames of *counts*, read and yielded as
         :meth:`IdealCamera.render` reads and yields them."""
         # all n gains first, then the read noise NOISE_PIXELS values at a
-        # time, added into the block: consecutive normal draws are bit for
-        # bit one whole draw
+        # time: consecutive normal draws are bit for bit one whole draw
         gains = rng.normal(self.gain_mean, self.gain_cv * self.gain_mean,
                            counts.shape[0])
 
         def fill(c, out, a):
-            analog = c * gains[a:a + len(c), None, None]
-            if self.smear > 0:
-                # charge leaks down the readout column: out[y] = in[y] + smear*out[y-1]
-                for y in range(1, analog.shape[1]):
-                    analog[:, y] += self.smear * analog[:, y - 1]
-            flat = analog.reshape(-1)
-            for i in range(0, flat.size, NOISE_PIXELS):
-                part = flat[i:i + NOISE_PIXELS]
-                part += rng.normal(0.0, self.read_sigma, part.size)
-            np.clip(analog, 0, 65535, out=analog)
-            out[...] = np.round(analog, out=analog)
+            # the analog frames of a block, a piece of at most NOISE_PIXELS
+            # pixels (and at least one whole frame, for the smear) at a time
+            h, w = c.shape[1:]
+            step = max(1, NOISE_PIXELS // (h * w))
+            g = gains[a:a + len(c), None, None]
+            for p in range(0, len(c), step):
+                analog = c[p:p + step] * g[p:p + step]
+                if self.smear > 0:
+                    # charge leaks down the readout column: out[y] = in[y] + smear*out[y-1]
+                    for y in range(1, h):
+                        analog[:, y] += self.smear * analog[:, y - 1]
+                flat = analog.reshape(-1)
+                for i in range(0, flat.size, NOISE_PIXELS):
+                    part = flat[i:i + NOISE_PIXELS]
+                    part += rng.normal(0.0, self.read_sigma, part.size)
+                np.clip(analog, 0, 65535, out=analog)
+                out[p:p + step] = np.round(analog, out=analog)
 
         return _render_blocks(counts, np.uint16, fill)
 
@@ -260,29 +270,41 @@ def _seed_entropy(seed) -> tuple[int, ...]:
 
 class _ChunkCounts:
     """The photon counts of a chunk's *n* frames of *size* x *size* pixels,
-    binned a slice of frames at a time (the cameras' ``counts``)."""
+    binned a slice of frames at a time (the cameras' ``counts``).  Each
+    photon is kept as its flat (frame, row, column) index, in int32
+    whenever every index of the chunk fits (n * size**2 < 2**31), else in
+    int64."""
 
     def __init__(self, n: int, size: int):
         # flat photon indices, each array in frame order
         self.shape, self._photons = (n, size, size), []
+        self._index = np.int32 if n * size * size < 2 ** 31 else np.int64
 
-    def add(self, frame_of: np.ndarray, py: np.ndarray, px: np.ndarray) -> None:
-        """Add photons at (py, px) in the frames *frame_of*, which is sorted;
-        the three arrays are only read."""
+    def add(self, frame_of: np.ndarray, axes: Iterable[np.ndarray]) -> None:
+        """Add one photon per entry of *frame_of* (sorted), at the position
+        that *axes* gives one axis at a time: an array of y, then one of x.
+        Each position array is consumed: written over before the next is
+        asked for, so a caller may build the next in the same buffer."""
         size = self.shape[1]
-        # pixel floor(p + 0.5); only positions on the sensor are cast, where
-        # truncation is that floor and the cast is defined
-        y, x = py + 0.5, px + 0.5
-        ok = (y >= 0) & (y < size) & (x >= 0) & (x < size)
-        # (frame * size + row) * size + column, built in one int64 buffer;
-        # truncated first, each float sum is an exact integer below 2**53,
-        # so casting it back is exact
-        flat = frame_of[ok].astype(np.int64)
-        for pixel in (y, x):
-            np.trunc(pixel, out=pixel)
+        # (frame * size + row) * size + column, built in one buffer
+        flat = frame_of.astype(self._index)
+        ok = None
+        for p in axes:
+            # pixel floor(p + 0.5), in p's own buffer; positions off the
+            # sensor, where the cast to an integer is undefined, are set to 0
+            # first and dropped at the end
+            p += 0.5
+            on = p >= 0
+            on &= p < size
+            ok = on if ok is None else np.logical_and(ok, on, out=ok)
+            del on
+            np.trunc(p, out=p)
+            np.copyto(p, 0.0, where=~ok)
+            # truncated first, each float sum is an exact integer below
+            # 2**53, so casting it back is exact
             flat *= size
-            np.add(flat, pixel[ok], out=flat, casting="unsafe")
-        self._photons.append(flat)
+            np.add(flat, p, out=flat, casting="unsafe")
+        self._photons.append(flat[ok])
 
     def __getitem__(self, key: slice) -> np.ndarray:
         a, b, _ = key.indices(self.shape[0])
@@ -302,12 +324,12 @@ def _sorted_search(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     draws (which keeps a large CDF in cache) and scattered back.  Equal
     draws get equal indices, so the sort need not be stable.  The unsorted
     draws are dropped once sorted, so a caller that passes them on holds
-    one copy of them at a time."""
+    one copy of them at a time, and the indices are scattered into the
+    sorted draws' own buffer."""
     order = np.argsort(u)
     u = u[order]
     found = np.searchsorted(cum, u)
-    del u
-    index = np.empty_like(found)
+    index = u.view(found.dtype)
     index[order] = found
     return index
 
@@ -347,7 +369,7 @@ def _render_chunk(scene: Scene, cum: np.ndarray, rate: float, n: int,
     del column
     frame_of = np.repeat(np.arange(n, dtype=np.int32), frame_counts)
     counts = _ChunkCounts(n, m)
-    photons(rng_e, y, x, lambda py, px: counts.add(frame_of, py, px))
+    photons(rng_e, y, x, lambda axes: counts.add(frame_of, axes))
     del y, x, frame_of
     yield from camera.render(
         counts, np.random.default_rng((*entropy, _STAGE_CAMERA, chunk)))
@@ -360,10 +382,12 @@ def _simulate(scene: Scene, p: np.ndarray, rate: float, n_frames: int,
     Each chunk of at most SIM_CHUNK_FRAMES frames is Poisson events per
     frame and event sites drawn from the normalized density *p*; then
     ``photons(rng, y, x, emit)`` draws any further randomness and calls
-    ``emit(py, px)`` per photon of an event, which keeps those positions'
-    flat indices (one photon's position arrays are alive at a time;
-    *photons* may build the last photon in y and x themselves), and
-    the camera bins and renders them block by block.  The rate, the frame
+    ``emit(axes)`` per photon of an event, *axes* giving that photon's
+    positions one axis at a time, y then x (an iterator, or a pair of
+    arrays); emit consumes each array into the photons' flat indices
+    before it asks for the next, so *photons* may build one photon's axes
+    in one buffer, and its last photon in y and x themselves.  The camera
+    then bins and renders the photons block by block.  The rate, the frame
     count and the seed are checked when this is called, before any chunk
     is rendered."""
     if not 0 < rate <= MAX_RATE or n_frames < 1:
@@ -406,18 +430,20 @@ def simulate_chunks(scene: Scene, mode: str = "near", sigma: float = 0.25,
     def pair(rng, y, x, emit):
         # The jitter is the chunk's last event draw: photon one's y and x,
         # then photon two's (consecutive normal draws are bit for bit one
-        # draw).  Photon one is built in its jitter's buffers, photon two,
-        # the partner, in y and x themselves, which nothing reads after it.
+        # draw), each into one reused buffer, bit for bit as
+        # rng.normal(0, scale) draws it.  Photon one is built axis by axis
+        # in that buffer, photon two, the partner, in y and x themselves,
+        # which nothing reads after it.
         scale = sigma / math.sqrt(2.0)
-        first = [rng.normal(0.0, scale, y.size) for _ in (y, x)]
-        first[0] += y
-        first[1] += x
-        emit(*first)
-        del first
-        for r in (y, x):
-            r[...] = reflect(mode, r, scene.size)
-            r += rng.normal(0.0, scale, r.size)
-        emit(y, x)
+        jitter = np.empty_like(y)
+
+        def draw():
+            rng.standard_normal(out=jitter)
+            return np.multiply(jitter, scale, out=jitter)
+
+        emit(np.add(draw(), r, out=jitter) for r in (y, x))
+        emit(np.add(reflect(mode, r, scene.size, out=r), draw(), out=r)
+             for r in (y, x))
 
     return _simulate(scene, _normalized_density(scene, mode, density),
                      pair_rate, n_frames, camera, seed, pair)
@@ -444,7 +470,7 @@ def simulate_intensity_frames(scene: Scene, intensity: np.ndarray,
     the oversampled grid; photon_rate is the Poisson mean per frame."""
     chunks = _simulate(scene, _normalized_density(scene, "near", intensity),
                        photon_rate, n_frames, camera, seed,
-                       lambda rng, y, x, emit: emit(y, x))
+                       lambda rng, y, x, emit: emit((y, x)))
     return _stack(chunks, n_frames)
 
 

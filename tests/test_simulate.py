@@ -166,11 +166,12 @@ def test_block_binning_equals_indexed_add_at(n):
                              np.full(extra, 1.2)])
         px = np.concatenate([rng.uniform(-3, m + 2, frame_of.size),
                              np.full(extra, 3.4)])
-        source.add(f, py, px)
+        # the reference first: add consumes the position arrays
         y, x = py + 0.5, px + 0.5
         ok = (y >= 0) & (y < m) & (x >= 0) & (x < m)
         np.add.at(reference, (f[ok], y[ok].astype(np.int64),
                               x[ok].astype(np.int64)), 1)
+        source.add(f, (py, px))
     blocks = [source[a:a + BLOCK] for a in range(0, n, BLOCK)]
     assert source.shape == (n, m, m)
     assert all(block.dtype == np.int32 for block in blocks)
@@ -179,6 +180,21 @@ def test_block_binning_equals_indexed_add_at(n):
     assert reference[n - 1, 1, 3] >= 70000
     assert reference.sum() < 2 * frame_of.size + 70000
     assert all(reference[e].any() for e in edges)
+
+
+@pytest.mark.parametrize("n", [2047, 2048, SIM_CHUNK_FRAMES])
+def test_flat_index_past_int32_lands_on_its_pixel(n):
+    # frames of 1024 x 1024: the last pixel's flat index n * 2**20 - 1 fits
+    # int32 below n = 2048 and needs int64 from there on (4.29e9 > 2**31
+    # at n = 4096)
+    source = _ChunkCounts(n, 1024)
+    source.add(np.array([0, n - 1, n - 1], dtype=np.int32),
+               (np.array([5.0, 1023.2, 1022.6]),
+                np.array([7.0, 1022.9, 1023.4])))
+    # only the last frame's block is made
+    last = source[n - 1:n]
+    assert last.shape == (1, 1024, 1024)
+    assert last[0, 1023, 1023] == 2 and last.sum() == 2
 
 
 @st.composite
@@ -196,7 +212,7 @@ def block_counts(draw):
     frame, y, x = np.unravel_index(
         np.repeat(np.arange(counts.size), counts.ravel()), counts.shape)
     source = _ChunkCounts(n, m)
-    source.add(frame, y.astype(float), x.astype(float))
+    source.add(frame, (y.astype(float), x.astype(float)))
     return counts, source
 
 
@@ -217,12 +233,13 @@ def _whole_chunk_render(camera, counts, rng):
     return np.round(analog, out=analog).astype(np.uint16)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(block_counts(), st.sampled_from([
     IdealCamera(), SpadCamera(), EmccdCamera(),
     EmccdCamera(gain_mean=300.0, gain_cv=0.4, read_sigma=5.0, smear=0.2)]),
-    st.integers(0, 2 ** 32 - 1))
-def test_block_render_equals_whole_chunk_render(case, camera, seed):
+    st.integers(0, 2 ** 32 - 1),
+    st.sampled_from(["whole block", "7 pixels", "3 frames"]))
+def test_block_render_equals_whole_chunk_render(case, camera, seed, noise):
     counts, source = case
     n, h, w = counts.shape
     expected = _whole_chunk_render(camera, counts.copy(),
@@ -231,6 +248,11 @@ def test_block_render_equals_whole_chunk_render(case, camera, seed):
     with pytest.MonkeyPatch.context() as mp:
         # blocks of BLOCK frames, whatever the frame size
         mp.setattr(simulate_module, "RENDER_PIXELS", BLOCK * h * w)
+        # EMCCD frames made and their read noise drawn a whole block, 7
+        # pixels (part of a frame from 3 x 3 on) or 3 frames at a time
+        mp.setattr(simulate_module, "NOISE_PIXELS", {
+            "whole block": BLOCK * h * w, "7 pixels": 7,
+            "3 frames": 3 * h * w}[noise])
         blocks = list(camera.render(given_counts, np.random.default_rng(seed)))
         assert [len(b) for b in blocks] == [min(BLOCK, n - a)
                                             for a in range(0, n, BLOCK)]
@@ -285,6 +307,50 @@ def test_frame_larger_than_the_pixel_budget_renders_one_frame_per_block(
     blocks = list(simulate_chunks(*args))
     assert [len(block) for block in blocks] == [1] * 9
     assert np.concatenate(blocks).tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("step", [7, 4096, 2 ** 16])
+def test_consecutive_draws_are_one_whole_draw(step):
+    # the simulator's bytes rest on it: the read noise is drawn in pieces
+    n = 70001
+    for draw in (lambda rng, k: rng.normal(0.0, 8.0, k),
+                 lambda rng, k: rng.random(k)):
+        whole = draw(np.random.default_rng(3), n)
+        rng = np.random.default_rng(3)
+        pieces = [draw(rng, min(step, n - i)) for i in range(0, n, step)]
+        assert np.concatenate(pieces).tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("scale", [0.84 / math.sqrt(2.0), 8.0, 1e-3])
+def test_scaled_normal_equals_a_standard_normal_scaled_in_place(scale):
+    # the simulator's bytes rest on it: the pair jitter is drawn so, into
+    # one reused buffer; it holds while numpy computes 0 + scale * z and
+    # does not fuse the multiply-add
+    expected = np.random.default_rng(5).normal(0.0, scale, 70001)
+    buffer = np.empty(70001)
+    np.random.default_rng(5).standard_normal(out=buffer)
+    buffer *= scale
+    assert buffer.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("mode", ["near", "far"])
+def test_chunk_peak_is_a_few_arrays_per_event(mode):
+    # one 4096-frame chunk of 32 x 32 ideal frames at 60 pairs per frame,
+    # whose peak is the event stage's.  Alive at once, per event: y and x
+    # (16 B), the reused jitter (8 B), the int32 frame and flat indices
+    # (8 B), photon one's kept indices and photon two's (8 B), and at most
+    # three masks (3 B): 43 B
+    rate = 60.0
+    blocks = simulate_chunks(uniform(32), mode, 0.84, rate, SIM_CHUNK_FRAMES,
+                             IdealCamera(), 7)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        collections.deque(blocks, maxlen=0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak / (SIM_CHUNK_FRAMES * rate) < 48, peak
 
 
 def test_chunk_peak_memory_does_not_grow_with_the_frame_area():
