@@ -36,10 +36,10 @@ import collections
 import os
 import struct
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import (
     ConfigurationError,
@@ -54,13 +54,14 @@ from .images import GridImage
 MODES = ("near", "far")  # the imaging geometries
 DEFAULT_BAND_RADIUS = 3
 DEFAULT_CHUNK_SIZE = 256
-# pixel columns per band-kernel GEMM tile: 4 measured fastest, for the
-# float32 kernel too (grating_superres.ini reconstruct on 2 cores: 0.100 s
-# at 4 against 0.106 s at 8)
-TILE_WIDTH = 4
-# bytes of a band-kernel chunk's pix and dpad buffers, past which it runs
-# over bands of frame rows: at chunk 256 and K = 1 in float64, 32 x 32
-# frames take 4.3 MB, 256 x 256 frames 270 MB
+# pixel columns per band-kernel GEMM tile: 8 and 4 run within 6 % of each
+# other on the three benchmark stacks (2 cores, ms per chunk: 2.29 and 2.31
+# near_grating_k3, 1.86 and 1.97 emccd_fine_k1, 2.33 and 2.22
+# far_cat_spad64), and 8 stages fewer halo columns; 16 is 1.3-2.6x slower
+TILE_WIDTH = 8
+# bytes of a band-kernel chunk's pix, part and prod buffers, past which it
+# runs over bands of frame rows: at chunk 256 and K = 1 in float64, 32 x 32
+# frames take 3.2 MB, 256 x 256 frames 157 MB
 KERNEL_BYTES = 2 ** 23
 EXACT_SUM_LIMIT = 2 ** 53  # float64 holds every integer below this exactly
 FLOAT32_SUM_LIMIT = 2 ** 24  # float32 holds every integer below this exactly
@@ -195,18 +196,28 @@ def accumulate_partial(frames: np.ndarray, mode: str = "near",
 def _accumulate_chunk(frames: np.ndarray, mode: str, band_radius: int,
                       scratch: dict) -> PartialJpd:
     """:func:`accumulate_partial` of a checked chunk, run over bands of
-    frame rows whose ``pix`` and ``dpad`` buffers fit KERNEL_BYTES; a chunk
-    whose buffers fit runs as one band.  The buffers come from *scratch*
-    when a chunk of the same shape and kernel dtype left them there, and
-    are left there for the next chunk; any other chunk replaces them.
-    Their padding is never written, so it is zeroed only when they are
-    allocated.  One *scratch* serves one band radius."""
+    frame rows whose kernel buffers (``pix``, ``part`` and ``prod``) fit
+    KERNEL_BYTES; a chunk whose buffers fit runs as one band.  The buffers,
+    with their views, come from *scratch* when a chunk of the same shape
+    and kernel dtype left them there, and are left there for the next
+    chunk; any other chunk replaces them.  Their padding is never written,
+    so it is zeroed only when they are allocated.  One *scratch* serves one
+    band radius.
+
+    A band runs one batched matmul per column tile, which covers every
+    row offset of the band, and one strided copy of all its planes into
+    the band sums.
+    """
     h, w = frames.shape[1:]
     k = band_radius
     ky, kx = min(k, h - 1), min(k, w - 1)
     n = frames.shape[0] - 1
     b = TILE_WIDTH
     tiles = -(-w // b)
+    cols = tiles * b
+    span = b + 2 * kx  # a tile's columns and their kx-column halos
+    m = (2 * ky + 1) * span  # a tile row's partners: span columns per dy
+    edge = cols - w + kx  # zero columns on either side of a staged frame
     # The kernel runs in float32 when every sum of the chunk is an integer
     # below 2**24, and in float64 otherwise (accumulate_jpd has checked
     # that integer sums stay below 2**53).  Either way every partial sum is
@@ -216,67 +227,94 @@ def _accumulate_chunk(frames: np.ndarray, mode: str, band_radius: int,
     exact32 = (frames.dtype.kind in "biu"
                and _range_past(frames, FLOAT32_SUM_LIMIT) is None)
     dtype = np.float32 if exact32 else np.float64
+    item = np.dtype(dtype).itemsize
     sign = 1 if mode == "near" else -1
     # Rows per band: all h if one band's buffers fit the budget, else as
-    # many as fit (at least one) beside the 2 ky halo rows of pix and dpad;
-    # far-field bands also copy their own rows (see below).
-    pix_row = tiles * b * (n + 1) * np.dtype(dtype).itemsize
-    row = pix_row + (tiles * b + 2 * kx) * n * np.dtype(dtype).itemsize
-    rows = h if h * row <= KERNEL_BYTES else max(1, (
-        KERNEL_BYTES - 2 * ky * row) // (row + (pix_row if sign < 0 else 0)))
-    # Pixel-major frames, zero-padded to whole tiles of b columns.
-    # d_l = a_l - a_{l+1} goes straight into a partner buffer with kx zero
-    # columns on either side, and each tile's partner columns plus a
-    # kx-column halo on either side are an overlapping window view of it,
-    # (rows, tiles, n, b + 2 kx).  Far field: plane u pairs r with
-    # c - r + u, so the partner rows and columns are stored reversed, which
-    # turns plane u into offset -u.  pix stages a band's partner rows with
-    # their ky-row halo; the band's own rows are a view of them when they
-    # lie inside (always in the near field, and for one band), else they
-    # are copied to pix's last `rows` rows, which only far-field bands have.
+    # many as fit (at least one) beside the 2 ky halo rows of pix and part;
+    # far-field bands also copy their own rows to pix (see below).
+    pix_row = (w + 2 * edge) * (n + 1) * item
+    part_row = span * n * item
+    prod_row = cols * (m + 1) * item
+    rows = h if h * (pix_row + part_row + prod_row) + 2 * ky * part_row \
+        <= KERNEL_BYTES else max(1, (
+            KERNEL_BYTES - 2 * ky * (pix_row + part_row)) // (
+            pix_row * (2 if sign < 0 else 1) + part_row + prod_row))
+    # pix: pixel-major frames, (rows, w + 2 edge, n + 1), with the frame in
+    # columns [edge, edge + w); the zero columns on either side are what
+    # the halos and the tile padding read past the sensor, whether the
+    # columns are read forward or reversed.  It stages a band's partner
+    # rows with their ky-row halo; the band's own rows are a view of them
+    # when they lie inside (always in the near field, and for one band),
+    # else they are copied to pix's last `rows` rows, which only far-field
+    # bands have.
+    # part: one tile's partner differences d_l = a_l - a_{l+1},
+    # (rows + 2 ky, b + 2 kx, n): its b columns with kx halo columns on
+    # either side, and ky zero rows above and below the band.  Far field:
+    # plane u pairs r with c - r + u, so the partner rows and columns are
+    # read reversed, which turns plane u into offset -u.
+    # prod: the band's products, (rows, cols (m + 1)).
+    # The 2 ky + 1 partner rows of a tile's pixel row are contiguous in
+    # part, so one matmul per tile covers every dy: row x = tb + i of the
+    # tile's product holds, at (dy + ky) span + j,
+    #     sum_l a_l(y, x) d_l(partner row y + dy, tb + j - kx),
+    # and plane (dy, dx) is the entry at j = i + dx + kx.  The product rows
+    # are laid out m items apart within a tile and m + 1 items from one
+    # tile to the next, so that entry lies at x (m + 1) + (dy + ky) span +
+    # dx + kx for every x, and one strided view holds all the band's
+    # planes.  Entries whose partner lies off the sensor are computed as
+    # zeros; those whose pixel lies in the tile padding are never stored.
+    # The scratch keeps the views with the buffers: every tile row's
+    # partners, every tile's matmul output and the band's planes.
     key = frames.shape, dtype
     if key not in scratch:
         scratch.clear()
         staged = min(h, rows + 2 * ky)
         own = rows if sign < 0 and rows < h else 0
-        scratch[key] = (np.zeros((staged + own, tiles * b, n + 1), dtype),
-                        np.zeros((staged, tiles * b + 2 * kx, n), dtype))
-    pix, dpad = scratch[key]
+        pix = np.zeros((staged + own, w + 2 * edge, n + 1), dtype)
+        part = np.zeros((rows + 2 * ky, span, n), dtype)
+        prod = np.empty((rows, cols * (m + 1)), dtype)
+        scratch[key] = (
+            pix, part,
+            as_strided(part, (rows, m, n), part.strides).swapaxes(1, 2),
+            as_strided(prod, (tiles, rows, b, m),
+                       (b * (m + 1) * item, prod_row, m * item, item)),
+            as_strided(prod, (2 * ky + 1, 2 * kx + 1, rows, w),
+                       (span * item, item, prod_row, (m + 1) * item),
+                       writeable=False))
+    pix, part, partners, out, band = scratch[key]
     sums = np.zeros((2 * k + 1, 2 * k + 1, h, w))
+    # the planes the kernel fills, in its (dy, dx) order
+    planes = sums[k - ky:k + ky + 1, k - kx:k + kx + 1][::sign, ::sign]
     for y0 in range(0, h, rows):
         y1 = min(h, y0 + rows)
-        # the band's partner rows [lo, hi) in dpad's row order, and the
-        # frame rows [f0, f1) they come from
+        r = y1 - y0
+        # the band's partner rows [lo, hi) in read order, at part rows
+        # [p0, p1), and the frame rows [f0, f1) they come from
         lo, hi = max(0, y0 - ky), min(h, y1 + ky)
+        p0, p1 = lo - y0 + ky, hi - y0 + ky
         f0, f1 = (lo, hi) if sign > 0 else (h - hi, h - lo)
-        stage, d = pix[:f1 - f0], dpad[:hi - lo]
-        stage[:, :w] = np.moveaxis(frames[:, f0:f1], 0, -1)
-        src = stage[::sign, :w][:, ::sign]
-        np.subtract(src[..., :-1], src[..., 1:], out=d[:, kx:kx + w])
-        halo = np.lib.stride_tricks.sliding_window_view(
-            d, b + 2 * kx, axis=1)[:, ::b]
+        stage = pix[:f1 - f0]
+        stage[:, edge:edge + w] = frames[:, f0:f1].transpose(1, 2, 0)
+        # partner columns [-kx, cols + kx) in read order, and each tile's
+        # window of them
+        src = (stage[:, cols - w:] if sign > 0
+               else stage[::-1, cols + 2 * kx - 1::-1])
+        s0, s1, s2 = src.strides
+        src = as_strided(src, (tiles, hi - lo, span, n + 1),
+                         (b * s1, s0, s1, s2), writeable=False)
         if f0 <= y0 and y1 <= f1:
             mine = stage[y0 - f0:y1 - f0]
         else:
-            mine = pix[-rows:][:y1 - y0]
-            mine[:, :w] = np.moveaxis(frames[:, y0:y1], 0, -1)
-        a = mine[..., :-1].reshape(y1 - y0, tiles, b, n)
-        # Band-only GEMMs: one batched matmul per row offset dy gives
-        # prod[y, t, i, j] = sum_l a_l(y, tb + i) d_l(partner row, tb + j - kx),
-        # so plane (dy, dx) is the diagonal at offset dx + kx, widened to
-        # float64 as it is stored.  Entries whose pixel or partner lies in
-        # the padding are computed as zeros and never stored.
-        for dy in range(-ky, ky + 1):
-            ya, yb = max(y0, -dy), min(y1, h - dy)
-            if ya >= yb:
-                continue  # no row of this band has a partner row at dy
-            prod = np.matmul(a[ya - y0:yb - y0],
-                             halo[ya + dy - lo:yb + dy - lo])
-            for dx in range(-kx, kx + 1):
-                xa, xb = max(0, -dx), w - max(0, dx)
-                diag = np.diagonal(prod, dx + kx, 2, 3).reshape(yb - ya, -1)
-                sums[sign * dy + k, sign * dx + k, ya:yb, xa:xb] = \
-                    diag[:, xa:xb]
+            mine = pix[-rows:][:r]
+            mine[:, edge:edge + w] = frames[:, y0:y1].transpose(1, 2, 0)
+        a = mine[:, edge:edge + cols, :-1].reshape(r, tiles, b, n)
+        if rows < h:  # rows off the sensor here may hold another band's
+            part[:p0] = 0
+            part[p1:r + 2 * ky] = 0
+        for t in range(tiles):
+            np.subtract(src[t, ..., :-1], src[t, ..., 1:], out=part[p0:p1])
+            np.matmul(a[:, t], partners[:r], out=out[t, :r])
+        planes[:, :, y0:y1] = band[:, :, :r]  # widened to float64
     return PartialJpd(mode, k, (h, w), sums, n)
 
 
@@ -461,6 +499,9 @@ def accumulate_jpd(frames, mode: str = "near",
 
     threads = min(workers or 1, len(spans), _usable_cpus())
     if threads > 1:
+        # imported here: concurrent.futures loads logging, which a serial
+        # run has no use for
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as pool:
             merged = merge_partials(_in_order(pool, run, spans, threads + 1))
     else:

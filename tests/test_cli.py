@@ -855,6 +855,19 @@ def test_cli_import_loads_no_scipy():
     assert result.stdout.strip() == "[]"
 
 
+def test_cli_import_loads_no_thread_pool():
+    # the thread pool is imported only when a run uses threads, so every
+    # command's process is spared concurrent.futures and the logging it loads
+    src = str(Path(jpdkit.__file__).resolve().parents[1])
+    code = ("import sys, jpdkit.cli\n"
+            "print(sorted(m for m in ('concurrent.futures', 'logging')"
+            " if m in sys.modules))")
+    result = subprocess.run([sys.executable, "-c", code], check=True,
+                            capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert result.stdout.strip() == "[]"
+
+
 def test_version_flag():
     with pytest.raises(SystemExit) as info:
         main(["--version"])

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import struct
 import threading
@@ -163,7 +164,7 @@ def test_result_independent_of_chunking_and_workers():
 def test_reused_kernel_scratch_gives_fresh_buffer_sums():
     # one scratch through chunks whose shape or kernel dtype changes and
     # changes back (a 65535 takes a chunk to float64); 7 columns leave
-    # padding in the 4-column tiles, which is never written
+    # padding in the 8-column tiles, which is never written
     rng = np.random.default_rng(2)
     scratch = {}
     for mode in jpd_module.MODES:
@@ -194,7 +195,7 @@ def test_thread_pool_bounded_by_chunks_and_processors(monkeypatch):
 
     frames = np.random.default_rng(8).integers(0, 9, (6, 4, 4), dtype=np.uint16)
     base = accumulate_jpd(frames, band_radius=1)
-    monkeypatch.setattr(jpd_module, "ThreadPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
     for cpus, expected in ((64, 5), (3, 3)):  # five chunks of one term
         sizes = []
         # the processors this process may use, not the machine's count
@@ -249,9 +250,9 @@ def test_row_bands_equal_one_band(mode, dtype):
     for k in (1, 3):
         whole = jpd_module._accumulate_chunk(frames, mode, k, {}).sums
         chunked = accumulate_jpd(frames, mode, k, chunk_size=13)
-        # a row of the chunk's kernel buffers takes 4 to 10 kB here: bands
+        # a row of the chunk's kernel buffers takes 8 to 26 kB here: bands
         # of one row, of several and of all 11
-        for budget in [1, *np.geomspace(2 ** 12, 2 ** 17, 16).astype(int)]:
+        for budget in [1, *np.geomspace(2 ** 12, 2 ** 19, 16).astype(int)]:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(jpd_module, "KERNEL_BYTES", budget)
                 scratch = {}
@@ -291,8 +292,13 @@ def test_banded_equals_dense_on_edge_shapes(frames, data):
     # 0 holds every chunk to float64
     limit = data.draw(st.sampled_from([jpd_module.FLOAT32_SUM_LIMIT, 0]),
                       label="float32_limit")
+    # from bands of one row (1 byte) up to one band: 2**22 bytes hold the
+    # kernel buffers of any of these stacks in float64 at any radius
+    budget = data.draw(st.integers(0, 88).map(lambda e: int(2 ** (e / 4))),
+                       label="kernel_bytes")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(jpd_module, "FLOAT32_SUM_LIMIT", limit)
+        mp.setattr(jpd_module, "KERNEL_BYTES", budget)
         jpd = accumulate_jpd(frames, mode, k, chunk_size=chunk,
                              workers=workers, symmetrize=symmetrize)
     ref = banded_from_dense(dense_jpd_matrix(frames, symmetrize=symmetrize),
@@ -451,6 +457,38 @@ def test_finalize_holds_few_band_copies(mode):
         tracemalloc.stop()
     assert peak <= 2.5 * sums.nbytes
     assert np.array_equal(sums, before)
+
+
+@pytest.mark.parametrize("mode", ["near", "far"])
+def test_kernel_memory_is_bounded_by_its_budget(mode):
+    # 257 full-range u16 frames run the float64 kernel, whose buffers for
+    # 128 x 32 frames at K = 8 would take four times KERNEL_BYTES in one
+    # band.  Wide halos (8 columns on either side of each 8-column tile)
+    # and 17 row offsets make the halo columns and the product large
+    # shares of a band row: a rows-per-band formula that left either out
+    # would choose bands 1 to 4 MB over the budget.
+    k, h, w = 8, 128, 32
+    frames = np.random.default_rng(14).integers(0, 65536, (257, h, w),
+                                                dtype=np.uint16)
+    band_sums = (2 * k + 1) ** 2 * h * w * 8
+    # beside the buffers and the band sums the kernel makes only numpy's
+    # casting buffers, a few of np.getbufsize() float64 items each
+    slack = 4 * np.getbufsize() * 8
+    scratch = {}
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        partial = jpd_module._accumulate_chunk(frames, mode, k, scratch)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    (shape, dtype), = scratch
+    pix, part, partners, out, band = scratch[shape, dtype]
+    assert np.dtype(dtype) == np.float64
+    assert 1 < len(partners) < h  # several bands of several rows
+    assert partial.sums.nbytes == band_sums
+    assert peak <= jpd_module.KERNEL_BYTES + band_sums + slack
 
 
 def test_input_validation():
