@@ -326,7 +326,9 @@ def _range_past(frames, limit, spans=None):
     range decides this without reading the frames when it can (bool
     against 2**24: under 2**24 terms; u16 against 2**53: under about 2e6
     frames); only otherwise is the stack's own range read, chunk by chunk
-    over *spans* (by default the whole stack at once).
+    over *spans* (by default the whole stack at once).  Unsigned and bool
+    values are >= 0, so n_terms * max**2 bounds every sum, and their min
+    is read only when that bound does not decide.
     """
     n_terms = frames.shape[0] - 1
 
@@ -340,10 +342,17 @@ def _range_past(frames, limit, spans=None):
         lo, hi = int(info.min), int(info.max)
     if bound(lo, hi) < limit:
         return None
-    lo, hi = hi, lo
-    for a, b in spans or [(0, frames.shape[0])]:
-        chunk = frames[a:b]
-        lo, hi = min(lo, int(chunk.min())), max(hi, int(chunk.max()))
+    spans = spans or [(0, frames.shape[0])]
+    if frames.dtype.kind in "bu":
+        hi = max(int(frames[a:b].max()) for a, b in spans)
+        if n_terms * hi * hi < limit:
+            return None
+        lo = min(int(frames[a:b].min()) for a, b in spans)
+    else:
+        lo, hi = hi, lo
+        for a, b in spans:
+            chunk = frames[a:b]
+            lo, hi = min(lo, int(chunk.min())), max(hi, int(chunk.max()))
     return None if bound(lo, hi) < limit else (lo, hi)
 
 

@@ -2,16 +2,18 @@
 
 The simulator draws pair birth positions from a scene-derived density on the
 oversampled grid, applies the pair correlation model and a camera profile,
-and bins photons into sensor frames.  Each photon of a chunk is kept as its
-flat (frame, y, x) index, in int32 wherever the chunk's indices fit; the
-camera then bins and renders the chunk in blocks of at most RENDER_PIXELS
-pixels (and at least one frame), which the simulator yields one by one, so
-neither a whole-chunk counts array nor a whole-chunk frame array is made
-and the memory of a block does not grow with the frame area.  The event
-stage builds its arrays in place where the result keeps its bits: each
-draw in its own buffer, and each photon one axis at a time, its y position
-reduced to part of its flat index before its x position is made.  A chunk
-then peaks at about 44 bytes per event.
+and bins photons into sensor frames.  Event sites are drawn through the
+CDF's step table (:func:`_step_table`).  Each photon of a chunk is kept as
+its flat (frame, y, x) index, in int32 wherever the chunk's indices fit;
+the camera then bins and renders the chunk in blocks of at most
+RENDER_PIXELS pixels (and at least one frame), in uint16 counts when a
+block holds fewer than 2**16 photons, which the simulator yields one by
+one, so neither a whole-chunk counts array nor a whole-chunk frame array
+is made and the memory of a block does not grow with the frame area.  The
+event stage builds its arrays in place where the result keeps its
+bits: each draw in its own buffer, and each photon one axis at a time, its
+y position reduced to part of its flat index before its x position is
+made.  A chunk then peaks at about 44 bytes per event.
 
 Correlation model: the two photons of a pair land at ``x + xi_1`` and, in the
 near-field geometry, ``x + xi_2`` (far field: ``C - x + xi_2`` with
@@ -50,6 +52,9 @@ RENDER_PIXELS = 512 * 32 * 32
 # time, of at most this many pixels and at least one frame, and their read
 # noise is drawn at most this many values at a time
 NOISE_PIXELS = 2 ** 16
+# the CDF's step table is built, and counted into a chunk's draws, this
+# many values at a time
+SEARCH_PIECE = 2 ** 16
 # the largest mean number of pairs or photons per frame; numpy's Poisson
 # sampler refuses means above about 9.2e18
 MAX_RATE = 1e18
@@ -84,14 +89,14 @@ class IdealCamera:
     def render(self, counts, rng: np.random.Generator) -> Iterator[np.ndarray]:
         """The frames of the photon *counts* of n frames of h x w pixels, as
         an iterator over blocks of frames in order: *counts* is anything
-        with ``.shape == (n, h, w)`` whose ``counts[a:b]`` is the int32
-        counts of frames a to b - 1, such as an ndarray, or the simulator's
-        chunk source, which bins a block of frames when it is sliced.  A
-        block holds at most RENDER_PIXELS pixels (and at least one frame),
-        so only one block's counts and frames are held; *counts* is not
-        written to."""
-        # clipped in int32 and cast into the u16 block; np.clip's cast is
-        # faster than np.minimum's
+        with ``.shape == (n, h, w)`` whose ``counts[a:b]`` is the integer
+        (int32, or uint16 where no count can pass 65535) counts of frames a
+        to b - 1, such as an ndarray, or the simulator's chunk source,
+        which bins a block of frames when it is sliced.  A block holds at
+        most RENDER_PIXELS pixels (and at least one frame), so only one
+        block's counts and frames are held; *counts* is not written to."""
+        # clipped in the counts' dtype and cast into the u16 block;
+        # np.clip's cast is faster than np.minimum's
         return _render_blocks(counts, np.uint16, lambda c, out, a: np.clip(
             c, 0, 65535, out=out, casting="unsafe"))
 
@@ -134,12 +139,16 @@ class EmccdCamera:
 
         def fill(c, out, a):
             # the analog frames of a block, a piece of at most NOISE_PIXELS
-            # pixels (and at least one whole frame, for the smear) at a time
+            # pixels (and at least one whole frame, for the smear) at a
+            # time, made in one buffer; the read noise is drawn into another
             h, w = c.shape[1:]
             step = max(1, NOISE_PIXELS // (h * w))
             g = gains[a:a + len(c), None, None]
+            buffer = np.empty((min(step, len(c)), h, w))
+            noise = np.empty(min(NOISE_PIXELS, buffer.size))
             for p in range(0, len(c), step):
-                analog = c[p:p + step] * g[p:p + step]
+                analog = np.multiply(c[p:p + step], g[p:p + step],
+                                     out=buffer[:len(c) - p])
                 if self.smear > 0:
                     # charge leaks down the readout column: out[y] = in[y] + smear*out[y-1]
                     for y in range(1, h):
@@ -147,9 +156,14 @@ class EmccdCamera:
                 flat = analog.reshape(-1)
                 for i in range(0, flat.size, NOISE_PIXELS):
                     part = flat[i:i + NOISE_PIXELS]
-                    part += rng.normal(0.0, self.read_sigma, part.size)
+                    # rng.normal(0, sigma) draws 0 + sigma z: it differs at
+                    # most in the sign of a zero, which the clip, the
+                    # rounding and the cast erase
+                    z = rng.standard_normal(out=noise[:part.size])
+                    z *= self.read_sigma
+                    part += z
                 np.clip(analog, 0, 65535, out=analog)
-                out[p:p + step] = np.round(analog, out=analog)
+                np.rint(analog, out=out[p:p + step], casting="unsafe")
 
         return _render_blocks(counts, np.uint16, fill)
 
@@ -273,7 +287,8 @@ class _ChunkCounts:
     binned a slice of frames at a time (the cameras' ``counts``).  Each
     photon is kept as its flat (frame, row, column) index, in int32
     whenever every index of the chunk fits (n * size**2 < 2**31), else in
-    int64."""
+    int64.  A slice is binned into uint16 when it holds fewer than 2**16
+    photons, so that no pixel can pass 65535, and into int32 otherwise."""
 
     def __init__(self, n: int, size: int):
         # flat photon indices, each array in frame order
@@ -308,29 +323,85 @@ class _ChunkCounts:
 
     def __getitem__(self, key: slice) -> np.ndarray:
         a, b, _ = key.indices(self.shape[0])
-        counts = np.zeros((b - a, *self.shape[1:]), dtype=np.int32)
-        pixels = counts[0].size
-        for flat in self._photons:
-            # the frames are sorted, so the slice's photons are contiguous
-            lo, hi = np.searchsorted(flat, (a * pixels, b * pixels))
-            # a 1-D index and a value of the counts' own dtype take numpy's
-            # fast path for ufunc.at
-            np.add.at(counts.reshape(-1), flat[lo:hi] - a * pixels, np.int32(1))
+        pixels = self.shape[1] * self.shape[2]
+        # the frames are sorted, so the slice's photons are contiguous; the
+        # bounds are given in the indices' own dtype, which every index of
+        # the chunk fits, so that the search does not cast the indices
+        bounds = np.array((a * pixels, b * pixels), self._index)
+        spans = [(flat, *np.searchsorted(flat, bounds))
+                 for flat in self._photons]
+        dtype = np.dtype(np.uint16 if sum(hi - lo for _, lo, hi in spans)
+                         < 2 ** 16 else np.int32)
+        counts = np.zeros((b - a, *self.shape[1:]), dtype)
+        for flat, lo, hi in spans:
+            index = flat[lo:hi].astype(np.intp)
+            index -= a * pixels
+            # a 1-D intp index and a value of the counts' own dtype take
+            # numpy's fast path for ufunc.at
+            np.add.at(counts.reshape(-1), index, dtype.type(1))
         return counts
 
 
-def _sorted_search(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """``np.searchsorted(cum, u)``, searched in the order of the sorted
-    draws (which keeps a large CDF in cache) and scattered back.  Equal
-    draws get equal indices, so the sort need not be stable.  The unsorted
-    draws are dropped once sorted, so a caller that passes them on holds
-    one copy of them at a time, and the indices are scattered into the
-    sorted draws' own buffer."""
+def _step_table(cum: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """The step table of the CDF *cum*, built in cum's own buffer, which it
+    takes over: the distinct values, ascending, and the cell where each
+    starts, then the cell count (int32 below 2**31 cells).  When that
+    would take more bytes than the CDF (from 2/3 of the cells on), the CDF
+    is its own table and the starts, the identity, are None.  Besides cum,
+    the build holds one bool per cell and one SEARCH_PIECE-cell piece."""
+    cells = cum.size
+    step = np.empty(cells, np.bool_)
+    step[0] = True
+    np.not_equal(cum[1:], cum[:-1], out=step[1:])
+    d = int(np.count_nonzero(step))
+    index = np.dtype(np.int32 if cells < 2 ** 31 else np.int64)
+    if d * (cum.itemsize + index.itemsize) + index.itemsize > cum.nbytes:
+        return cum, None
+    # the values packed into the front of the buffer, a piece at a time: a
+    # piece's values never land past the cells they are read from
+    pieces = range(0, cells, SEARCH_PIECE)
+    end = 0
+    for a in pieces:
+        v = cum[a:a + SEARCH_PIECE][step[a:a + SEARCH_PIECE]]
+        cum[end:end + v.size] = v
+        end += v.size
+    # then the starts behind them, over cells no longer read
+    starts = cum[d:].view(index)[:d + 1]
+    end = 0
+    for a in pieces:
+        s = np.flatnonzero(step[a:a + SEARCH_PIECE])
+        s += a
+        starts[end:end + s.size] = s
+        end += s.size
+    starts[d] = cells
+    return cum[:d], starts
+
+
+def _cells_below(values: np.ndarray, starts: np.ndarray | None,
+                 u: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(cdf, u)`` for the CDF whose step table is *values*
+    and *starts*: the number of values below each draw, mapped to cells by
+    the starts.  The draws are sorted; with at least 1.5 per value, the
+    values are counted into them, SEARCH_PIECE at a time (D log2(tot) + tot
+    per piece, for D values and tot draws), else each draw is searched in
+    the values (tot log2(D)); the two break even between 1.25 and 1.5.  The
+    unsorted draws are dropped once sorted (when passed as a plain
+    argument), and the cells are scattered into the sorted draws' buffer."""
     order = np.argsort(u)
     u = u[order]
-    found = np.searchsorted(cum, u)
-    index = u.view(found.dtype)
-    index[order] = found
+    if 2 * u.size >= 3 * values.size:
+        below = None
+        for a in range(0, values.size, SEARCH_PIECE):
+            at = np.bincount(np.searchsorted(u, values[a:a + SEARCH_PIECE],
+                                             side="right"),
+                             minlength=u.size + 1)
+            below = at if below is None else np.add(below, at, out=below)
+            del at  # released before the next piece's counts are made
+        below = np.cumsum(below[:u.size], out=below[:u.size])
+    else:
+        below = np.searchsorted(values, u)
+    index = u.view(np.intp)
+    index[order] = below if starts is None else starts[below]
     return index
 
 
@@ -346,7 +417,7 @@ def _coordinate(rng: np.random.Generator, cell: np.ndarray,
     return u
 
 
-def _render_chunk(scene: Scene, cum: np.ndarray, rate: float, n: int,
+def _render_chunk(scene: Scene, table: tuple, rate: float, n: int,
                   camera, entropy: tuple, chunk: int,
                   photons) -> Iterator[np.ndarray]:
     """The blocks of chunk number *chunk*, of *n* frames (see
@@ -357,10 +428,11 @@ def _render_chunk(scene: Scene, cum: np.ndarray, rate: float, n: int,
     m, f = scene.size, scene.oversample
     frame_counts = rng_e.poisson(rate, n)
     tot = int(frame_counts.sum())
+    values, starts = table
     # each event's subcell: its flat index, then its row, with the column
     # left in the index's buffer
-    column = _sorted_search(cum, rng_e.random(tot))
-    np.minimum(column, cum.size - 1, out=column)
+    column = _cells_below(values, starts, rng_e.random(tot))
+    np.minimum(column, (m * f) ** 2 - 1, out=column)
     row = np.empty_like(column)
     np.divmod(column, m * f, out=(row, column))
     y = _coordinate(rng_e, row, f)
@@ -380,7 +452,8 @@ def _simulate(scene: Scene, p: np.ndarray, rate: float, n_frames: int,
     """The one checked entry of both simulators: an iterator over the
     stack's blocks of frames in order, each rendered as it is asked for.
     Each chunk of at most SIM_CHUNK_FRAMES frames is Poisson events per
-    frame and event sites drawn from the normalized density *p*; then
+    frame and event sites drawn from the normalized density *p*, whose
+    buffer it takes over for the CDF and its step table; then
     ``photons(rng, y, x, emit)`` draws any further randomness and calls
     ``emit(axes)`` per photon of an event, *axes* giving that photon's
     positions one axis at a time, y then x (an iterator, or a pair of
@@ -396,10 +469,14 @@ def _simulate(scene: Scene, p: np.ndarray, rate: float, n_frames: int,
                                  f"and n_frames {n_frames!r}")
     entropy = _seed_entropy(seed)
     camera = camera if camera is not None else IdealCamera()
-    cum = np.cumsum(p)
+    values, starts = _step_table(np.cumsum(p, out=p))
+    if starts is not None:
+        # out of p's buffer, which is freed when this returns
+        values, starts = values.copy(), starts.copy()
+    table = values, starts
     # the chunk's temporaries go with _render_chunk's frame
     return itertools.chain.from_iterable(
-        _render_chunk(scene, cum, rate, min(SIM_CHUNK_FRAMES, n_frames - start),
+        _render_chunk(scene, table, rate, min(SIM_CHUNK_FRAMES, n_frames - start),
                       camera, entropy, chunk, photons)
         for chunk, start in enumerate(range(0, n_frames, SIM_CHUNK_FRAMES)))
 

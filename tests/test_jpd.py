@@ -337,6 +337,63 @@ def test_float32_kernel_only_below_the_limit(monkeypatch):
     assert all(wide == narrow for wide, narrow in sums.values())
 
 
+def _two_pass_range_past(frames, limit, spans=None):
+    """The range check as one reading of every chunk's min and max."""
+    n_terms = frames.shape[0] - 1
+
+    def bound(lo, hi):
+        return n_terms * max(-lo, hi) * (hi - lo)
+
+    if frames.dtype == np.bool_:
+        lo, hi = 0, 1
+    else:
+        info = np.iinfo(frames.dtype)
+        lo, hi = int(info.min), int(info.max)
+    if bound(lo, hi) < limit:
+        return None
+    spans = spans or [(0, frames.shape[0])]
+    lo = min(int(frames[a:b].min()) for a, b in spans)
+    hi = max(int(frames[a:b].max()) for a, b in spans)
+    return None if bound(lo, hi) < limit else (lo, hi)
+
+
+class _MinCounted(np.ndarray):
+    """An array that records each call of its ``min``."""
+
+    calls: list = []
+
+    def min(self, *args, **kwargs):
+        self.calls.append(self.shape)
+        return super().min(*args, **kwargs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_range_check_reads_the_min_only_past_the_max_bound(data):
+    dtype = data.draw(st.sampled_from([np.uint8, np.uint16, np.bool_]),
+                      label="dtype")
+    shape = (data.draw(st.integers(2, 12), label="n"),
+             data.draw(st.integers(1, 3), label="h"),
+             data.draw(st.integers(1, 3), label="w"))
+    frames = data.draw(arrays(dtype, shape), label="frames")
+    cuts = data.draw(st.lists(st.integers(1, shape[0] - 1), unique=True),
+                     label="cuts")
+    edges = [0, *sorted(cuts), shape[0]]
+    spans = data.draw(st.sampled_from([None, list(zip(edges, edges[1:]))]),
+                      label="spans")
+    # limits on both sides of the max bound n max**2 and of the range's
+    # own bound n max (max - min)
+    n, lo, hi = shape[0] - 1, int(frames.min()), int(frames.max())
+    near = [b + d for b in (n * hi * hi, n * hi * (hi - lo), 0)
+            for d in (-1, 0, 1)]
+    limit = data.draw(st.sampled_from(near), label="limit")
+    _MinCounted.calls = []
+    got = jpd_module._range_past(frames.view(_MinCounted), limit, spans)
+    assert got == _two_pass_range_past(frames, limit, spans)
+    if n * hi * hi < limit:
+        assert _MinCounted.calls == []
+
+
 def test_bright_chunk_falls_back_to_float64_with_the_same_bits(monkeypatch):
     frames = np.random.default_rng(11).integers(0, 4, (65, 6, 7),
                                                 dtype=np.uint16)

@@ -16,10 +16,10 @@ from jpdkit.jpd import (accumulate_jpd, minus_projection, structural_validity,
                         sum_projection)
 from jpdkit.scenes import Scene, grating, half_pixel_average, uniform
 import jpdkit.simulate as simulate_module
-from jpdkit.simulate import (RENDER_PIXELS, SIM_CHUNK_FRAMES, EmccdCamera,
-                             IdealCamera, SpadCamera, _axis_capture,
-                             _ChunkCounts, _normalized_density,
-                             _sorted_search, analytic_jpd,
+from jpdkit.simulate import (RENDER_PIXELS, SEARCH_PIECE, SIM_CHUNK_FRAMES,
+                             EmccdCamera, IdealCamera, SpadCamera,
+                             _axis_capture, _ChunkCounts, _cells_below,
+                             _normalized_density, _step_table, analytic_jpd,
                              camera_by_name, classical_fringe,
                              interference_rate, noon_density, simulate_chunks,
                              simulate_frames, simulate_intensity_frames)
@@ -138,11 +138,134 @@ def cdfs_and_draws(draw):
     return cum, np.array(draw(st.lists(st.sampled_from(values), max_size=60)))
 
 
+def _table_search(cum, u):
+    """The simulator's search of the draws *u* in the CDF *cum*: through
+    its step table, built in a copy of *cum*, which it takes over."""
+    return _cells_below(*_step_table(cum.copy()), u.copy())
+
+
 @settings(max_examples=300, deadline=None)
-@given(cdfs_and_draws())
-def test_sorted_search_equals_searchsorted(case):
+@given(cdfs_and_draws(), st.sampled_from([SEARCH_PIECE, 1, 3]))
+def test_sorted_search_equals_searchsorted(case, piece):
     cum, u = case
-    assert np.array_equal(_sorted_search(cum, u), np.searchsorted(cum, u))
+    with pytest.MonkeyPatch.context() as mp:
+        # the values searched into the draws whole, or 1 or 3 at a time
+        mp.setattr(simulate_module, "SEARCH_PIECE", piece)
+        assert np.array_equal(_table_search(cum, u), np.searchsorted(cum, u))
+
+
+@pytest.mark.parametrize("cum, u", [
+    # a CDF whose last value is below 1, with draws past it
+    ([0.1, 0.1, 0.3, 0.6], [0.7, 0.6, 0.99, 0.0, 0.1, 0.35]),
+    # one cell
+    ([1.0], [0.0, 0.5, 0.999]),
+    ([0.5], [0.25, 0.5, 0.75]),
+    # no draws
+    ([0.2, 0.2, 1.0], []),
+    # fewer than 1.5 draws per value: each draw searched in the values
+    ([0.25, 0.5, 0.5, 0.75, 1.0], [0.5, 0.1, 0.8, 0.0, 0.75]),
+])
+def test_table_search_at_the_edges(cum, u):
+    cum, u = np.array(cum), np.array(u, dtype=np.float64)
+    assert np.array_equal(_table_search(cum, u), np.searchsorted(cum, u))
+
+
+@pytest.mark.parametrize("steps, identity", [(3, False), (4, True)])
+def test_table_on_either_side_of_two_thirds(steps, identity):
+    # six cells: 3 distinct values take 3 * 12 + 4 = 40 bytes of the CDF's
+    # 48, 4 would take 52, so the CDF is its own table from 4 on
+    cum = np.repeat(np.arange(1, steps + 1) / steps, [6 - steps + 1]
+                    + [1] * (steps - 1))
+    assert cum.size == 6 and np.unique(cum).size == steps
+    buffer = cum.copy()
+    values, starts = _step_table(buffer)
+    assert (starts is None) == identity
+    # the table lives in the CDF's own buffer
+    assert np.shares_memory(values, buffer)
+    if not identity:
+        assert np.shares_memory(starts, buffer)
+        assert np.array_equal(values, np.unique(cum))
+        assert np.array_equal(starts, [0, 6 - steps + 1, 6 - steps + 2, 6])
+    u = np.concatenate([np.linspace(0, 1, 13), cum])
+    assert np.array_equal(_cells_below(values, starts, u),
+                          np.searchsorted(cum, u))
+
+
+@pytest.mark.parametrize("cells, steps", [(120_000, 70_000),
+                                          (80_000, 70_000)])
+@pytest.mark.parametrize("n_random", [100_000, 1_000])
+def test_table_search_in_several_pieces(cells, steps, n_random):
+    # more than 2**16 distinct values: with 1.5 or more draws per value
+    # they are counted into the draws in two pieces, with fewer each draw
+    # is searched in them; once through starts (58 % of the cells are
+    # steps), once with the CDF as its own table (88 %)
+    first = np.linspace(0, cells - 1, steps).astype(np.int64)
+    weights = np.zeros(cells)
+    weights[first] = np.arange(1, steps + 1)
+    cum = np.cumsum(weights) / weights.sum()
+    d = np.unique(cum).size
+    assert d == steps + (weights[0] == 0) > SEARCH_PIECE
+    rng = np.random.default_rng(12)
+    u = np.concatenate([rng.random(n_random), cum[::7], [0.0, 1.0]])
+    rng.shuffle(u)
+    assert (2 * u.size >= 3 * d) == (n_random == 100_000)
+    assert (_step_table(cum.copy())[1] is None) == (cells == 80_000)
+    assert np.array_equal(_table_search(cum, u), np.searchsorted(cum, u))
+
+
+def _traced_peak(make):
+    """``make()`` and the peak of the memory it traced above the start."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        made = make()
+        return made, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+# array headers, views and Python ints around the arrays a bound counts
+SMALL_OBJECTS = 4096
+
+
+@pytest.mark.parametrize("scene, identity", [
+    # every cell a step: the CDF is its own table
+    (uniform(256, oversample=4), True),
+    # about 31 % of the cells are steps
+    (grating(256, period=1.6, duty=0.3125, oversample=4), False)])
+def test_step_table_memory(scene, identity):
+    p = _normalized_density(scene, "near", None)
+    cells = p.size
+    assert cells == 1024 ** 2
+    cum = np.cumsum(p, out=p)
+    # the search's expected cells, from the CDF before the build takes it
+    cdf = cum.copy()
+    # the build: the density's buffer becomes the CDF and then the table,
+    # beside one bool per cell and one piece's values or starts (intp)
+    (values, starts), peak = _traced_peak(lambda: _step_table(cum))
+    assert peak <= cells + 8 * SEARCH_PIECE + SMALL_OBJECTS, peak
+    assert (starts is None) == identity
+    # the table holds no more bytes than the CDF, in the CDF's buffer
+    held = values.nbytes + (0 if identity else starts.nbytes)
+    assert held <= cells * 8
+    assert all(np.shares_memory(a, p) for a in (values, starts)
+               if a is not None)
+    # a search holds at most four arrays of 8 (draws + 1) bytes at once:
+    # the draws' order and the sorted draws (which become the cells), with
+    # either the unsorted draws, or the values below each draw and, when
+    # counting, one piece's counts (or the cells gathered from the int32
+    # starts); and, when counting, one piece's positions among the draws.
+    # One 600-frame chunk at 40 events per frame searches each draw in the
+    # values; twice as many draws as values are counted into
+    sizes = [40 * 600] + ([] if identity else [2 * values.size])
+    for n in sizes:
+        draws = np.random.default_rng(2).random(n)
+        expected = np.searchsorted(cdf, draws)
+        found, peak = _traced_peak(
+            lambda: _cells_below(values, starts, draws.copy()))
+        assert np.array_equal(found, expected)
+        assert peak <= 4 * 8 * (n + 1) + 8 * SEARCH_PIECE + SMALL_OBJECTS, (
+            n, peak)
 
 
 @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 1100])
@@ -174,7 +297,10 @@ def test_block_binning_equals_indexed_add_at(n):
         source.add(f, (py, px))
     blocks = [source[a:a + BLOCK] for a in range(0, n, BLOCK)]
     assert source.shape == (n, m, m)
-    assert all(block.dtype == np.int32 for block in blocks)
+    # uint16 for blocks under 2**16 photons, int32 for the last block,
+    # which holds the 70 000-photon pixel
+    assert [block.dtype for block in blocks] == (
+        [np.uint16] * (len(blocks) - 1) + [np.int32])
     assert np.array_equal(np.concatenate(blocks), reference)
     assert np.array_equal(source[n // 3:n], reference[n // 3:])
     assert reference[n - 1, 1, 3] >= 70000
@@ -195,6 +321,19 @@ def test_flat_index_past_int32_lands_on_its_pixel(n):
     last = source[n - 1:n]
     assert last.shape == (1, 1024, 1024)
     assert last[0, 1023, 1023] == 2 and last.sum() == 2
+
+
+@pytest.mark.parametrize("photons, dtype", [(2 ** 16 - 1, np.uint16),
+                                             (2 ** 16, np.int32)])
+def test_block_counts_are_u16_below_2_16_photons(photons, dtype):
+    # every photon of the slice in one pixel: 65535 fits u16, 65536 not
+    source = _ChunkCounts(3, 4)
+    source.add(np.full(photons, 1), (np.full(photons, 2.0),
+                                     np.full(photons, 3.0)))
+    block = source[0:3]
+    assert block.dtype == dtype
+    assert block[1, 2, 3] == photons and block.sum() == photons
+    assert source[2:3].dtype == np.uint16
 
 
 @st.composite
@@ -511,6 +650,42 @@ def test_emccd_smear_recurrence_matches_lfilter():
                 out = _render(cam, counts, np.random.default_rng(8))
                 ref = _render_with_lfilter(cam, counts, np.random.default_rng(8))
                 assert out.tobytes() == ref.tobytes(), (shape, smear, gain_cv)
+
+
+def _emccd_old_formula(cam, counts, rng):
+    """EmccdCamera.render's bytes as its formula was first written: c * g,
+    the smear recurrence, rng.normal(0, sigma) read noise added per
+    NOISE_PIXELS piece, clip, round, cast."""
+    gains = rng.normal(cam.gain_mean, cam.gain_cv * cam.gain_mean,
+                       counts.shape[0])
+    analog = counts * gains[:, None, None]
+    for y in range(1, analog.shape[1]):
+        analog[:, y] += cam.smear * analog[:, y - 1]
+    flat = analog.reshape(-1)
+    for i in range(0, flat.size, simulate_module.NOISE_PIXELS):
+        part = flat[i:i + simulate_module.NOISE_PIXELS]
+        part += rng.normal(0.0, cam.read_sigma, part.size)
+    np.clip(analog, 0, 65535, out=analog)
+    return np.round(analog, out=analog).astype(np.uint16)
+
+
+@pytest.mark.parametrize("read_sigma", [0.0, 8.0])
+@pytest.mark.parametrize("gain_cv", [0.0, 0.7, 3.0])  # 3: negative gains
+@pytest.mark.parametrize("smear", [0.0, 0.3])
+@pytest.mark.parametrize("dtype", [np.int32, np.uint16])
+def test_emccd_bytes_follow_the_old_formula(read_sigma, gain_cv, smear,
+                                            dtype):
+    cam = EmccdCamera(gain_mean=60.0, gain_cv=gain_cv,
+                      read_sigma=read_sigma, smear=smear)
+    rng = np.random.default_rng(21)
+    # frames of 32 x 32, of 7 x 9, and of more than NOISE_PIXELS pixels
+    for shape in [(5, 32, 32), (3, 7, 9), (2, 300, 300)]:
+        counts = rng.poisson(3.0, shape).astype(dtype)
+        if dtype == np.int32:
+            counts[-1, 2, 4] = 70000  # past the u16 full scale
+        out = _render(cam, counts, np.random.default_rng(5))
+        ref = _emccd_old_formula(cam, counts, np.random.default_rng(5))
+        assert out.tobytes() == ref.tobytes(), shape
 
 
 def test_camera_invalid_separation_masks():
