@@ -22,8 +22,8 @@ from .pipeline import (PipelineResult, filter_jpd, interpolate_invalid,
 from .scenes import (Scene, cat_half_plane, checkerboard_phase, grating,
                      half_pixel_average, uniform)
 from .simulate import (EmccdCamera, IdealCamera, SpadCamera, analytic_jpd,
-                       camera_by_name, noon_density, simulate_frames,
-                       simulate_intensity_frames)
+                       camera_by_name, noon_density, simulate_chunks,
+                       simulate_frames, simulate_intensity_frames)
 
 __all__ = [
     "__version__",
@@ -39,5 +39,5 @@ __all__ = [
     "half_pixel_average",
     "IdealCamera", "EmccdCamera", "SpadCamera", "camera_by_name",
     "simulate_frames", "simulate_intensity_frames", "noon_density",
-    "analytic_jpd",
+    "analytic_jpd", "simulate_chunks",
 ]

@@ -92,17 +92,37 @@ def write_frames(path, frames: np.ndarray) -> None:
     write_frame_chunks(path, [frames])
 
 
+def check_blocks(blocks):
+    """Each of *blocks*, a frame stack's blocks of frames in order, as an
+    array, once it is checked: the first as a stack shape
+    (:func:`check_stack_shape`), every later one to have the first one's
+    height, width and dtype.  The writer and the accumulator's stream path
+    both read their blocks through it."""
+    first = None  # none of the first block's frames: its shape and dtype
+    for block in map(np.asarray, blocks):
+        if first is None:
+            check_stack_shape(block.shape)
+            first = block[:0].copy()
+        elif (block.shape[1:], block.dtype) != (first.shape[1:], first.dtype):
+            (height, width), dtype = first.shape[1:], first.dtype
+            raise FrameShapeError(
+                f"chunk of shape {block.shape} and dtype {block.dtype} "
+                f"in a stack of {height}x{width} {dtype} frames")
+        yield block
+        del block  # released before the next block is made
+
+
 def write_frame_chunks(path, chunks) -> None:
     """Write a frame stack that arrives as *chunks*, the stack's frames in
     order, to *path*.
 
     Each chunk is a (count, height, width) array as :func:`write_frames`
-    takes, and every chunk has the first one's height, width and dtype.
-    The first chunk is checked before *path* is opened, so no chunk at all
-    is refused then.  If a later chunk is refused, or producing it raises,
-    the partial file is removed.
+    takes, and every chunk has the first one's height, width and dtype
+    (:func:`check_blocks`).  The first chunk is checked before *path* is
+    opened, so no chunk at all is refused then.  If a later chunk is
+    refused, or producing it raises, the partial file is removed.
     """
-    chunks = iter(chunks)
+    chunks = check_blocks(chunks)
     # no chunk at all reads as an empty 1-D array, which is no stack shape
     first = np.asarray(next(chunks, ()))
     code = _sample_code(first)
@@ -117,13 +137,6 @@ def write_frame_chunks(path, chunks) -> None:
             # cut short by a crash reads as a bad magic, never as a stack
             fh.write(bytes(HEADER_SIZE))
             for chunk in stream:
-                chunk = np.asarray(chunk)
-                if (_sample_code(chunk) != code
-                        or chunk.shape[1:] != (height, width)):
-                    raise FrameShapeError(
-                        f"chunk of shape {chunk.shape} and dtype {chunk.dtype} "
-                        f"in a stack of {height}x{width} {_SAMPLES[code]} "
-                        "frames")
                 count += len(chunk)
                 if count > MAX_FIELD:
                     raise FrameShapeError(f"{count} frames exceed the header's "
@@ -146,8 +159,10 @@ class FrameSource:
 
     ``source[a:b]`` reads frames a to b - 1 and returns them as
     :func:`read_frames` would, so code that slices a stack in contiguous
-    spans takes a source in its place and holds only the span.  Each read
-    opens the file by path at its own offset, so threads may read at once.
+    spans takes a source in its place and holds only the span.  The
+    accumulator reads its chunks so, in order, in the calling thread.
+    Each read opens the file by path at its own offset, so the source
+    holds no open file between reads.
     """
 
     ndim = 3

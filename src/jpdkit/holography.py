@@ -33,7 +33,7 @@ from .jpd import DEFAULT_CHUNK_SIZE
 from .pipeline import reconstruct, super_resolve
 from .scenes import Scene, block_mean
 from .simulate import (analytic_jpd, classical_fringe, noon_acquisition,
-                       noon_density, simulate_frames)
+                       noon_density, simulate_chunks)
 
 PAIR_SHIFTS = (0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4)
 INTENSITY_SHIFTS = (0.0, math.pi / 2, math.pi, 3 * math.pi / 2)
@@ -61,20 +61,21 @@ def four_step_phase(s0, s1, s2, s3) -> np.ndarray:
 def simulate_pair_phase_stacks(scene: Scene, contrast: float = 1.0,
                                sigma: float = 0.25, pair_rate: float = 60.0,
                                n_frames: int = 1000, camera=None,
-                               seed: int = 0) -> list[np.ndarray]:
-    """Simulate one frame stack per reference shift; each stack gets an
-    independent deterministic random stream derived from (seed, shift index).
+                               seed: int = 0) -> list:
+    """One frame stack per reference shift, each as the iterator over its
+    blocks of frames that :func:`~jpdkit.simulate.simulate_chunks` returns,
+    so a stack is rendered only as it is read and never held whole; each
+    stack gets an independent deterministic random stream derived from
+    (seed, shift index).
 
     The per-shift pair rate follows the transmitted flux of the
     interference pattern (*pair_rate* refers to the bare object)."""
-    stacks = []
-    for i, alpha in enumerate(PAIR_SHIFTS):
-        density, rate = noon_acquisition(scene, alpha, contrast, pair_rate)
-        stacks.append(simulate_frames(
-            scene, mode="near", sigma=sigma, pair_rate=rate,
-            n_frames=n_frames, camera=camera, seed=(seed, i),
-            density=density))
-    return stacks
+    acquisitions = (noon_acquisition(scene, alpha, contrast, pair_rate)
+                    for alpha in PAIR_SHIFTS)
+    return [simulate_chunks(scene, mode="near", sigma=sigma, pair_rate=rate,
+                            n_frames=n_frames, camera=camera, seed=(seed, i),
+                            density=density)
+            for i, (density, rate) in enumerate(acquisitions)]
 
 
 def _phase_image(images) -> GridImage:
@@ -88,7 +89,10 @@ def pair_phase_map(stacks, camera=None, band_radius: int = 1,
                    chunk_size: int = DEFAULT_CHUNK_SIZE,
                    workers: int | None = None) -> GridImage:
     """Reconstruct wrap(2 theta) on the half-pixel grid from four stacks
-    acquired at the pair-interference shifts, each through `reconstruct`."""
+    acquired at the pair-interference shifts, each through `reconstruct`,
+    which takes an array, a frame file or an iterator of blocks, such as
+    :func:`simulate_pair_phase_stacks` returns, and reads it one chunk at a
+    time."""
     if len(stacks) != 4:
         raise ConfigurationError("four phase-shifted stacks are required")
     return _phase_image([reconstruct(

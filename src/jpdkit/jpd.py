@@ -33,10 +33,12 @@ their exclusion, so silent drop-outs cannot skew downstream images.
 from __future__ import annotations
 
 import collections
+import itertools
 import os
 import struct
 import threading
-from dataclasses import dataclass, field, replace
+from collections.abc import Iterator
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -48,7 +50,7 @@ from .errors import (
     PrecisionError,
     StateError,
 )
-from .frames import FrameSource, check_stack_shape, unpack_header
+from .frames import FrameSource, check_blocks, check_stack_shape, unpack_header
 from .images import GridImage
 
 MODES = ("near", "far")  # the imaging geometries
@@ -167,10 +169,27 @@ def check_band_radius(band_radius: int, shape) -> None:
             f"{shape[0]}x{shape[1]} frames")
 
 
+# an iterator of frame blocks as the accumulator takes it: every block
+# checked by frames.check_blocks as it comes, the shape and dtype of the
+# first ones, read up to the second frame, and all the blocks in order
+_Stream = collections.namedtuple("_Stream", "shape dtype blocks")
+
+
 def _check_args(frames, mode: str, band_radius: int):
-    """The checks every accumulation makes; returns *frames* as an array, or
-    as the :class:`~jpdkit.frames.FrameSource` it is."""
-    if not isinstance(frames, FrameSource):
+    """The checks every accumulation makes, before any chunk is accumulated;
+    returns *frames* as an array, as the
+    :class:`~jpdkit.frames.FrameSource` it is, or, when it is an iterator
+    of blocks, as a ``_Stream``, whose shape counts only the frames read
+    to check it."""
+    if isinstance(frames, Iterator):
+        blocks, head = check_blocks(frames), []
+        while (sum(map(len, head)) < 2
+               and (block := next(blocks, None)) is not None):
+            head.append(block)
+        first = head[0] if head else np.empty((0, 1, 1))  # an empty stack
+        frames = _Stream((sum(map(len, head)), *first.shape[1:]),
+                         first.dtype, itertools.chain(head, blocks))
+    elif not isinstance(frames, FrameSource):
         frames = np.asarray(frames)
     check_stack_shape(frames.shape)
     if frames.shape[0] < 2:
@@ -182,15 +201,17 @@ def _check_args(frames, mode: str, band_radius: int):
     return frames
 
 
-def accumulate_partial(frames: np.ndarray, mode: str = "near",
+def accumulate_partial(frames, mode: str = "near",
                        band_radius: int = DEFAULT_BAND_RADIUS) -> PartialJpd:
-    """Accumulate the estimator numerator over one contiguous chunk.
+    """Accumulate the estimator numerator over one contiguous chunk: any
+    source :func:`accumulate_jpd` takes, read whole.
 
     The chunk contributes ``len(frames) - 1`` consecutive-frame terms; feed
     overlapping chunks (repeat the boundary frame) to cover a long stream.
     """
-    return _accumulate_chunk(_check_args(frames, mode, band_radius)[:], mode,
-                             band_radius, {})
+    # the feed's one chunk of a source shorter than 2**63 terms: all of it
+    chunk = next(_chunks(_check_args(frames, mode, band_radius), 2 ** 63))
+    return _accumulate_chunk(chunk, mode, band_radius, {})
 
 
 def _accumulate_chunk(frames: np.ndarray, mode: str, band_radius: int,
@@ -318,58 +339,55 @@ def _accumulate_chunk(frames: np.ndarray, mode: str, band_radius: int,
     return PartialJpd(mode, k, (h, w), sums, n)
 
 
-def _range_past(frames, limit, spans=None):
-    """The value range (lo, hi) of the integer or bool stack *frames* if
-    its sums could reach *limit*; None when every sum stays below it.
+def _sum_bound(n_terms: int, lo: int, hi: int) -> int:
+    """The bound n_terms * max|a| * max|a - a'| on every sum of n_terms
+    consecutive-frame products of values in [lo, hi]."""
+    return n_terms * max(-lo, hi) * (hi - lo)
 
-    Every sum is bounded by n_terms * max|a| * max|a - a'|.  The dtype's
-    range decides this without reading the frames when it can (bool
-    against 2**24: under 2**24 terms; u16 against 2**53: under about 2e6
-    frames); only otherwise is the stack's own range read, chunk by chunk
-    over *spans* (by default the whole stack at once).  Unsigned and bool
-    values are >= 0, so n_terms * max**2 bounds every sum, and their min
-    is read only when that bound does not decide.
+
+def _dtype_range(dtype) -> tuple[int, int]:
+    """The values an integer or bool *dtype* can hold, as (lo, hi)."""
+    return ((0, 1) if dtype == np.bool_
+            else (np.iinfo(dtype).min, np.iinfo(dtype).max))
+
+
+def _range_past(frames, limit):
+    """The value range (lo, hi) of the integer or bool chunk *frames* if its
+    sums could reach *limit* (:func:`_sum_bound`); None when every sum stays
+    below it.
+
+    The dtype's range decides this without reading the frames when it can
+    (bool against 2**24: under 2**24 terms); only otherwise is the chunk's
+    own range read.  Unsigned and bool values are >= 0, so n_terms * max**2
+    bounds every sum, and their min is read only when that bound does not
+    decide.
     """
     n_terms = frames.shape[0] - 1
-
-    def bound(lo, hi):
-        return n_terms * max(-lo, hi) * (hi - lo)
-
-    if frames.dtype == np.bool_:
-        lo, hi = 0, 1
-    else:
-        info = np.iinfo(frames.dtype)
-        lo, hi = int(info.min), int(info.max)
-    if bound(lo, hi) < limit:
+    if _sum_bound(n_terms, *_dtype_range(frames.dtype)) < limit:
         return None
-    spans = spans or [(0, frames.shape[0])]
-    if frames.dtype.kind in "bu":
-        hi = max(int(frames[a:b].max()) for a, b in spans)
-        if n_terms * hi * hi < limit:
-            return None
-        lo = min(int(frames[a:b].min()) for a, b in spans)
-    else:
-        lo, hi = hi, lo
-        for a, b in spans:
-            chunk = frames[a:b]
-            lo, hi = min(lo, int(chunk.min())), max(hi, int(chunk.max()))
-    return None if bound(lo, hi) < limit else (lo, hi)
+    hi = int(frames.max())
+    if frames.dtype.kind in "bu" and n_terms * hi * hi < limit:
+        return None
+    lo = int(frames.min())
+    return None if _sum_bound(n_terms, lo, hi) < limit else (lo, hi)
 
 
-def _check_exact(frames, spans) -> None:
-    """Raise PrecisionError if the sums of an integer or bool stack could
-    reach EXACT_SUM_LIMIT, where float64 stops holding integers exactly;
-    the stack's range is read chunk by chunk over *spans* when its dtype
-    cannot decide.  Float stacks are not summed exactly in any case."""
-    if frames.dtype.kind not in "biu":
-        return
-    over = _range_past(frames, EXACT_SUM_LIMIT, spans)
-    if over is not None:
-        lo, hi = over
-        raise PrecisionError(
-            f"{frames.shape[0] - 1} frame pairs with values in [{lo}, {hi}] "
-            f"may sum past {EXACT_SUM_LIMIT}, beyond which float64 "
-            "accumulation is not exact; split the stack")
+def _exact_sums(chunks):
+    """*chunks*, the overlapping chunks of an integer or bool stack in
+    order, each yielded once the sums of all of them so far are known to
+    stay below EXACT_SUM_LIMIT, where float64 stops holding integers
+    exactly: :func:`_sum_bound` of the running term count and the running
+    value range.  Past it, PrecisionError."""
+    terms, lo, hi = 0, np.inf, -np.inf
+    for chunk in chunks:
+        terms += len(chunk) - 1
+        lo, hi = min(lo, int(chunk.min())), max(hi, int(chunk.max()))
+        if _sum_bound(terms, lo, hi) >= EXACT_SUM_LIMIT:
+            raise PrecisionError(
+                f"{terms} frame pairs with values in [{lo}, {hi}] may sum "
+                f"past {EXACT_SUM_LIMIT}, beyond which float64 accumulation "
+                "is not exact; split the stack")
+        yield chunk
 
 
 def merge_partials(parts) -> PartialJpd:
@@ -472,49 +490,92 @@ def accumulate_jpd(frames, mode: str = "near",
                    chunk_size: int = DEFAULT_CHUNK_SIZE,
                    workers: int | None = None,
                    symmetrize: bool = True) -> Jpd:
-    """Estimate the banded JPD of a frame stack: an array, or a
-    :class:`~jpdkit.frames.FrameSource`, which is read one chunk at a time.
+    """Estimate the banded JPD of a frame stack: an array, a
+    :class:`~jpdkit.frames.FrameSource`, or an iterator (not a list) of
+    (count, H, W) blocks of its frames in order, such as
+    :func:`~jpdkit.simulate.simulate_chunks` returns.
 
-    The stack is processed in fixed chunks of ``chunk_size`` consecutive-frame
-    terms (optionally on up to ``workers`` threads, never more than there
-    are chunks or processors this process may use) and merged in chunk
-    order as the chunks finish, so only one merged sum is held; with
-    threads, at most one chunk more than there are threads is in flight.
-    Each chunk runs over bands of frame rows whose kernel buffers fit
-    KERNEL_BYTES, so its memory does not grow with the frame area beyond
-    the chunk's frames and its band sums.  The thread count and the row
-    bands never change the result's bits.  For integer and bool stacks the
-    chunking does not either; for float stacks it may move the last bits,
-    as the sums are rounded in another order.  Integer stacks whose sums
-    could leave float64's exact range raise :class:`PrecisionError` before
-    any chunk is accumulated.
+    The stack is read in the calling thread, in order, as overlapping
+    chunks of ``chunk_size`` consecutive-frame terms: slices of an array
+    or a file, and the same frames re-cut from an iterator's blocks, so no
+    source is held whole.  A block is held, not copied, until its chunks
+    are accumulated, so it must not be written to once it is yielded.  The
+    chunks are accumulated (optionally on up to ``workers`` threads, never
+    more than there are processors this process may use, nor than there
+    are chunks in an array or a file) and merged in chunk order as they
+    finish, so only one merged sum is held; with threads, at most one
+    chunk more than there are threads is in flight.  Each chunk runs over
+    bands of frame rows whose kernel buffers fit KERNEL_BYTES, so its
+    memory does not grow with the frame area beyond the chunk's frames and
+    its band sums.  The thread count and the row bands never change the
+    result's bits.  For integer and bool stacks the chunking does not
+    either; for float stacks it may move the last bits, as the sums are
+    rounded in another order.  Integer stacks whose sums could leave
+    float64's exact range raise :class:`PrecisionError`: an array or a
+    file before any chunk is accumulated, an iterator before the chunk
+    that would take its sums past that range.
     """
-    frames = _check_args(frames, mode, band_radius)
+    return _accumulate(_check_args(frames, mode, band_radius), mode,
+                       band_radius, chunk_size, workers, symmetrize)
+
+
+def _chunks(frames, chunk_size: int):
+    """The overlapping chunks of chunk_size terms (chunk_size + 1 frames,
+    the last chunk fewer) of a checked source, in order:
+    ``frames[a:a + chunk_size + 1]`` of an array or a file, and the same
+    frames re-cut from a stream's blocks, which carries each chunk's last
+    frame over as the next one's first and copies together a chunk that
+    spans blocks."""
+    if not isinstance(frames, _Stream):
+        for a in range(0, frames.shape[0] - 1, chunk_size):
+            yield frames[a:a + chunk_size + 1]
+        return
+    held = []  # the next chunk's frames so far
+    for block in frames.blocks:
+        while (count := sum(map(len, held))) + len(block) > chunk_size:
+            take = chunk_size + 1 - count
+            yield np.concatenate([*held, block[:take]]) if held else block[:take]
+            held, block = [], block[take - 1:]
+        held.append(block)
+    if sum(map(len, held)) > 1:
+        yield np.concatenate(held)
+
+
+def _accumulate(frames, mode: str, band_radius: int, chunk_size: int,
+                workers: int | None, symmetrize: bool = True) -> Jpd:
+    """:func:`accumulate_jpd` of a source that :func:`_check_args` has
+    checked."""
     if chunk_size < 1:
         raise ConfigurationError("chunk_size must be >= 1")
     if workers is not None and workers < 1:
         raise ConfigurationError("workers must be >= 1 or None")
-    n = frames.shape[0]
-    spans = [(i, min(i + chunk_size + 1, n)) for i in range(0, n - 1, chunk_size)]
-    _check_exact(frames, spans)
+    chunks, n = _chunks(frames, chunk_size), frames.shape[0]
+    stream = isinstance(frames, _Stream)
+    if frames.dtype.kind in "biu":
+        if stream:
+            chunks = _exact_sums(chunks)
+        elif _sum_bound(n - 1, *_dtype_range(frames.dtype)) >= EXACT_SUM_LIMIT:
+            # a dry pass of the stream's check, before any chunk
+            collections.deque(_exact_sums(chunks), 0)
+            chunks = _chunks(frames, chunk_size)
 
     # each thread's kernel scratch, kept across its chunks for this call only
     scratch = {}
 
-    def run(span):
+    def run(chunk):
         mine = scratch.setdefault(threading.get_ident(), {})
-        return _accumulate_chunk(frames[span[0]:span[1]], mode, band_radius,
-                                 mine)
+        return _accumulate_chunk(chunk, mode, band_radius, mine)
 
-    threads = min(workers or 1, len(spans), _usable_cpus())
+    threads = min(workers or 1, _usable_cpus(),
+                  np.inf if stream else len(range(0, n - 1, chunk_size)))
     if threads > 1:
         # imported here: concurrent.futures loads logging, which a serial
         # run has no use for
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            merged = merge_partials(_in_order(pool, run, spans, threads + 1))
+            merged = merge_partials(_in_order(pool, run, chunks, threads + 1))
     else:
-        merged = merge_partials(map(run, spans))
+        merged = merge_partials(map(run, chunks))
     return finalize_jpd(merged, symmetrize=symmetrize)
 
 

@@ -35,9 +35,9 @@ from .jpd import (
     DEFAULT_BAND_RADIUS,
     DEFAULT_CHUNK_SIZE,
     Jpd,
+    _accumulate,
     _check_args,
     _require_resolved,
-    accumulate_jpd,
     apply_separation_policy,
     check_band_radius,
     diagonal_image,
@@ -190,19 +190,20 @@ def reconstruct(frames, mode: str = "near", camera=None,
                 threshold: float | None = 0.5, normalize: bool = True,
                 interpolate: bool = True, chunk_size: int = DEFAULT_CHUNK_SIZE,
                 workers: int | None = None) -> PipelineResult:
-    """Run the full pipeline on a frame stack, an array or a
-    :class:`~jpdkit.frames.FrameSource`.
+    """Run the full pipeline on a frame stack: an array, a
+    :class:`~jpdkit.frames.FrameSource`, or an iterator of blocks of its
+    frames, such as :func:`~jpdkit.simulate.simulate_chunks` returns, read
+    one chunk at a time as :func:`~jpdkit.jpd.accumulate_jpd` reads it.
 
     *camera* supplies the separation validity policy (None treats every
     estimated entry as usable, appropriate only for synthetic data);
-    *threshold* None skips the plane filter.  The stack is checked as the
-    accumulator checks it, then the band radius by
+    *threshold* None skips the plane filter.  The stack is checked once,
+    as the accumulator checks it, then the band radius by
     :func:`~jpdkit.jpd.check_band_radius`, before any accumulation.
     """
     frames = _check_args(frames, mode, band_radius)
     check_band_radius(band_radius, frames.shape[1:])
-    jpd = accumulate_jpd(frames, mode=mode, band_radius=band_radius,
-                         chunk_size=chunk_size, workers=workers)
+    jpd = _accumulate(frames, mode, band_radius, chunk_size, workers)
     jpd = process_jpd(jpd, camera=camera, threshold=threshold,
                       normalize=normalize, interpolate=interpolate)
     image = super_resolve(jpd)

@@ -106,8 +106,11 @@ def half_pixel_average(subgrid: np.ndarray, oversample: int) -> np.ndarray:
 
 
 def _subgrid_mesh(size: int, oversample: int):
+    """The subcell centres as a column (y) and a row (x), which broadcast
+    to the (n, n) subgrid as a meshgrid's two arrays would, value for
+    value."""
     c = _subcell_centres(size, oversample)
-    return np.meshgrid(c, c, indexing="ij")
+    return c[:, None], c[None, :]
 
 
 def grating(size: int, period: float, duty: float, oversample: int = 8,
@@ -123,7 +126,8 @@ def grating(size: int, period: float, duty: float, oversample: int = 8,
         raise ConfigurationError(f"orientation must be 'y' or 'x', got {orientation!r}")
     yy, xx = _subgrid_mesh(size, oversample)
     coord = yy if orientation == "y" else xx
-    mag2 = ((coord % period) < duty * period).astype(np.float64)
+    mask = (coord % period) < duty * period
+    mag2 = np.broadcast_to(mask, (yy.size, xx.size)).astype(np.float64)
     return Scene(mag2, np.zeros_like(mag2), size, oversample)
 
 

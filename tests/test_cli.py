@@ -275,7 +275,7 @@ def test_out_of_range_band_radius_exits_2_before_accumulating(
     write_frames(stack, np.random.default_rng(1).integers(
         0, 5, (20, *shape), dtype=np.uint16))
     calls = []
-    monkeypatch.setattr(pipeline, "accumulate_jpd",
+    monkeypatch.setattr(pipeline, "_accumulate",
                         lambda *args, **kwargs: calls.append(args))
     argv = ["reconstruct", "--frames", str(stack), "--camera", "ideal",
             *flags, "--out", str(tmp_path / "r")]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -74,17 +75,41 @@ def test_simulated_pair_phase_tracks_analytic():
     assert rms < 0.25
 
 
+def _held(stacks):
+    """The stacks of simulate_pair_phase_stacks, each rendered whole."""
+    return [np.concatenate(list(blocks)) for blocks in stacks]
+
+
 def test_pair_stacks_have_independent_streams():
     scene = checkerboard_phase(4, blocks=2, oversample=8,
                                edge_alignment="quarter")
-    stacks = simulate_pair_phase_stacks(scene, sigma=0.4, pair_rate=20.0,
-                                        n_frames=40, seed=0)
+    stacks = _held(simulate_pair_phase_stacks(scene, sigma=0.4, pair_rate=20.0,
+                                              n_frames=40, seed=0))
     assert len(stacks) == 4
     assert not np.array_equal(stacks[0], stacks[1])
-    again = simulate_pair_phase_stacks(scene, sigma=0.4, pair_rate=20.0,
-                                       n_frames=40, seed=0)
+    again = _held(simulate_pair_phase_stacks(scene, sigma=0.4, pair_rate=20.0,
+                                             n_frames=40, seed=0))
     for a, b in zip(stacks, again):
         assert np.array_equal(a, b)
+
+
+def test_pair_phase_map_holds_less_than_one_stack():
+    # the streams are rendered only as reconstruct reads them, so the
+    # phase map never holds one shift's stack, let alone four
+    n_frames = 20_000
+    scene = checkerboard_phase(30, 3, edge_alignment="quarter")
+    stack_bytes = n_frames * 30 * 30 * 2  # one shift's u16 stack
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        image = pair_phase_map(simulate_pair_phase_stacks(
+            scene, sigma=0.6, pair_rate=60.0, n_frames=n_frames, seed=7))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert image.values.shape == (59, 59)
+    assert peak < stack_bytes
 
 
 def test_pair_phase_map_with_camera_policy():
@@ -104,11 +129,16 @@ def test_pair_phase_map_equals_hand_composed_pipeline():
                                edge_alignment="quarter")
     for camera, k, workers in [(None, 1, None),
                                (EmccdCamera(gain_mean=50.0), 2, 2)]:
-        stacks = simulate_pair_phase_stacks(scene, sigma=0.4, pair_rate=30.0,
-                                            n_frames=300, camera=camera,
-                                            seed=3)
-        got = pair_phase_map(stacks, camera=camera, band_radius=k,
+        def draw():
+            return simulate_pair_phase_stacks(
+                scene, sigma=0.4, pair_rate=30.0, n_frames=300,
+                camera=camera, seed=3)
+
+        # the streams as pair_phase_map reads them, the hand-composed
+        # pipeline on a second draw rendered whole
+        got = pair_phase_map(draw(), camera=camera, band_radius=k,
                              chunk_size=64, workers=workers)
+        stacks = _held(draw())
         images = [super_resolve(process_jpd(
             accumulate_jpd(frames, "near", k, chunk_size=64, workers=workers),
             camera, threshold=None, normalize=False)) for frames in stacks]

@@ -17,7 +17,7 @@ from jpdkit.analysis import banded_from_dense, dense_jpd_matrix
 from jpdkit.errors import (ConfigurationError, FileFormatError,
                            FrameShapeError, InsufficientDataError,
                            PrecisionError, StateError)
-from jpdkit.frames import open_frames, write_frames
+from jpdkit.frames import open_frames, write_frame_chunks, write_frames
 from jpdkit.jpd import (MAX_BAND_RADIUS, TILE_WIDTH, Jpd, PartialJpd,
                         accumulate_jpd, accumulate_partial,
                         apply_separation_policy, diagonal_image, finalize_jpd,
@@ -337,8 +337,8 @@ def test_float32_kernel_only_below_the_limit(monkeypatch):
     assert all(wide == narrow for wide, narrow in sums.values())
 
 
-def _two_pass_range_past(frames, limit, spans=None):
-    """The range check as one reading of every chunk's min and max."""
+def _two_pass_range_past(frames, limit):
+    """The range check as one reading of the chunk's min and max."""
     n_terms = frames.shape[0] - 1
 
     def bound(lo, hi):
@@ -351,9 +351,7 @@ def _two_pass_range_past(frames, limit, spans=None):
         lo, hi = int(info.min), int(info.max)
     if bound(lo, hi) < limit:
         return None
-    spans = spans or [(0, frames.shape[0])]
-    lo = min(int(frames[a:b].min()) for a, b in spans)
-    hi = max(int(frames[a:b].max()) for a, b in spans)
+    lo, hi = int(frames.min()), int(frames.max())
     return None if bound(lo, hi) < limit else (lo, hi)
 
 
@@ -376,11 +374,6 @@ def test_range_check_reads_the_min_only_past_the_max_bound(data):
              data.draw(st.integers(1, 3), label="h"),
              data.draw(st.integers(1, 3), label="w"))
     frames = data.draw(arrays(dtype, shape), label="frames")
-    cuts = data.draw(st.lists(st.integers(1, shape[0] - 1), unique=True),
-                     label="cuts")
-    edges = [0, *sorted(cuts), shape[0]]
-    spans = data.draw(st.sampled_from([None, list(zip(edges, edges[1:]))]),
-                      label="spans")
     # limits on both sides of the max bound n max**2 and of the range's
     # own bound n max (max - min)
     n, lo, hi = shape[0] - 1, int(frames.min()), int(frames.max())
@@ -388,8 +381,8 @@ def test_range_check_reads_the_min_only_past_the_max_bound(data):
             for d in (-1, 0, 1)]
     limit = data.draw(st.sampled_from(near), label="limit")
     _MinCounted.calls = []
-    got = jpd_module._range_past(frames.view(_MinCounted), limit, spans)
-    assert got == _two_pass_range_past(frames, limit, spans)
+    got = jpd_module._range_past(frames.view(_MinCounted), limit)
+    assert got == _two_pass_range_past(frames, limit)
     if n * hi * hi < limit:
         assert _MinCounted.calls == []
 
@@ -457,11 +450,109 @@ def test_streamed_accumulation_equals_in_memory(tmp_path_factory, data):
                   band_radius=data.draw(st.integers(0, 2), label="k"),
                   chunk_size=data.draw(st.integers(1, 50), label="chunk"),
                   workers=data.draw(st.sampled_from([1, 2]), label="workers"))
-    streamed = accumulate_jpd(open_frames(path), **kwargs)
+    # an iterator's blocks: one frame each, or cut anywhere, so that
+    # blocks may be empty, longer than a chunk, or end off the chunk grid
+    cuts = data.draw(st.one_of(
+        st.just(list(range(1, shape[0]))),
+        st.lists(st.integers(0, shape[0]), max_size=8).map(sorted)),
+        label="cuts")
     held = accumulate_jpd(frames, **kwargs)
-    assert streamed.planes.tobytes() == held.planes.tobytes()
-    assert np.array_equal(streamed.valid, held.valid)
-    assert streamed.n_frames == held.n_frames == shape[0]
+    for source in (open_frames(path), iter(np.split(frames, cuts))):
+        streamed = accumulate_jpd(source, **kwargs)
+        assert streamed.planes.tobytes() == held.planes.tobytes()
+        assert np.array_equal(streamed.valid, held.valid)
+        assert streamed.n_frames == held.n_frames == shape[0]
+
+
+def test_stream_is_cut_into_the_array_chunks(monkeypatch):
+    # the kernel sees the same chunks from a stream as from the array, and
+    # every chunk inside one block, but the last, as a view of the block
+    frames = np.arange(23 * 2 * 3, dtype=np.uint16).reshape(23, 2, 3)
+    kernel = jpd_module._accumulate_chunk
+    seen = []
+
+    def spy(chunk, mode, k, scratch):
+        seen.append((chunk.tobytes(), chunk.base is not None))
+        return kernel(chunk, mode, k, scratch)
+
+    monkeypatch.setattr(jpd_module, "_accumulate_chunk", spy)
+    accumulate_jpd(frames, band_radius=1, chunk_size=4)
+    whole = [data for data, _ in seen]
+    assert len(whole) == 6
+    for blocks in ([frames], np.split(frames, [1, 2, 9, 9, 20])):
+        seen.clear()
+        accumulate_jpd(iter(blocks), band_radius=1, chunk_size=4)
+        assert [data for data, _ in seen] == whole
+        if len(blocks) == 1:
+            assert [view for _, view in seen] == [True] * 5 + [False]
+    # one chunk: the whole source, from a stream as from the array
+    assert (accumulate_partial(iter(np.split(frames, [1, 9])), "far", 1).sums
+            .tobytes() == accumulate_partial(frames, "far", 1).sums.tobytes())
+
+
+def test_short_or_empty_stream_is_refused_as_the_array_is():
+    for blocks in ([], [np.zeros((1, 4, 4), np.uint16)],
+                   [np.zeros((0, 4, 4), np.uint16),
+                    np.zeros((1, 4, 4), np.uint16)]):
+        count = sum(map(len, blocks))
+        with pytest.raises(InsufficientDataError) as array:
+            accumulate_jpd(np.zeros((count, 4, 4)), band_radius=1)
+        with pytest.raises(InsufficientDataError) as stream:
+            accumulate_jpd(iter(blocks), band_radius=1)
+        assert str(stream.value) == str(array.value)
+        assert str(stream.value).endswith(f"got {count}")
+
+
+@pytest.mark.parametrize("bad", [
+    np.zeros((3, 4, 6), np.uint16), np.zeros((3, 4, 5), np.float32),
+    np.zeros((4, 5), np.uint16)])
+def test_stream_block_of_another_shape_or_dtype_is_refused_as_the_writer_does(
+        tmp_path, bad):
+    def blocks():
+        yield np.ones((3, 4, 5), np.uint16)
+        yield bad
+
+    with pytest.raises(FrameShapeError) as written:
+        write_frame_chunks(tmp_path / "stack.bpsr", blocks())
+    with pytest.raises(FrameShapeError) as streamed:
+        accumulate_jpd(blocks(), band_radius=1)
+    assert str(streamed.value) == str(written.value)
+    assert "in a stack of 4x5 uint16 frames" in str(streamed.value)
+
+
+@pytest.mark.parametrize("workers", [None, 2])
+def test_stream_past_exact_sums_raises_before_the_chunk_that_crosses(
+        monkeypatch, workers):
+    # chunks of 2 terms: the first holds the stack's whole range, the
+    # later ones are dim, so only the range over every chunk so far
+    # crosses the limit, at the third chunk, 6 terms in
+    monkeypatch.setattr(jpd_module, "EXACT_SUM_LIMIT", 6 * 65535 ** 2)
+    frames = np.random.default_rng(6).integers(0, 4, (11, 2, 3),
+                                               dtype=np.uint16)
+    frames[1, 0, 0], frames[2, 0, 0] = 65535, 0
+    kernel = jpd_module._accumulate_chunk
+    seen = []
+
+    def spy(chunk, mode, k, scratch):
+        seen.append(chunk.copy())
+        return kernel(chunk, mode, k, scratch)
+
+    monkeypatch.setattr(jpd_module, "_accumulate_chunk", spy)
+    for cuts in ([], [1, 5, 6], list(range(1, 11))):
+        seen.clear()
+        with pytest.raises(PrecisionError,
+                           match=r"^6 frame pairs with values in \[0, 65535\]"):
+            accumulate_jpd(iter(np.split(frames, cuts)), band_radius=1,
+                           chunk_size=2, workers=workers)
+        assert [c.tobytes() for c in seen] == [frames[0:3].tobytes(),
+                                              frames[2:5].tobytes()]
+        # the chunk that crosses is dim: its own range would not
+        assert frames[4:7].max() <= 3
+        # one frame pair fewer is accepted
+        seen.clear()
+        accumulate_jpd(iter(np.split(frames[:6], [c for c in cuts if c < 6])),
+                       band_radius=1, chunk_size=2, workers=workers)
+        assert len(seen) == 3
 
 
 def test_streamed_stack_beyond_exact_sums_raises_before_any_chunk(

@@ -16,8 +16,9 @@ from jpdkit.pipeline import (filter_jpd, interpolate_invalid, normalize_jpd,
                              plane_masses, process_jpd, reconstruct,
                              super_resolve)
 from jpdkit.scenes import grating
-from jpdkit.simulate import (EmccdCamera, IdealCamera, SpadCamera,
-                             analytic_jpd, simulate_frames)
+from jpdkit.simulate import (RENDER_PIXELS, EmccdCamera, IdealCamera,
+                             SpadCamera, analytic_jpd, simulate_chunks,
+                             simulate_frames)
 
 
 def constant_plane_jpd(shape, band_radius, value_of, mode="near"):
@@ -371,3 +372,27 @@ def test_reconstruct_end_to_end():
                       threshold=0.2)
     assert far.native is None
     assert far.image.values.shape == (15, 15)
+
+
+@pytest.mark.parametrize("mode", ["near", "far"])
+@pytest.mark.parametrize("camera", [IdealCamera(), EmccdCamera(gain_mean=50.0),
+                                    SpadCamera()], ids=lambda c: c.name)
+def test_reconstruct_of_the_simulator_stream_equals_the_stack(mode, camera):
+    # 48 x 48 frames render in blocks of 227, so 500 frames arrive in three
+    # blocks, and chunks of 100 terms span the block boundaries
+    scene = grating(48, period=5.0, duty=0.3, oversample=4)
+    args = (scene, mode, 0.6, 20.0, 500, camera, 4)
+    assert RENDER_PIXELS // (48 * 48) == 227
+    kwargs = dict(mode=mode, camera=camera, band_radius=2, threshold=None,
+                  normalize=False, chunk_size=100)
+    held = reconstruct(simulate_frames(*args), **kwargs)
+    for workers in (None, 2):
+        streamed = reconstruct(simulate_chunks(*args), workers=workers,
+                               **kwargs)
+        assert streamed.jpd.planes.tobytes() == held.jpd.planes.tobytes()
+        assert streamed.jpd.n_frames == held.jpd.n_frames == 500
+        assert streamed.image.values.tobytes() == held.image.values.tobytes()
+        assert (streamed.native is None) == (held.native is None)
+        if held.native is not None:
+            assert (streamed.native.values.tobytes()
+                    == held.native.values.tobytes())

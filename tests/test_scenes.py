@@ -129,6 +129,56 @@ def test_cat_scene_geometry():
         cat_half_plane(8)
 
 
+def _meshgrid(size, oversample):
+    """The subcell centres as two full (n, n) arrays."""
+    c = -0.5 + (np.arange(size * oversample) + 0.5) / oversample
+    return np.meshgrid(c, c, indexing="ij")
+
+
+def _meshgrid_cat(size, oversample):
+    """The cat silhouette's |t|^2 evaluated on full meshgrids."""
+    yy, xx = _meshgrid(size, oversample)
+
+    def in_triangle(a, b, c):
+        def side(p, q):
+            return (q[1] - p[1]) * (yy - p[0]) - (q[0] - p[0]) * (xx - p[1])
+        s1, s2, s3 = side(a, b), side(b, c), side(c, a)
+        return (((s1 >= 0) & (s2 >= 0) & (s3 >= 0))
+                | ((s1 <= 0) & (s2 <= 0) & (s3 <= 0)))
+
+    half = (size - 1) / 2.0
+    cy, cx, rad = 0.30 * size, 0.50 * size, 0.16 * size
+    head = (yy - cy) ** 2 + (xx - cx) ** 2 <= rad ** 2
+    ear_h = 0.17 * size
+    left = in_triangle(
+        (cy - 0.6 * rad, cx - rad), (cy - 0.6 * rad - ear_h, cx - 0.55 * rad),
+        (cy - 0.1 * rad, cx - 0.35 * rad))
+    right = in_triangle(
+        (cy - 0.6 * rad, cx + rad), (cy - 0.6 * rad - ear_h, cx + 0.55 * rad),
+        (cy - 0.1 * rad, cx + 0.35 * rad))
+    silhouette = (head | left | right) & (yy < half - 1.0)
+    return np.where(silhouette | (yy > half), 1.0, 0.0)
+
+
+@pytest.mark.parametrize("size", [16, 23, 64])
+@pytest.mark.parametrize("oversample", [1, 3, 4, 8])
+def test_scenes_on_open_grids_equal_the_meshgrid_formulas(size, oversample):
+    # a column and a row broadcast by the same operations as two full
+    # meshgrids, so every element gets the same bits
+    yy, xx = _meshgrid(size, oversample)
+    for orientation, coord in (("y", yy), ("x", xx)):
+        scene = grating(size, period=3.7, duty=0.3, oversample=oversample,
+                        orientation=orientation)
+        want = ((coord % 3.7) < 0.3 * 3.7).astype(np.float64)
+        assert scene.magnitude2.tobytes() == want.tobytes()
+        assert scene.phase.tobytes() == np.zeros_like(want).tobytes()
+    cat = cat_half_plane(size, oversample)
+    want = _meshgrid_cat(size, oversample)
+    assert cat.magnitude2.tobytes() == want.tobytes()
+    assert cat.magnitude2.flags.c_contiguous
+    assert cat.phase.tobytes() == np.zeros_like(want).tobytes()
+
+
 def test_uniform_scene():
     scene = uniform(5, oversample=4)
     assert np.all(scene.magnitude2 == 1.0)
