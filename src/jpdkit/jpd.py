@@ -175,12 +175,21 @@ def check_band_radius(band_radius: int, shape) -> None:
 _Stream = collections.namedtuple("_Stream", "shape dtype blocks")
 
 
-def _check_args(frames, mode: str, band_radius: int):
-    """The checks every accumulation makes, before any chunk is accumulated;
+def _check_args(frames, mode: str, band_radius: int, chunk_size: int,
+                workers: int | None):
+    """The checks every accumulation makes, the arguments' before the
+    source is touched and the source's before any chunk is accumulated;
     returns *frames* as an array, as the
     :class:`~jpdkit.frames.FrameSource` it is, or, when it is an iterator
     of blocks, as a ``_Stream``, whose shape counts only the frames read
     to check it."""
+    check_mode(mode)
+    if band_radius < 0:
+        raise ConfigurationError("band radius must be >= 0")
+    if chunk_size < 1:
+        raise ConfigurationError("chunk_size must be >= 1")
+    if workers is not None and workers < 1:
+        raise ConfigurationError("workers must be >= 1 or None")
     if isinstance(frames, Iterator):
         blocks, head = check_blocks(frames), []
         while (sum(map(len, head)) < 2
@@ -195,35 +204,33 @@ def _check_args(frames, mode: str, band_radius: int):
     if frames.shape[0] < 2:
         raise InsufficientDataError(
             f"estimator needs at least 2 frames, got {frames.shape[0]}")
-    check_mode(mode)
-    if band_radius < 0:
-        raise ConfigurationError("band radius must be >= 0")
     return frames
 
 
 def accumulate_partial(frames, mode: str = "near",
                        band_radius: int = DEFAULT_BAND_RADIUS) -> PartialJpd:
     """Accumulate the estimator numerator over one contiguous chunk: any
-    source :func:`accumulate_jpd` takes, read whole.
+    source :func:`accumulate_jpd` takes, read whole, checked and refused
+    as :func:`accumulate_jpd` checks and refuses it.
 
     The chunk contributes ``len(frames) - 1`` consecutive-frame terms; feed
     overlapping chunks (repeat the boundary frame) to cover a long stream.
     """
-    # the feed's one chunk of a source shorter than 2**63 terms: all of it
-    chunk = next(_chunks(_check_args(frames, mode, band_radius), 2 ** 63))
-    return _accumulate_chunk(chunk, mode, band_radius, {})
+    # one serial chunk of a source shorter than 2**63 terms: all of it
+    frames = _check_args(frames, mode, band_radius, 2 ** 63, None)
+    return _accumulate(frames, mode, band_radius, 2 ** 63, None)
 
 
-def _accumulate_chunk(frames: np.ndarray, mode: str, band_radius: int,
-                      scratch: dict) -> PartialJpd:
-    """:func:`accumulate_partial` of a checked chunk, run over bands of
-    frame rows whose kernel buffers (``pix``, ``part`` and ``prod``) fit
-    KERNEL_BYTES; a chunk whose buffers fit runs as one band.  The buffers,
-    with their views, come from *scratch* when a chunk of the same shape
-    and kernel dtype left them there, and are left there for the next
-    chunk; any other chunk replaces them.  Their padding is never written,
-    so it is zeroed only when they are allocated.  One *scratch* serves one
-    band radius.
+def _accumulate_chunk(frames: np.ndarray, dtype, mode: str,
+                      band_radius: int, scratch: dict) -> PartialJpd:
+    """:func:`accumulate_partial` of a checked chunk in the kernel *dtype*
+    that :func:`_typed` gives it, run over bands of frame rows whose kernel
+    buffers (``pix``, ``part`` and ``prod``) fit KERNEL_BYTES; a chunk
+    whose buffers fit runs as one band.  The buffers, with their views,
+    come from *scratch* when a chunk of the same shape and kernel dtype
+    left them there, and are left there for the next chunk; any other
+    chunk replaces them.  Their padding is never written, so it is zeroed
+    only when they are allocated.  One *scratch* serves one band radius.
 
     A band runs one batched matmul per column tile, which covers every
     row offset of the band, and one strided copy of all its planes into
@@ -239,15 +246,6 @@ def _accumulate_chunk(frames: np.ndarray, mode: str, band_radius: int,
     span = b + 2 * kx  # a tile's columns and their kx-column halos
     m = (2 * ky + 1) * span  # a tile row's partners: span columns per dy
     edge = cols - w + kx  # zero columns on either side of a staged frame
-    # The kernel runs in float32 when every sum of the chunk is an integer
-    # below 2**24, and in float64 otherwise (accumulate_jpd has checked
-    # that integer sums stay below 2**53).  Either way every partial sum is
-    # exact under any summation order, so the float64 sums get the same
-    # bits from both kernels, whatever b, BLAS's blocking, the row bands,
-    # the chunking or the thread count.
-    exact32 = (frames.dtype.kind in "biu"
-               and _range_past(frames, FLOAT32_SUM_LIMIT) is None)
-    dtype = np.float32 if exact32 else np.float64
     item = np.dtype(dtype).itemsize
     sign = 1 if mode == "near" else -1
     # Rows per band: all h if one band's buffers fit the budget, else as
@@ -345,49 +343,58 @@ def _sum_bound(n_terms: int, lo: int, hi: int) -> int:
     return n_terms * max(-lo, hi) * (hi - lo)
 
 
-def _dtype_range(dtype) -> tuple[int, int]:
-    """The values an integer or bool *dtype* can hold, as (lo, hi)."""
-    return ((0, 1) if dtype == np.bool_
-            else (np.iinfo(dtype).min, np.iinfo(dtype).max))
+def _typed(frames, chunk_size: int, dry: bool = False):
+    """The chunks of a checked source (:func:`_chunks`), in order, each with
+    the dtype the kernel runs it in.
 
+    An integer or bool chunk runs in float32 when :func:`_sum_bound` of its
+    term count and value range is below FLOAT32_SUM_LIMIT, in float64
+    otherwise; a float chunk runs in float64.  Either way every partial sum
+    of an integer chunk is exact under any summation order, so the float64
+    sums get the same bits from both kernels, whatever the tiles, BLAS's
+    blocking, the row bands, the chunking or the thread count.
 
-def _range_past(frames, limit):
-    """The value range (lo, hi) of the integer or bool chunk *frames* if its
-    sums could reach *limit* (:func:`_sum_bound`); None when every sum stays
-    below it.
+    Integer and bool sums must also stay below EXACT_SUM_LIMIT, where
+    float64 stops holding integers exactly: past it, by the bound of the
+    running term count and value range over every chunk so far,
+    PrecisionError.  A stream is checked as it is read, before the chunk
+    that would cross; an array or a file whose dtype range over all its
+    terms could cross is checked in a *dry* pass before its first chunk.
 
-    The dtype's range decides this without reading the frames when it can
-    (bool against 2**24: under 2**24 terms); only otherwise is the chunk's
-    own range read.  Unsigned and bool values are >= 0, so n_terms * max**2
-    bounds every sum, and their min is read only when that bound does not
-    decide.
+    A chunk's range is read once, and only as far as the bound needs it:
+    its max when the dtype's range does not decide, then its min when the
+    dtype's min and the chunk's max do not (unsigned and bool: n max**2).
+    The running check reads both, since a stream's chunk cannot be read
+    again once the running bound needs its range.
     """
-    n_terms = frames.shape[0] - 1
-    if _sum_bound(n_terms, *_dtype_range(frames.dtype)) < limit:
-        return None
-    hi = int(frames.max())
-    if frames.dtype.kind in "bu" and n_terms * hi * hi < limit:
-        return None
-    lo = int(frames.min())
-    return None if _sum_bound(n_terms, lo, hi) < limit else (lo, hi)
-
-
-def _exact_sums(chunks):
-    """*chunks*, the overlapping chunks of an integer or bool stack in
-    order, each yielded once the sums of all of them so far are known to
-    stay below EXACT_SUM_LIMIT, where float64 stops holding integers
-    exactly: :func:`_sum_bound` of the running term count and the running
-    value range.  Past it, PrecisionError."""
+    if frames.dtype.kind not in "biu":
+        for chunk in _chunks(frames, chunk_size):
+            yield chunk, np.float64
+            del chunk  # released before the next chunk is read
+        return
+    span = ((0, 1) if frames.dtype == np.bool_
+            else (np.iinfo(frames.dtype).min, np.iinfo(frames.dtype).max))
+    running = dry or isinstance(frames, _Stream)
+    if not running and _sum_bound(frames.shape[0] - 1,
+                                  *span) >= EXACT_SUM_LIMIT:
+        collections.deque(_typed(frames, chunk_size, dry=True), 0)
     terms, lo, hi = 0, np.inf, -np.inf
-    for chunk in chunks:
-        terms += len(chunk) - 1
-        lo, hi = min(lo, int(chunk.min())), max(hi, int(chunk.max()))
-        if _sum_bound(terms, lo, hi) >= EXACT_SUM_LIMIT:
-            raise PrecisionError(
-                f"{terms} frame pairs with values in [{lo}, {hi}] may sum "
-                f"past {EXACT_SUM_LIMIT}, beyond which float64 accumulation "
-                "is not exact; split the stack")
-        yield chunk
+    for chunk in _chunks(frames, chunk_size):
+        n, (c_lo, c_hi) = len(chunk) - 1, span
+        if running or _sum_bound(n, c_lo, c_hi) >= FLOAT32_SUM_LIMIT:
+            c_hi = int(chunk.max())
+        if running or _sum_bound(n, c_lo, c_hi) >= FLOAT32_SUM_LIMIT:
+            c_lo = int(chunk.min())
+        if running:
+            terms, lo, hi = terms + n, min(lo, c_lo), max(hi, c_hi)
+            if _sum_bound(terms, lo, hi) >= EXACT_SUM_LIMIT:
+                raise PrecisionError(
+                    f"{terms} frame pairs with values in [{lo}, {hi}] may "
+                    f"sum past {EXACT_SUM_LIMIT}, beyond which float64 "
+                    "accumulation is not exact; split the stack")
+        yield chunk, (np.float32 if _sum_bound(n, c_lo, c_hi)
+                      < FLOAT32_SUM_LIMIT else np.float64)
+        del chunk  # released before the next chunk is read
 
 
 def merge_partials(parts) -> PartialJpd:
@@ -493,12 +500,15 @@ def accumulate_jpd(frames, mode: str = "near",
     """Estimate the banded JPD of a frame stack: an array, a
     :class:`~jpdkit.frames.FrameSource`, or an iterator (not a list) of
     (count, H, W) blocks of its frames in order, such as
-    :func:`~jpdkit.simulate.simulate_chunks` returns.
+    :func:`~jpdkit.simulate.simulate_chunks` returns.  Every argument is
+    checked before the stack is touched, so a refused call reads no block.
 
     The stack is read in the calling thread, in order, as overlapping
     chunks of ``chunk_size`` consecutive-frame terms: slices of an array
     or a file, and the same frames re-cut from an iterator's blocks, so no
-    source is held whole.  A block is held, not copied, until its chunks
+    source is held whole.  Each chunk's value range is read there too,
+    once and only as far as one range rule needs it, which gives the
+    chunk its kernel dtype and keeps the sums exact.  A block is held, not copied, until its chunks
     are accumulated, so it must not be written to once it is yielded.  The
     chunks are accumulated (optionally on up to ``workers`` threads, never
     more than there are processors this process may use, nor than there
@@ -515,8 +525,9 @@ def accumulate_jpd(frames, mode: str = "near",
     file before any chunk is accumulated, an iterator before the chunk
     that would take its sums past that range.
     """
-    return _accumulate(_check_args(frames, mode, band_radius), mode,
-                       band_radius, chunk_size, workers, symmetrize)
+    frames = _check_args(frames, mode, band_radius, chunk_size, workers)
+    return finalize_jpd(_accumulate(frames, mode, band_radius, chunk_size,
+                                    workers), symmetrize=symmetrize)
 
 
 def _chunks(frames, chunk_size: int):
@@ -542,41 +553,27 @@ def _chunks(frames, chunk_size: int):
 
 
 def _accumulate(frames, mode: str, band_radius: int, chunk_size: int,
-                workers: int | None, symmetrize: bool = True) -> Jpd:
-    """:func:`accumulate_jpd` of a source that :func:`_check_args` has
-    checked."""
-    if chunk_size < 1:
-        raise ConfigurationError("chunk_size must be >= 1")
-    if workers is not None and workers < 1:
-        raise ConfigurationError("workers must be >= 1 or None")
-    chunks, n = _chunks(frames, chunk_size), frames.shape[0]
-    stream = isinstance(frames, _Stream)
-    if frames.dtype.kind in "biu":
-        if stream:
-            chunks = _exact_sums(chunks)
-        elif _sum_bound(n - 1, *_dtype_range(frames.dtype)) >= EXACT_SUM_LIMIT:
-            # a dry pass of the stream's check, before any chunk
-            collections.deque(_exact_sums(chunks), 0)
-            chunks = _chunks(frames, chunk_size)
-
+                workers: int | None) -> PartialJpd:
+    """The merged accumulator of a source and arguments that
+    :func:`_check_args` has checked, as :func:`accumulate_jpd` reads it."""
     # each thread's kernel scratch, kept across its chunks for this call only
     scratch = {}
 
-    def run(chunk):
+    def run(typed):
         mine = scratch.setdefault(threading.get_ident(), {})
-        return _accumulate_chunk(chunk, mode, band_radius, mine)
+        return _accumulate_chunk(*typed, mode, band_radius, mine)
 
+    chunks = _typed(frames, chunk_size)
     threads = min(workers or 1, _usable_cpus(),
-                  np.inf if stream else len(range(0, n - 1, chunk_size)))
+                  np.inf if isinstance(frames, _Stream)
+                  else len(range(0, frames.shape[0] - 1, chunk_size)))
     if threads > 1:
         # imported here: concurrent.futures loads logging, which a serial
         # run has no use for
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            merged = merge_partials(_in_order(pool, run, chunks, threads + 1))
-    else:
-        merged = merge_partials(map(run, chunks))
-    return finalize_jpd(merged, symmetrize=symmetrize)
+            return merge_partials(_in_order(pool, run, chunks, threads + 1))
+    return merge_partials(map(run, chunks))
 
 
 def _usable_cpus() -> int:

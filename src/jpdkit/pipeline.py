@@ -41,6 +41,7 @@ from .jpd import (
     apply_separation_policy,
     check_band_radius,
     diagonal_image,
+    finalize_jpd,
     plane_masses,
     scatter_half_grid,
     structural_validity,
@@ -201,9 +202,10 @@ def reconstruct(frames, mode: str = "near", camera=None,
     as the accumulator checks it, then the band radius by
     :func:`~jpdkit.jpd.check_band_radius`, before any accumulation.
     """
-    frames = _check_args(frames, mode, band_radius)
+    frames = _check_args(frames, mode, band_radius, chunk_size, workers)
     check_band_radius(band_radius, frames.shape[1:])
-    jpd = _accumulate(frames, mode, band_radius, chunk_size, workers)
+    jpd = finalize_jpd(_accumulate(frames, mode, band_radius, chunk_size,
+                                   workers))
     jpd = process_jpd(jpd, camera=camera, threshold=threshold,
                       normalize=normalize, interpolate=interpolate)
     image = super_resolve(jpd)

@@ -24,6 +24,7 @@ from jpdkit.jpd import (MAX_BAND_RADIUS, TILE_WIDTH, Jpd, PartialJpd,
                         merge_partials, minus_projection, read_jpd_snapshot,
                         structural_validity, sum_projection,
                         write_jpd_snapshot)
+from jpdkit.pipeline import reconstruct
 from jpdkit.simulate import EmccdCamera, IdealCamera, SpadCamera
 
 # three 1x2 frames small enough to run the estimator by hand:
@@ -161,6 +162,12 @@ def test_result_independent_of_chunking_and_workers():
     assert np.array_equal(base.planes, merged.planes)
 
 
+def _kernel(frames, mode, k, scratch):
+    """The band kernel on *frames* whole, in the dtype the feed gives it."""
+    (chunk, dtype), = jpd_module._typed(frames, len(frames))
+    return jpd_module._accumulate_chunk(chunk, dtype, mode, k, scratch)
+
+
 def test_reused_kernel_scratch_gives_fresh_buffer_sums():
     # one scratch through chunks whose shape or kernel dtype changes and
     # changes back (a 65535 takes a chunk to float64); 7 columns leave
@@ -171,7 +178,7 @@ def test_reused_kernel_scratch_gives_fresh_buffer_sums():
         for n, top in ((9, 50), (9, 50), (4, 50), (9, 65535), (9, 50)):
             chunk = rng.integers(0, 50, size=(n, 6, 7), dtype=np.uint16)
             chunk[1, 2, 3] = top
-            reused = jpd_module._accumulate_chunk(chunk, mode, 2, scratch)
+            reused = _kernel(chunk, mode, 2, scratch)
             assert np.array_equal(reused.sums,
                                   accumulate_partial(chunk, mode, 2).sums)
     assert len(scratch) == 1
@@ -220,7 +227,7 @@ def test_slow_first_chunk_holds_at_most_one_more_chunk_than_threads(
     started, lock, first_done = [], threading.Lock(), threading.Event()
     ahead = []
 
-    def spy(chunk, mode, k, scratch):
+    def spy(chunk, dtype, mode, k, scratch):
         with lock:
             first = not started
             started.append(chunk)
@@ -228,7 +235,7 @@ def test_slow_first_chunk_holds_at_most_one_more_chunk_than_threads(
             time.sleep(0.3)
             ahead.append(len(started))
             first_done.set()
-        return kernel(chunk, mode, k, scratch)
+        return kernel(chunk, dtype, mode, k, scratch)
 
     monkeypatch.setattr(jpd_module, "_accumulate_chunk", spy)
     got = accumulate_jpd(frames, band_radius=2, chunk_size=2, workers=2)
@@ -248,7 +255,7 @@ def test_row_bands_equal_one_band(mode, dtype):
     gains = rng.gamma(2.0, 50.0, (40, 11, 9))
     frames = (gains * rng.poisson(0.3, gains.shape)).astype(dtype)
     for k in (1, 3):
-        whole = jpd_module._accumulate_chunk(frames, mode, k, {}).sums
+        whole = _kernel(frames, mode, k, {}).sums
         chunked = accumulate_jpd(frames, mode, k, chunk_size=13)
         # a row of the chunk's kernel buffers takes 8 to 26 kB here: bands
         # of one row, of several and of all 11
@@ -257,8 +264,7 @@ def test_row_bands_equal_one_band(mode, dtype):
                 mp.setattr(jpd_module, "KERNEL_BYTES", budget)
                 scratch = {}
                 for _ in range(2):  # fresh and reused buffers
-                    banded = jpd_module._accumulate_chunk(frames, mode, k,
-                                                          scratch)
+                    banded = _kernel(frames, mode, k, scratch)
                     assert banded.sums.tobytes() == whole.tobytes()
                 threaded = accumulate_jpd(frames, mode, k, chunk_size=13,
                                           workers=2)
@@ -331,14 +337,15 @@ def test_float32_kernel_only_below_the_limit(monkeypatch):
         monkeypatch.setattr(jpd_module, "FLOAT32_SUM_LIMIT", limit)
         for mode in jpd_module.MODES:
             scratch = {}
-            part = jpd_module._accumulate_chunk(frames, mode, 3, scratch)
+            part = _kernel(frames, mode, 3, scratch)
             assert _kernel_dtype(scratch) == dtype
             sums.setdefault(mode, []).append(part.sums.tobytes())
     assert all(wide == narrow for wide, narrow in sums.values())
 
 
-def _two_pass_range_past(frames, limit):
-    """The range check as one reading of the chunk's min and max."""
+def _sums_below(frames, limit):
+    """Whether every sum of the chunk stays below *limit*, by one reading
+    of its min and max."""
     n_terms = frames.shape[0] - 1
 
     def bound(lo, hi):
@@ -350,24 +357,28 @@ def _two_pass_range_past(frames, limit):
         info = np.iinfo(frames.dtype)
         lo, hi = int(info.min), int(info.max)
     if bound(lo, hi) < limit:
-        return None
-    lo, hi = int(frames.min()), int(frames.max())
-    return None if bound(lo, hi) < limit else (lo, hi)
+        return True
+    return bound(int(frames.min()), int(frames.max())) < limit
 
 
-class _MinCounted(np.ndarray):
-    """An array that records each call of its ``min``."""
+class _RangeCounted(np.ndarray):
+    """An array that records each call of its ``max`` and ``min``, with
+    the array it was called on."""
 
-    calls: list = []
+    reads: list = []
+
+    def max(self, *args, **kwargs):
+        self.reads.append(("max", id(self)))
+        return super().max(*args, **kwargs)
 
     def min(self, *args, **kwargs):
-        self.calls.append(self.shape)
+        self.reads.append(("min", id(self)))
         return super().min(*args, **kwargs)
 
 
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
-def test_range_check_reads_the_min_only_past_the_max_bound(data):
+def test_kernel_dtype_reads_the_min_only_past_the_max_bound(data):
     dtype = data.draw(st.sampled_from([np.uint8, np.uint16, np.bool_]),
                       label="dtype")
     shape = (data.draw(st.integers(2, 12), label="n"),
@@ -380,11 +391,43 @@ def test_range_check_reads_the_min_only_past_the_max_bound(data):
     near = [b + d for b in (n * hi * hi, n * hi * (hi - lo), 0)
             for d in (-1, 0, 1)]
     limit = data.draw(st.sampled_from(near), label="limit")
-    _MinCounted.calls = []
-    got = jpd_module._range_past(frames.view(_MinCounted), limit)
-    assert got == _two_pass_range_past(frames, limit)
+    _RangeCounted.reads = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(jpd_module, "FLOAT32_SUM_LIMIT", limit)
+        (_, got), = jpd_module._typed(frames.view(_RangeCounted), n)
+    assert got == (np.float32 if _sums_below(frames, limit) else np.float64)
+    reads = [op for op, _ in _RangeCounted.reads]
+    assert reads in ([], ["max"], ["max", "min"])
     if n * hi * hi < limit:
-        assert _MinCounted.calls == []
+        assert "min" not in reads
+
+
+@pytest.mark.parametrize("workers", [None, 2])
+def test_each_chunk_range_is_read_once(monkeypatch, workers):
+    # a u16 stream's chunks have their max and min read once each, for
+    # the running exactness bound and the kernel dtype alike; an array's
+    # low-valued chunks only their max, for the kernel dtype
+    frames = np.random.default_rng(10).integers(0, 9, (23, 2, 3),
+                                                dtype=np.uint16)
+    chunks, seen = jpd_module._chunks, []
+
+    def counted(source, chunk_size):
+        for chunk in chunks(source, chunk_size):
+            seen.append(chunk.view(_RangeCounted))
+            yield seen[-1]
+
+    monkeypatch.setattr(jpd_module, "_chunks", counted)
+    base = accumulate_jpd(frames, band_radius=1, chunk_size=4)
+    for source, ops in ((iter(np.split(frames, [1, 9, 9, 20])),
+                         ("max", "min")), (frames, ("max",))):
+        seen.clear()
+        _RangeCounted.reads = []
+        got = accumulate_jpd(source, band_radius=1, chunk_size=4,
+                             workers=workers)
+        assert len(seen) == 6
+        assert sorted(_RangeCounted.reads) == sorted(
+            (op, id(chunk)) for chunk in seen for op in ops)
+        assert got.planes.tobytes() == base.planes.tobytes()
 
 
 def test_bright_chunk_falls_back_to_float64_with_the_same_bits(monkeypatch):
@@ -397,8 +440,8 @@ def test_bright_chunk_falls_back_to_float64_with_the_same_bits(monkeypatch):
     kernel = jpd_module._accumulate_chunk
     dtypes = []
 
-    def spy(chunk, mode, k, scratch):
-        part = kernel(chunk, mode, k, scratch)
+    def spy(chunk, dtype, mode, k, scratch):
+        part = kernel(chunk, dtype, mode, k, scratch)
         dtypes.append(_kernel_dtype(scratch).name)
         return part
 
@@ -427,6 +470,9 @@ def test_accumulate_refuses_integer_sums_beyond_exact_range(monkeypatch):
                         lambda *args: calls.append(args))
     with pytest.raises(PrecisionError, match="not exact"):
         accumulate_jpd(frames, band_radius=1)
+    # one chunk of the same stack is refused alike
+    with pytest.raises(PrecisionError, match="not exact"):
+        accumulate_partial(frames, band_radius=1)
     assert calls == []
 
 
@@ -471,9 +517,9 @@ def test_stream_is_cut_into_the_array_chunks(monkeypatch):
     kernel = jpd_module._accumulate_chunk
     seen = []
 
-    def spy(chunk, mode, k, scratch):
+    def spy(chunk, dtype, mode, k, scratch):
         seen.append((chunk.tobytes(), chunk.base is not None))
-        return kernel(chunk, mode, k, scratch)
+        return kernel(chunk, dtype, mode, k, scratch)
 
     monkeypatch.setattr(jpd_module, "_accumulate_chunk", spy)
     accumulate_jpd(frames, band_radius=1, chunk_size=4)
@@ -488,6 +534,25 @@ def test_stream_is_cut_into_the_array_chunks(monkeypatch):
     # one chunk: the whole source, from a stream as from the array
     assert (accumulate_partial(iter(np.split(frames, [1, 9])), "far", 1).sums
             .tobytes() == accumulate_partial(frames, "far", 1).sums.tobytes())
+
+
+@pytest.mark.parametrize("bad", [
+    dict(chunk_size=0), dict(workers=0), dict(mode="sideways"),
+    dict(band_radius=-1)], ids=["chunk", "workers", "mode", "band_radius"])
+def test_bad_argument_is_refused_before_a_block_is_read(bad):
+    # a block read before the refusal would be lost to a retry on the
+    # same iterator
+    yielded = []
+
+    def blocks():
+        for block in np.split(np.ones((6, 4, 4), np.uint16), 3):
+            yielded.append(len(block))
+            yield block
+
+    for run in (accumulate_jpd, reconstruct):
+        with pytest.raises(ConfigurationError):
+            run(blocks(), **{"band_radius": 1, **bad})
+    assert yielded == []
 
 
 def test_short_or_empty_stream_is_refused_as_the_array_is():
@@ -533,9 +598,9 @@ def test_stream_past_exact_sums_raises_before_the_chunk_that_crosses(
     kernel = jpd_module._accumulate_chunk
     seen = []
 
-    def spy(chunk, mode, k, scratch):
+    def spy(chunk, dtype, mode, k, scratch):
         seen.append(chunk.copy())
-        return kernel(chunk, mode, k, scratch)
+        return kernel(chunk, dtype, mode, k, scratch)
 
     monkeypatch.setattr(jpd_module, "_accumulate_chunk", spy)
     for cuts in ([], [1, 5, 6], list(range(1, 11))):
@@ -623,11 +688,12 @@ def test_kernel_memory_is_bounded_by_its_budget(mode):
     # casting buffers, a few of np.getbufsize() float64 items each
     slack = 4 * np.getbufsize() * 8
     scratch = {}
+    (chunk, dtype), = jpd_module._typed(frames, len(frames))
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        partial = jpd_module._accumulate_chunk(frames, mode, k, scratch)
+        partial = jpd_module._accumulate_chunk(chunk, dtype, mode, k, scratch)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
