@@ -18,8 +18,8 @@ import numbers
 
 import numpy as np
 
-from .errors import ConfigurationError, InsufficientDataError, ProcessingError
-from .frames import check_stack_shape
+from .errors import ConfigurationError, ProcessingError
+from .frames import check_stack
 from .images import GridImage
 
 
@@ -131,13 +131,11 @@ def dense_jpd_matrix(frames: np.ndarray, symmetrize: bool = True) -> np.ndarray:
     Returns the (H*W, H*W) matrix, averaged over consecutive-frame terms and
     optionally symmetrized.  Quadratic in pixel count; for cross-checking on
     small stacks only.  Refuses the stacks the accumulator refuses, with
-    the same errors.
+    the same errors: it checks them by :func:`~jpdkit.frames.check_stack`
+    for at least 2 frames, as the accumulator does.
     """
     frames = np.asarray(frames)
-    check_stack_shape(frames.shape)
-    if frames.shape[0] < 2:
-        raise InsufficientDataError(
-            f"estimator needs at least 2 frames, got {frames.shape[0]}")
+    check_stack(frames, 2)
     n = frames.shape[0]
     flat = frames.reshape(n, -1).astype(np.float64)
     acc = np.zeros((flat.shape[1], flat.shape[1]))

@@ -18,7 +18,6 @@ line on stderr.
 from __future__ import annotations
 
 import argparse
-import itertools
 import shutil
 import sys
 from pathlib import Path
@@ -32,7 +31,8 @@ from .config import (_PARSERS, DEFAULTS, _float_range, artifact_entry,
                      load_config, parse_config, read_manifest, sized_by,
                      write_manifest)
 from .errors import EXIT_CODES, ConfigurationError, FileFormatError
-from .frames import open_frames, stack_bytes, write_frame_chunks
+from .frames import (check_blocks, open_frames, stack_bytes,
+                     write_frame_chunks)
 from .images import GridImage, write_pgm16, write_spectrum_csv
 from .jpd import MODES, write_jpd_snapshot
 from .pipeline import reconstruct
@@ -150,20 +150,17 @@ def _cmd_simulate(args) -> int:
                 f"{cite(config, 'pairs.shift', 'pairs.contrast')} leave the "
                 "NOON acquisition no pair flux")
     with sized_by(cite(config, "pairs.rate", "pairs.frames")):
-        blocks = simulate_chunks(scene, pairs["mode"], pairs["sigma"], rate,
-                                 pairs["frames"], camera, config.seed,
-                                 density)
         # the first block is rendered and the file's size checked before
         # anything is written, so a run refused for memory or disk leaves
         # nothing behind
-        first = next(blocks)
-        shape = (pairs["frames"], *first.shape[1:])
+        stack = check_blocks(simulate_chunks(
+            scene, pairs["mode"], pairs["sigma"], rate, pairs["frames"],
+            camera, config.seed, density))
+        shape = (pairs["frames"], *stack.shape[1:])
         _check_free_space(config, Path(args.out),
-                          stack_bytes(shape, first.dtype))
-        blocks = itertools.chain([first], blocks)
-        del first  # the writer then holds the only reference to each block
+                          stack_bytes(shape, stack.dtype))
         out = _out_dir(args.out)
-        write_frame_chunks(out / "frames.bpsr", blocks)
+        write_frame_chunks(out / "frames.bpsr", stack.blocks)
     manifest = build_manifest(
         "simulate",
         {"frames.bpsr": artifact_entry(out / "frames.bpsr")},

@@ -36,7 +36,7 @@ class FrameShapeError(ProcessingError):
 
 
 class InsufficientDataError(ProcessingError):
-    """Fewer frames than the estimator needs (at least two)."""
+    """Fewer frames than a computation needs (the estimator: two)."""
 
 
 class PrecisionError(ProcessingError):

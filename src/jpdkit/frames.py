@@ -29,13 +29,14 @@ so a long stack is processed without ever being held whole.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import os
 import struct
 
 import numpy as np
 
-from .errors import FileFormatError, FrameShapeError
+from .errors import FileFormatError, FrameShapeError, InsufficientDataError
 
 MAGIC = b"BPSR"
 VERSION = 1
@@ -59,27 +60,44 @@ def _row_bytes(width: int, dtype) -> int:
     return (width + 7) // 8 if dtype == bool else width * dtype.itemsize
 
 
-def check_stack_shape(shape) -> None:
-    """Refuse a frame stack *shape* that is not (count, height, width) with
-    non-empty frames; the writer and the accumulator both apply it."""
-    if len(shape) != 3:
-        raise FrameShapeError(f"frame stack must be 3-D, got shape {shape}")
-    if shape[1] == 0 or shape[2] == 0:
-        raise FrameShapeError("frames must have non-zero height and width")
+def check_stack(stack, frames: int = 0) -> None:
+    """Refuse a frame stack, anything with a shape and a dtype: with
+    :class:`FrameShapeError` unless it is (count, height, width) with
+    non-empty frames of bool, integer or real samples, and with
+    :class:`InsufficientDataError` when it holds fewer than *frames*
+    frames.  A stack of no frames at all is refused for its count alone,
+    so a block stream that ends before its first block, whose shape is
+    (0,) (:func:`check_blocks`), is refused as an empty array is.  The
+    writer, the accumulator, the dense reference and the intensity phase
+    map all check their stacks through it."""
+    shape = stack.shape
+    if shape[:1] != (0,) or not frames:
+        if len(shape) != 3:
+            raise FrameShapeError(f"frame stack must be 3-D, got shape {shape}")
+        if shape[1] == 0 or shape[2] == 0:
+            raise FrameShapeError("frames must have non-zero height and width")
+        if stack.dtype.kind not in "biuf":
+            raise FrameShapeError(f"frame samples must be booleans, integers "
+                                  f"or reals, got {stack.dtype}")
+    if shape[0] < frames:
+        raise InsufficientDataError(
+            f"frame stack needs {frames} or more frames, got {shape[0]}")
 
 
-def _sample_code(frames: np.ndarray) -> int:
-    """The header's sample code of a chunk; its shape is checked too."""
-    check_stack_shape(frames.shape)
-    if max(frames.shape) > MAX_FIELD:
+def _sample_code(stack) -> int:
+    """The header's sample code of a frame stack, checked by
+    :func:`check_stack`; of its samples, only uint16, float32 and bool
+    have one."""
+    check_stack(stack)
+    if max(stack.shape) > MAX_FIELD:
         raise FrameShapeError(
-            f"frame stack shape {frames.shape} exceeds the header's u32 "
+            f"frame stack shape {stack.shape} exceeds the header's u32 "
             f"limit of {MAX_FIELD}")
     try:
-        return _SAMPLES.index(frames.dtype)
+        return _SAMPLES.index(stack.dtype)
     except ValueError:
         raise FrameShapeError(
-            f"unsupported frame dtype {frames.dtype}; use uint16, float32 or bool"
+            f"unsupported frame dtype {stack.dtype}; use uint16, float32 or bool"
         ) from None
 
 
@@ -92,16 +110,36 @@ def write_frames(path, frames: np.ndarray) -> None:
     write_frame_chunks(path, [frames])
 
 
-def check_blocks(blocks):
-    """Each of *blocks*, a frame stack's blocks of frames in order, as an
-    array, once it is checked: the first as a stack shape
-    (:func:`check_stack_shape`), every later one to have the first one's
-    height, width and dtype.  The writer and the accumulator's stream path
-    both read their blocks through it."""
+# a frame stack that arrives as blocks, as check_blocks returns it
+Blocks = collections.namedtuple("Blocks", "shape dtype blocks")
+
+
+def check_blocks(blocks, frames: int = 1) -> Blocks:
+    """Read *blocks*, the blocks of a frame stack's frames in order, until
+    they hold *frames* frames or end, and return the stack as
+    :class:`Blocks`: the shape of the frames read so far, their dtype, and
+    every block in order, the ones read first included.  Each block is an
+    array once it is checked, as it comes: the first by
+    :func:`check_stack`, every later one to have the first one's height,
+    width and dtype.  A refused stream is read no further than the block
+    refused; one with no block at all has shape (0,).  The writer, the
+    accumulator and the simulate command read their block streams
+    through it."""
+    checked, head = _checked(blocks), []
+    while (sum(map(len, head)) < frames
+           and (block := next(checked, None)) is not None):
+        head.append(block)
+    first = head[0] if head else np.empty(0)
+    return Blocks((sum(map(len, head)), *first.shape[1:]), first.dtype,
+                  itertools.chain(head, checked))
+
+
+def _checked(blocks):
+    """Each of *blocks* as an array, checked as :func:`check_blocks` says."""
     first = None  # none of the first block's frames: its shape and dtype
     for block in map(np.asarray, blocks):
         if first is None:
-            check_stack_shape(block.shape)
+            check_stack(block)
             first = block[:0].copy()
         elif (block.shape[1:], block.dtype) != (first.shape[1:], first.dtype):
             (height, width), dtype = first.shape[1:], first.dtype
@@ -118,17 +156,14 @@ def write_frame_chunks(path, chunks) -> None:
 
     Each chunk is a (count, height, width) array as :func:`write_frames`
     takes, and every chunk has the first one's height, width and dtype
-    (:func:`check_blocks`).  The first chunk is checked before *path* is
-    opened, so no chunk at all is refused then.  If a later chunk is
-    refused, or producing it raises, the partial file is removed.
+    (:func:`check_blocks`).  The chunks up to the first frame are read and
+    checked before *path* is opened, so no chunk at all is refused then.
+    If a later chunk is refused, or producing it raises, the partial file
+    is removed.
     """
-    chunks = check_blocks(chunks)
-    # no chunk at all reads as an empty 1-D array, which is no stack shape
-    first = np.asarray(next(chunks, ()))
-    code = _sample_code(first)
-    height, width = first.shape[1:]
-    stream = itertools.chain([first], chunks)
-    del first
+    stack = check_blocks(chunks)
+    code = _sample_code(stack)
+    height, width = stack.shape[1:]
     count = 0
     fh = open(path, "wb")
     try:
@@ -136,7 +171,7 @@ def write_frame_chunks(path, chunks) -> None:
             # the header goes in last, when the count is known, so a file
             # cut short by a crash reads as a bad magic, never as a stack
             fh.write(bytes(HEADER_SIZE))
-            for chunk in stream:
+            for chunk in stack.blocks:
                 count += len(chunk)
                 if count > MAX_FIELD:
                     raise FrameShapeError(f"{count} frames exceed the header's "

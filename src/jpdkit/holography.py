@@ -28,6 +28,7 @@ import math
 import numpy as np
 
 from .errors import ConfigurationError
+from .frames import check_stack
 from .images import GridImage
 from .jpd import DEFAULT_CHUNK_SIZE
 from .pipeline import reconstruct, super_resolve
@@ -130,9 +131,14 @@ def reference_pair_phase(scene: Scene) -> GridImage:
 
 def intensity_phase_map(stacks) -> np.ndarray:
     """wrap(theta) per camera pixel from four intensity stacks acquired at
-    the intensity-interference shifts; each stack is averaged over frames."""
+    the intensity-interference shifts; each stack is averaged over frames.
+    Each stack must be a frame stack of at least one frame, as
+    :func:`~jpdkit.frames.check_stack` checks it: one that is not is
+    refused before any is averaged."""
     if len(stacks) != 4:
         raise ConfigurationError("four phase-shifted stacks are required")
+    for stack in stacks:
+        check_stack(np.asarray(stack), 1)
     means = [np.asarray(s, dtype=np.float64).mean(axis=0) for s in stacks]
     return four_step_phase(*means)
 

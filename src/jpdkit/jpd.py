@@ -33,7 +33,6 @@ their exclusion, so silent drop-outs cannot skew downstream images.
 from __future__ import annotations
 
 import collections
-import itertools
 import os
 import struct
 import threading
@@ -50,7 +49,8 @@ from .errors import (
     PrecisionError,
     StateError,
 )
-from .frames import FrameSource, check_blocks, check_stack_shape, unpack_header
+from .frames import (Blocks, FrameSource, check_blocks, check_stack,
+                     unpack_header)
 from .images import GridImage
 
 MODES = ("near", "far")  # the imaging geometries
@@ -169,20 +169,15 @@ def check_band_radius(band_radius: int, shape) -> None:
             f"{shape[0]}x{shape[1]} frames")
 
 
-# an iterator of frame blocks as the accumulator takes it: every block
-# checked by frames.check_blocks as it comes, the shape and dtype of the
-# first ones, read up to the second frame, and all the blocks in order
-_Stream = collections.namedtuple("_Stream", "shape dtype blocks")
-
-
 def _check_args(frames, mode: str, band_radius: int, chunk_size: int,
                 workers: int | None):
     """The checks every accumulation makes, the arguments' before the
-    source is touched and the source's before any chunk is accumulated;
-    returns *frames* as an array, as the
-    :class:`~jpdkit.frames.FrameSource` it is, or, when it is an iterator
-    of blocks, as a ``_Stream``, whose shape counts only the frames read
-    to check it."""
+    source is touched and the source's, by :func:`~jpdkit.frames.check_stack`
+    for at least 2 frames, before any chunk is accumulated; returns
+    *frames* as an array, as the :class:`~jpdkit.frames.FrameSource` it
+    is, or, when it is an iterator of blocks, as the
+    :class:`~jpdkit.frames.Blocks` that :func:`~jpdkit.frames.check_blocks`
+    reads up to its second frame."""
     check_mode(mode)
     if band_radius < 0:
         raise ConfigurationError("band radius must be >= 0")
@@ -191,19 +186,10 @@ def _check_args(frames, mode: str, band_radius: int, chunk_size: int,
     if workers is not None and workers < 1:
         raise ConfigurationError("workers must be >= 1 or None")
     if isinstance(frames, Iterator):
-        blocks, head = check_blocks(frames), []
-        while (sum(map(len, head)) < 2
-               and (block := next(blocks, None)) is not None):
-            head.append(block)
-        first = head[0] if head else np.empty((0, 1, 1))  # an empty stack
-        frames = _Stream((sum(map(len, head)), *first.shape[1:]),
-                         first.dtype, itertools.chain(head, blocks))
+        frames = check_blocks(frames, 2)
     elif not isinstance(frames, FrameSource):
         frames = np.asarray(frames)
-    check_stack_shape(frames.shape)
-    if frames.shape[0] < 2:
-        raise InsufficientDataError(
-            f"estimator needs at least 2 frames, got {frames.shape[0]}")
+    check_stack(frames, 2)
     return frames
 
 
@@ -374,7 +360,7 @@ def _typed(frames, chunk_size: int, dry: bool = False):
         return
     span = ((0, 1) if frames.dtype == np.bool_
             else (np.iinfo(frames.dtype).min, np.iinfo(frames.dtype).max))
-    running = dry or isinstance(frames, _Stream)
+    running = dry or isinstance(frames, Blocks)
     if not running and _sum_bound(frames.shape[0] - 1,
                                   *span) >= EXACT_SUM_LIMIT:
         collections.deque(_typed(frames, chunk_size, dry=True), 0)
@@ -502,28 +488,34 @@ def accumulate_jpd(frames, mode: str = "near",
     (count, H, W) blocks of its frames in order, such as
     :func:`~jpdkit.simulate.simulate_chunks` returns.  Every argument is
     checked before the stack is touched, so a refused call reads no block.
+    Then the stack is checked by :func:`~jpdkit.frames.check_stack`, an
+    iterator's blocks as far as its second frame: a stack that is not 3-D,
+    has frames with no pixels, or has samples other than bools, integers
+    and reals is refused with :class:`~jpdkit.errors.FrameShapeError`, and
+    one of fewer than 2 frames with :class:`InsufficientDataError`, before
+    any chunk is accumulated.
 
     The stack is read in the calling thread, in order, as overlapping
     chunks of ``chunk_size`` consecutive-frame terms: slices of an array
     or a file, and the same frames re-cut from an iterator's blocks, so no
     source is held whole.  Each chunk's value range is read there too,
     once and only as far as one range rule needs it, which gives the
-    chunk its kernel dtype and keeps the sums exact.  A block is held, not copied, until its chunks
-    are accumulated, so it must not be written to once it is yielded.  The
-    chunks are accumulated (optionally on up to ``workers`` threads, never
-    more than there are processors this process may use, nor than there
-    are chunks in an array or a file) and merged in chunk order as they
-    finish, so only one merged sum is held; with threads, at most one
-    chunk more than there are threads is in flight.  Each chunk runs over
-    bands of frame rows whose kernel buffers fit KERNEL_BYTES, so its
-    memory does not grow with the frame area beyond the chunk's frames and
-    its band sums.  The thread count and the row bands never change the
-    result's bits.  For integer and bool stacks the chunking does not
-    either; for float stacks it may move the last bits, as the sums are
-    rounded in another order.  Integer stacks whose sums could leave
-    float64's exact range raise :class:`PrecisionError`: an array or a
-    file before any chunk is accumulated, an iterator before the chunk
-    that would take its sums past that range.
+    chunk its kernel dtype and keeps the sums exact.  A block is held, not
+    copied, until its chunks are accumulated, so it must not be written to
+    once it is yielded.  The chunks are accumulated (optionally on up to
+    ``workers`` threads, never more than there are processors this process
+    may use, nor than there are chunks in an array or a file) and merged
+    in chunk order as they finish, so only one merged sum is held; with
+    threads, at most one chunk more than there are threads is in flight.
+    Each chunk runs over bands of frame rows whose kernel buffers fit
+    KERNEL_BYTES, so its memory does not grow with the frame area beyond
+    the chunk's frames and its band sums.  The thread count and the row
+    bands never change the result's bits.  For integer and bool stacks the
+    chunking does not either; for float stacks it may move the last bits,
+    as the sums are rounded in another order.  Integer stacks whose sums
+    could leave float64's exact range raise :class:`PrecisionError`: an
+    array or a file before any chunk is accumulated, an iterator before
+    the chunk that would take its sums past that range.
     """
     frames = _check_args(frames, mode, band_radius, chunk_size, workers)
     return finalize_jpd(_accumulate(frames, mode, band_radius, chunk_size,
@@ -537,7 +529,7 @@ def _chunks(frames, chunk_size: int):
     frames re-cut from a stream's blocks, which carries each chunk's last
     frame over as the next one's first and copies together a chunk that
     spans blocks."""
-    if not isinstance(frames, _Stream):
+    if not isinstance(frames, Blocks):
         for a in range(0, frames.shape[0] - 1, chunk_size):
             yield frames[a:a + chunk_size + 1]
         return
@@ -565,7 +557,7 @@ def _accumulate(frames, mode: str, band_radius: int, chunk_size: int,
 
     chunks = _typed(frames, chunk_size)
     threads = min(workers or 1, _usable_cpus(),
-                  np.inf if isinstance(frames, _Stream)
+                  np.inf if isinstance(frames, Blocks)
                   else len(range(0, frames.shape[0] - 1, chunk_size)))
     if threads > 1:
         # imported here: concurrent.futures loads logging, which a serial

@@ -93,6 +93,12 @@ def interpolate_invalid(jpd: Jpd) -> Jpd:
     return replace(jpd, planes=planes, valid=valid, pending_invalid=False)
 
 
+def check_threshold(threshold: float) -> None:
+    """Refuse a plane-filter threshold outside [0, 1], NaN included."""
+    if not (0 <= threshold <= 1):
+        raise ConfigurationError("filter threshold must lie in [0, 1]")
+
+
 def filter_jpd(jpd: Jpd, threshold: float = 0.5) -> Jpd:
     """Deactivate planes whose mass falls below threshold times the largest
     active-plane mass.  Genuine-pair mass concentrates in a few displacement
@@ -101,8 +107,7 @@ def filter_jpd(jpd: Jpd, threshold: float = 0.5) -> Jpd:
     Idempotent (survivor masses and their maximum are unchanged) and
     monotone in the threshold.  Raises if nothing would survive.
     """
-    if not (0 <= threshold <= 1):
-        raise ConfigurationError("filter threshold must lie in [0, 1]")
+    check_threshold(threshold)
     _require_resolved(jpd, "plane filter")
     masses = plane_masses(jpd)
     finite = np.nan_to_num(masses, nan=-np.inf)
@@ -198,10 +203,13 @@ def reconstruct(frames, mode: str = "near", camera=None,
 
     *camera* supplies the separation validity policy (None treats every
     estimated entry as usable, appropriate only for synthetic data);
-    *threshold* None skips the plane filter.  The stack is checked once,
-    as the accumulator checks it, then the band radius by
+    *threshold* None skips the plane filter.  The threshold is checked
+    (:func:`check_threshold`), then the stack once, as the accumulator
+    checks it, then the band radius by
     :func:`~jpdkit.jpd.check_band_radius`, before any accumulation.
     """
+    if threshold is not None:
+        check_threshold(threshold)
     frames = _check_args(frames, mode, band_radius, chunk_size, workers)
     check_band_radius(band_radius, frames.shape[1:])
     jpd = finalize_jpd(_accumulate(frames, mode, band_radius, chunk_size,

@@ -49,8 +49,9 @@ SIM_CHUNK_FRAMES = 4096
 # chunk
 RENDER_PIXELS = 512 * 32 * 32
 # EMCCD analog (float64) frames are made a piece of a render block at a
-# time, of at most this many pixels and at least one frame, and their read
-# noise is drawn at most this many values at a time
+# time, of at most this many pixels and at least one frame, and each
+# piece's read noise is drawn beside it in one call: frames larger than
+# 256 x 256 take one frame of float64 noise at a time (2 MB at 512 x 512)
 NOISE_PIXELS = 2 ** 16
 # the CDF's step table is built, and counted into a chunk's draws, this
 # many values at a time
@@ -132,36 +133,33 @@ class EmccdCamera:
     def render(self, counts, rng: np.random.Generator) -> Iterator[np.ndarray]:
         """The blocks of frames of *counts*, read and yielded as
         :meth:`IdealCamera.render` reads and yields them."""
-        # all n gains first, then the read noise NOISE_PIXELS values at a
-        # time: consecutive normal draws are bit for bit one whole draw
+        # all n gains first, then the read noise a piece at a time:
+        # consecutive normal draws are bit for bit one whole draw
         gains = rng.normal(self.gain_mean, self.gain_cv * self.gain_mean,
                            counts.shape[0])
 
         def fill(c, out, a):
             # the analog frames of a block, a piece of at most NOISE_PIXELS
             # pixels (and at least one whole frame, for the smear) at a
-            # time, made in one buffer; the read noise is drawn into another
+            # time, made in the first half of one buffer, and the piece's
+            # read noise drawn into its second half in one call
             h, w = c.shape[1:]
             step = max(1, NOISE_PIXELS // (h * w))
             g = gains[a:a + len(c), None, None]
-            buffer = np.empty((min(step, len(c)), h, w))
-            noise = np.empty(min(NOISE_PIXELS, buffer.size))
+            buffer = np.empty((2, min(step, len(c)), h, w))
             for p in range(0, len(c), step):
                 analog = np.multiply(c[p:p + step], g[p:p + step],
-                                     out=buffer[:len(c) - p])
+                                     out=buffer[0, :len(c) - p])
                 if self.smear > 0:
                     # charge leaks down the readout column: out[y] = in[y] + smear*out[y-1]
                     for y in range(1, h):
                         analog[:, y] += self.smear * analog[:, y - 1]
-                flat = analog.reshape(-1)
-                for i in range(0, flat.size, NOISE_PIXELS):
-                    part = flat[i:i + NOISE_PIXELS]
-                    # rng.normal(0, sigma) draws 0 + sigma z: it differs at
-                    # most in the sign of a zero, which the clip, the
-                    # rounding and the cast erase
-                    z = rng.standard_normal(out=noise[:part.size])
-                    z *= self.read_sigma
-                    part += z
+                # rng.normal(0, sigma) draws 0 + sigma z: it differs at most
+                # in the sign of a zero, which the clip, the rounding and
+                # the cast erase
+                noise = rng.standard_normal(out=buffer[1, :len(analog)])
+                noise *= self.read_sigma
+                analog += noise
                 np.clip(analog, 0, 65535, out=analog)
                 np.rint(analog, out=out[p:p + step], casting="unsafe")
 

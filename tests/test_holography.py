@@ -4,7 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from jpdkit.errors import ConfigurationError
+from jpdkit.errors import (ConfigurationError, FrameShapeError,
+                           InsufficientDataError)
 from jpdkit.holography import (INTENSITY_SHIFTS, PAIR_SHIFTS,
                                analytic_intensity_phase_map,
                                analytic_pair_phase_map, dominant_period,
@@ -155,6 +156,14 @@ def test_phase_map_input_validation():
         pair_phase_map([np.zeros((3, 4, 4))] * 3)
     with pytest.raises(ConfigurationError):
         intensity_phase_map([np.zeros((3, 4, 4))] * 5)
+    # each intensity stack is a frame stack of at least one frame: 2-D
+    # arrays would average to a 1-D "phase map", empty stacks to NaNs
+    with pytest.raises(FrameShapeError, match="must be 3-D"):
+        intensity_phase_map([np.ones((4, 5))] * 4)
+    with pytest.raises(InsufficientDataError, match="got 0"):
+        intensity_phase_map([np.ones((2, 4, 5))] * 3 + [np.ones((0, 4, 5))])
+    with pytest.raises(FrameShapeError, match="frame samples must be"):
+        intensity_phase_map([np.ones((2, 4, 5), complex)] * 4)
 
 
 def test_intensity_phase_map_averages_frames():

@@ -538,7 +538,10 @@ def test_stream_is_cut_into_the_array_chunks(monkeypatch):
 
 @pytest.mark.parametrize("bad", [
     dict(chunk_size=0), dict(workers=0), dict(mode="sideways"),
-    dict(band_radius=-1)], ids=["chunk", "workers", "mode", "band_radius"])
+    dict(band_radius=-1), dict(threshold=1.5), dict(threshold=-0.1),
+    dict(threshold=float("nan"))],
+    ids=["chunk", "workers", "mode", "band_radius", "threshold_high",
+         "threshold_low", "threshold_nan"])
 def test_bad_argument_is_refused_before_a_block_is_read(bad):
     # a block read before the refusal would be lost to a retry on the
     # same iterator
@@ -549,10 +552,48 @@ def test_bad_argument_is_refused_before_a_block_is_read(bad):
             yielded.append(len(block))
             yield block
 
-    for run in (accumulate_jpd, reconstruct):
+    # the plane filter's threshold is reconstruct's alone
+    runs = [reconstruct] if "threshold" in bad else [accumulate_jpd,
+                                                     reconstruct]
+    for run in runs:
         with pytest.raises(ConfigurationError):
             run(blocks(), **{"band_radius": 1, **bad})
     assert yielded == []
+
+
+@pytest.mark.parametrize("samples", ["<U1", object, "datetime64[s]",
+                                     "timedelta64[s]", complex])
+def test_non_numeric_stack_is_refused_before_a_block_is_read(
+        monkeypatch, tmp_path, samples):
+    # the kernel's staging copy would cast strings, objects and dates to
+    # float, and drop the imaginary part of complex samples
+    stack = np.random.default_rng(0).integers(0, 5, (10, 4, 4)).astype(samples)
+    kernel_calls = []
+    monkeypatch.setattr(jpd_module, "_accumulate_chunk",
+                        lambda *args: kernel_calls.append(args))
+    yielded = []
+
+    def blocks():
+        for block in np.split(stack, 5):
+            yielded.append(len(block))
+            yield block
+
+    with pytest.raises(FrameShapeError) as accumulated:
+        accumulate_jpd(stack, band_radius=1)
+    assert str(accumulated.value).endswith(f"got {stack.dtype}")
+    for run in (lambda: accumulate_jpd(blocks(), band_radius=1),
+                lambda: accumulate_partial(stack, band_radius=1),
+                lambda: reconstruct(stack, band_radius=1)):
+        with pytest.raises(FrameShapeError, match="frame samples must be"):
+            run()
+    with pytest.raises(FrameShapeError) as dense:
+        dense_jpd_matrix(stack)
+    assert str(dense.value) == str(accumulated.value)
+    with pytest.raises(FrameShapeError, match="frame samples must be"):
+        write_frames(tmp_path / "stack.bpsr", stack)
+    assert not (tmp_path / "stack.bpsr").exists()
+    assert kernel_calls == []
+    assert yielded == [2]  # the head block, refused as it came
 
 
 def test_short_or_empty_stream_is_refused_as_the_array_is():
