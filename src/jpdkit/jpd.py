@@ -33,6 +33,7 @@ their exclusion, so silent drop-outs cannot skew downstream images.
 from __future__ import annotations
 
 import collections
+import itertools
 import os
 import struct
 import threading
@@ -65,6 +66,11 @@ TILE_WIDTH = 8
 # runs over bands of frame rows: at chunk 256 and K = 1 in float64, 32 x 32
 # frames take 3.2 MB, 256 x 256 frames 157 MB
 KERNEL_BYTES = 2 ** 23
+# frames per block of the kernel's transposing cast: per chunk, ms, whole
+# against blocks of 32 (2 cores): 0.334 and 0.210 near_grating_k3 (u16 to
+# float32), 0.396 and 0.314 emccd_fine_k1 (u16 to float64), 0.361 and
+# 0.227 far_cat_spad64 (bool, read as u8, to float32)
+STAGE_FRAMES = 32
 EXACT_SUM_LIMIT = 2 ** 53  # float64 holds every integer below this exactly
 FLOAT32_SUM_LIMIT = 2 ** 24  # float32 holds every integer below this exactly
 
@@ -122,13 +128,10 @@ class Jpd:
 
     @classmethod
     def from_planes(cls, mode: str, planes: np.ndarray, n_frames: int) -> "Jpd":
-        """A fresh band of *planes*, (2K+1, 2K+1, H, W): every plane active,
-        and the entries whose partner pixel is off the sensor invalid and
-        zeroed."""
-        k = planes.shape[0] // 2
-        valid = structural_validity(mode, k, planes.shape[2:])
-        return cls(mode, k, np.where(valid, planes, 0.0), valid,
-                   np.ones(planes.shape[:2], dtype=bool), n_frames)
+        """A fresh band of a float64 copy of *planes*, (2K+1, 2K+1, H, W):
+        every plane active, and the entries whose partner pixel is off the
+        sensor invalid and zeroed."""
+        return _fresh(mode, np.array(planes, dtype=np.float64), n_frames)
 
     def with_invalid_excluded(self) -> "Jpd":
         """Accept invalid entries as missing; projections will skip them."""
@@ -197,7 +200,9 @@ def accumulate_partial(frames, mode: str = "near",
                        band_radius: int = DEFAULT_BAND_RADIUS) -> PartialJpd:
     """Accumulate the estimator numerator over one contiguous chunk: any
     source :func:`accumulate_jpd` takes, read whole, checked and refused
-    as :func:`accumulate_jpd` checks and refuses it.
+    as :func:`accumulate_jpd` checks and refuses it.  An integer or bool
+    source is read in pieces whose frames fit KERNEL_BYTES, which leave
+    its sums' bits as they are.
 
     The chunk contributes ``len(frames) - 1`` consecutive-frame terms; feed
     overlapping chunks (repeat the boundary frame) to cover a long stream.
@@ -208,9 +213,19 @@ def accumulate_partial(frames, mode: str = "near",
 
 
 def _accumulate_chunk(frames: np.ndarray, dtype, mode: str,
-                      band_radius: int, scratch: dict) -> PartialJpd:
+                      band_radius: int, scratch: dict,
+                      sums: np.ndarray | None = None,
+                      add: bool = False) -> PartialJpd:
     """:func:`accumulate_partial` of a checked chunk in the kernel *dtype*
-    that :func:`_typed` gives it, run over bands of frame rows whose kernel
+    that :func:`_typed` gives it, into the float64 band *sums*: a fresh
+    zeroed one when None.  The chunk's band is stored in it or, with *add*,
+    added to it in place, which are the float64 additions
+    :func:`merge_partials` makes, so the same bits.  A store writes every
+    entry but those of the planes no partner reaches, which stay zero, so
+    the band of an earlier chunk of the same frame shape and radius serves
+    as a fresh one.
+
+    It runs over bands of frame rows whose kernel
     buffers (``pix``, ``part`` and ``prod``) fit KERNEL_BYTES; a chunk
     whose buffers fit runs as one band.  The buffers, with their views,
     come from *scratch* when a chunk of the same shape and kernel dtype
@@ -287,7 +302,8 @@ def _accumulate_chunk(frames: np.ndarray, dtype, mode: str,
                        (span * item, item, prod_row, (m + 1) * item),
                        writeable=False))
     pix, part, partners, out, band = scratch[key]
-    sums = np.zeros((2 * k + 1, 2 * k + 1, h, w))
+    if sums is None:
+        sums = np.zeros((2 * k + 1, 2 * k + 1, h, w))
     # the planes the kernel fills, in its (dy, dx) order
     planes = sums[k - ky:k + ky + 1, k - kx:k + kx + 1][::sign, ::sign]
     for y0 in range(0, h, rows):
@@ -299,7 +315,7 @@ def _accumulate_chunk(frames: np.ndarray, dtype, mode: str,
         p0, p1 = lo - y0 + ky, hi - y0 + ky
         f0, f1 = (lo, hi) if sign > 0 else (h - hi, h - lo)
         stage = pix[:f1 - f0]
-        stage[:, edge:edge + w] = frames[:, f0:f1].transpose(1, 2, 0)
+        _stage(stage[:, edge:edge + w], frames[:, f0:f1])
         # partner columns [-kx, cols + kx) in read order, and each tile's
         # window of them
         src = (stage[:, cols - w:] if sign > 0
@@ -311,7 +327,7 @@ def _accumulate_chunk(frames: np.ndarray, dtype, mode: str,
             mine = stage[y0 - f0:y1 - f0]
         else:
             mine = pix[-rows:][:r]
-            mine[:, edge:edge + w] = frames[:, y0:y1].transpose(1, 2, 0)
+            _stage(mine[:, edge:edge + w], frames[:, y0:y1])
         a = mine[:, edge:edge + cols, :-1].reshape(r, tiles, b, n)
         if rows < h:  # rows off the sensor here may hold another band's
             part[:p0] = 0
@@ -319,8 +335,22 @@ def _accumulate_chunk(frames: np.ndarray, dtype, mode: str,
         for t in range(tiles):
             np.subtract(src[t, ..., :-1], src[t, ..., 1:], out=part[p0:p1])
             np.matmul(a[:, t], partners[:r], out=out[t, :r])
-        planes[:, :, y0:y1] = band[:, :, :r]  # widened to float64
+        # the band's planes, widened to float64, added or stored
+        if add:
+            planes[:, :, y0:y1] += band[:, :, :r]
+        else:
+            planes[:, :, y0:y1] = band[:, :, :r]
     return PartialJpd(mode, k, (h, w), sums, n)
+
+
+def _stage(out: np.ndarray, frames: np.ndarray) -> None:
+    """Cast frames (l, y, x) into *out* at (y, x, l), STAGE_FRAMES frames
+    at a time; bool frames are read as u8, which casts faster."""
+    if frames.dtype == np.bool_:
+        frames = frames.view(np.uint8)
+    for t in range(0, frames.shape[0], STAGE_FRAMES):
+        block = frames[t:t + STAGE_FRAMES]
+        out[..., t:t + STAGE_FRAMES] = block.transpose(1, 2, 0)
 
 
 def _sum_bound(n_terms: int, lo: int, hi: int) -> int:
@@ -439,6 +469,22 @@ def structural_validity(mode, band_radius, shape) -> np.ndarray:
     return oky[:, None, :, None] & okx[None, :, None, :]
 
 
+def _fresh(mode: str, planes: np.ndarray, n_frames: int) -> Jpd:
+    """:meth:`Jpd.from_planes` of float64 *planes*, whose structural holes
+    are zeroed in place."""
+    k = planes.shape[0] // 2
+    valid = structural_validity(mode, k, planes.shape[2:])
+    np.copyto(planes, 0.0, where=~valid)
+    return Jpd(mode, k, planes, valid, np.ones(planes.shape[:2], dtype=bool),
+               n_frames)
+
+
+def _copy(jpd: Jpd) -> Jpd:
+    """*jpd* with its own copy of the planes and the validity mask, which
+    the in-place steps may then overwrite."""
+    return replace(jpd, planes=jpd.planes.copy(), valid=jpd.valid.copy())
+
+
 def _symmetrize(jpd: Jpd) -> Jpd:
     """Average each valid entry of a fresh band with its partner-swapped
     counterpart, in one gather.
@@ -454,7 +500,7 @@ def _symmetrize(jpd: Jpd) -> Jpd:
     # and keep their plane value
     py = np.clip(_partners(jpd.mode, k, h), 0, h - 1)
     px = np.clip(_partners(jpd.mode, k, w), 0, w - 1)
-    # the result is built in the gathered copy, so finalizing holds two
+    # the result is built in the gathered copy, so symmetrizing holds two
     # bands and a mask at most
     out = planes[ab[:, None, None, None], ab[None, :, None, None],
                  py[:, None, :, None], px[None, :, None, :]]
@@ -469,12 +515,20 @@ def finalize_jpd(partial: PartialJpd, symmetrize: bool = True) -> Jpd:
 
     Divides by the number of consecutive-frame terms and, by default,
     symmetrizes (the estimator's expectation is symmetric under partner
-    exchange; averaging the two orderings halves the variance).
+    exchange; averaging the two orderings halves the variance).  *partial*
+    is left as it is: its sums are copied once, and the copy is divided and
+    its structural holes zeroed in place, so finalizing holds the copy and,
+    while it symmetrizes, the gathered band beside it, with two masks.
     """
+    return _finalize(replace(partial, sums=partial.sums.copy()), symmetrize)
+
+
+def _finalize(partial: PartialJpd, symmetrize: bool = True) -> Jpd:
+    """:func:`finalize_jpd` of an accumulator whose sums it may overwrite."""
     if partial.n_terms < 1:
         raise InsufficientDataError("cannot finalize an empty accumulator")
-    jpd = Jpd.from_planes(partial.mode, partial.sums / partial.n_terms,
-                          partial.n_terms + 1)
+    partial.sums /= partial.n_terms
+    jpd = _fresh(partial.mode, partial.sums, partial.n_terms + 1)
     return _symmetrize(jpd) if symmetrize else jpd
 
 
@@ -504,12 +558,19 @@ def accumulate_jpd(frames, mode: str = "near",
     copied, until its chunks are accumulated, so it must not be written to
     once it is yielded.  The chunks are accumulated (optionally on up to
     ``workers`` threads, never more than there are processors this process
-    may use, nor than there are chunks in an array or a file) and merged
-    in chunk order as they finish, so only one merged sum is held; with
-    threads, at most one chunk more than there are threads is in flight.
-    Each chunk runs over bands of frame rows whose kernel buffers fit
-    KERNEL_BYTES, so its memory does not grow with the frame area beyond
-    the chunk's frames and its band sums.  The thread count and the row
+    may use, nor than there are chunks in an array or a file) into one
+    running float64 band, in chunk order: the first chunk's band is
+    stored in it and each later one added.  A serial run's kernel adds
+    straight into that band, so it holds one band; with threads each chunk
+    makes its own band, which the calling thread adds as the chunks finish,
+    and at most one chunk more than there are threads is in flight.  An
+    integer or bool chunk takes at most ``chunk_size`` terms and at most
+    as many frames as fit KERNEL_BYTES (at least 2).  Each chunk runs over
+    bands of frame rows whose kernel buffers fit KERNEL_BYTES, so memory
+    does not grow with the frame area beyond the running band and, for a
+    float stack, the chunk's frames.  The band is then divided, zeroed
+    and symmetrized in place (:func:`finalize_jpd`), beside one gathered
+    band.  The thread count and the row
     bands never change the result's bits.  For integer and bool stacks the
     chunking does not either; for float stacks it may move the last bits,
     as the sums are rounded in another order.  Integer stacks whose sums
@@ -518,8 +579,8 @@ def accumulate_jpd(frames, mode: str = "near",
     the chunk that would take its sums past that range.
     """
     frames = _check_args(frames, mode, band_radius, chunk_size, workers)
-    return finalize_jpd(_accumulate(frames, mode, band_radius, chunk_size,
-                                    workers), symmetrize=symmetrize)
+    return _finalize(_accumulate(frames, mode, band_radius, chunk_size,
+                                 workers), symmetrize=symmetrize)
 
 
 def _chunks(frames, chunk_size: int):
@@ -544,17 +605,30 @@ def _chunks(frames, chunk_size: int):
         yield np.concatenate(held)
 
 
+def _chunk_terms(frames, chunk_size: int) -> int:
+    """The terms of each chunk of a checked source: *chunk_size*, but for
+    an integer or bool stack no more than keep a chunk's frames within
+    KERNEL_BYTES (and at least one).  A float stack's sums depend on its
+    chunking, so its chunks keep *chunk_size* terms."""
+    if frames.dtype.kind not in "biu":
+        return chunk_size
+    frame = frames.dtype.itemsize * frames.shape[1] * frames.shape[2]
+    return min(chunk_size, max(1, KERNEL_BYTES // frame - 1))
+
+
 def _accumulate(frames, mode: str, band_radius: int, chunk_size: int,
                 workers: int | None) -> PartialJpd:
-    """The merged accumulator of a source and arguments that
-    :func:`_check_args` has checked, as :func:`accumulate_jpd` reads it."""
+    """The accumulator of a source and arguments that :func:`_check_args`
+    has checked, as :func:`accumulate_jpd` reads it, in one running band
+    that the caller owns."""
     # each thread's kernel scratch, kept across its chunks for this call only
     scratch = {}
 
-    def run(typed):
+    def run(typed, sums=None, add=False):
         mine = scratch.setdefault(threading.get_ident(), {})
-        return _accumulate_chunk(*typed, mode, band_radius, mine)
+        return _accumulate_chunk(*typed, mode, band_radius, mine, sums, add)
 
+    chunk_size = _chunk_terms(frames, chunk_size)
     chunks = _typed(frames, chunk_size)
     threads = min(workers or 1, _usable_cpus(),
                   np.inf if isinstance(frames, Blocks)
@@ -563,9 +637,32 @@ def _accumulate(frames, mode: str, band_radius: int, chunk_size: int,
         # imported here: concurrent.futures loads logging, which a serial
         # run has no use for
         from concurrent.futures import ThreadPoolExecutor
+        # the chunk bands already added, which later chunks are stored
+        # into, so no more bands are made than are ever in flight
+        spare = collections.deque()
+
+        def store(typed):
+            try:
+                sums = spare.pop()
+            except IndexError:  # none spare yet
+                sums = None
+            return run(typed, sums)
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return merge_partials(_in_order(pool, run, chunks, threads + 1))
-    return merge_partials(map(run, chunks))
+            parts = _in_order(pool, store, chunks, threads + 1)
+            total = next(parts)
+            for part in parts:
+                total.sums += part.sums
+                total.n_terms += part.n_terms
+                spare.append(part.sums)
+            return total
+    # map holds no chunk past its call: each is released before the next
+    # is read
+    total = run(next(chunks))
+    for part in map(run, chunks, itertools.repeat(total.sums),
+                    itertools.repeat(True)):
+        total.n_terms += part.n_terms
+    return total
 
 
 def _usable_cpus() -> int:
@@ -600,15 +697,24 @@ def apply_separation_policy(jpd: Jpd, invalid_separation) -> Jpd:
     separation, so whole planes drop; in the far field the separation varies
     across a plane and entries drop individually.  The returned JPD is
     flagged pending until the caller interpolates or accepts the holes.
+    *jpd* is left as it is: the policy zeroes the dropped entries of one
+    copy in place.
     """
+    return _apply_policy(_copy(jpd), invalid_separation)
+
+
+def _apply_policy(jpd: Jpd, invalid_separation) -> Jpd:
+    """:func:`apply_separation_policy` on a JPD whose planes and mask it
+    may overwrite."""
     k = jpd.band_radius
     h, w = jpd.shape
     sy = _partners(jpd.mode, k, h) - np.arange(h)
     sx = _partners(jpd.mode, k, w) - np.arange(w)
     bad = invalid_separation(sy[:, None, :, None], sx[None, :, None, :])
-    valid = jpd.valid & ~np.broadcast_to(bad, jpd.valid.shape)
-    planes = np.where(valid, jpd.planes, 0.0)
-    return replace(jpd, planes=planes, valid=valid, pending_invalid=True)
+    valid = jpd.valid
+    valid &= ~np.broadcast_to(bad, valid.shape)
+    np.copyto(jpd.planes, 0.0, where=~valid)
+    return replace(jpd, pending_invalid=True)
 
 
 def _require_resolved(jpd: Jpd, what: str) -> None:

@@ -36,12 +36,13 @@ from .jpd import (
     DEFAULT_CHUNK_SIZE,
     Jpd,
     _accumulate,
+    _apply_policy,
     _check_args,
+    _copy,
+    _finalize,
     _require_resolved,
-    apply_separation_policy,
     check_band_radius,
     diagonal_image,
-    finalize_jpd,
     plane_masses,
     scatter_half_grid,
     structural_validity,
@@ -65,32 +66,47 @@ def interpolate_invalid(jpd: Jpd) -> Jpd:
     excluded.  Defined for the near-field geometry, where a displacement
     plane is a smooth function of the displacement; far-field invalid entries
     can only be accepted via :meth:`Jpd.with_invalid_excluded`.
+
+    *jpd* is left as it is: the holes of one copy are filled in place, and
+    every pass reuses one band of neighbour sums and one of u8 counts.
     """
     if jpd.mode != "near":
         raise StateError(
             "interpolation is defined for near-field JPDs; use "
             "with_invalid_excluded() for far-field data")
+    return _interpolate(_copy(jpd))
+
+
+def _interpolate(jpd: Jpd) -> Jpd:
+    """:func:`interpolate_invalid` on a near-field JPD whose planes and mask
+    it may overwrite."""
     k = jpd.band_radius
     planes, valid = jpd.planes, jpd.valid
     holes = structural_validity(jpd.mode, k, jpd.shape) & ~valid
+    acc = np.empty_like(planes)
+    cnt = np.empty(planes.shape, np.uint8)
+    fill = np.empty_like(holes)
     while holes.any():
-        # valid dx - 1, then dx + 1 neighbours; the order fixes the float bits
-        src = np.where(valid, planes, 0.0)
-        acc, cnt = np.zeros_like(src), np.zeros_like(src)
-        acc[:, 1:] += src[:, :-1]
-        acc[:, :-1] += src[:, 1:]
+        # the valid dx - 1, then dx + 1 neighbours, added to zeros: 0 + x
+        # is never -0, so skipping an invalid neighbour gives the bits of
+        # adding a zero; the order fixes the float bits
+        acc.fill(0.0)
+        np.add(acc[:, 1:], planes[:, :-1], out=acc[:, 1:], where=valid[:, :-1])
+        np.add(acc[:, :-1], planes[:, 1:], out=acc[:, :-1], where=valid[:, 1:])
+        cnt.fill(0)
         cnt[:, 1:] += valid[:, :-1]
         cnt[:, :-1] += valid[:, 1:]
-        fill = holes & (cnt > 0)
+        np.greater(cnt, 0, out=fill)
+        fill &= holes
         if not fill.any():
             bad = [(int(a) - k, int(b) - k)
                    for a, b in np.argwhere(holes.any(axis=(2, 3)))]
             raise InterpolationError(
                 f"no valid neighbouring plane to interpolate from for {bad}")
-        planes = np.where(fill, acc / np.maximum(cnt, 1), planes)
-        valid = valid | fill
+        np.divide(acc, cnt, out=planes, where=fill)
+        valid |= fill
         holes &= ~fill
-    return replace(jpd, planes=planes, valid=valid, pending_invalid=False)
+    return replace(jpd, pending_invalid=False)
 
 
 def check_threshold(threshold: float) -> None:
@@ -127,23 +143,29 @@ def normalize_jpd(jpd: Jpd) -> Jpd:
     Displacement planes carry vastly different total weights (the pair
     correlation width sets them); normalization equalizes the plane scales
     so the interleaved image is free of parity striping.  A plane whose mean
-    is non-positive or non-finite cannot be normalized meaningfully.
+    is non-positive or non-finite cannot be normalized meaningfully.  *jpd*
+    is left as it is: one copy is normalized in place.
     """
+    return _normalize(_copy(jpd))
+
+
+def _normalize(jpd: Jpd) -> Jpd:
+    """:func:`normalize_jpd` on a JPD whose planes it may overwrite."""
     _require_resolved(jpd, "normalization")
-    planes = jpd.planes.copy()
     for dy, dx, a, b in jpd.displacements():
         if not jpd.active[a, b]:
             continue
-        v = jpd.valid[a, b]
+        v, plane = jpd.valid[a, b], jpd.planes[a, b]
         if not v.any():
             raise DegeneratePlaneError(
                 f"plane ({dy}, {dx}) has no valid entries to normalize")
-        mean = planes[a, b][v].mean()
+        mean = plane[v].mean()
         if not np.isfinite(mean) or mean <= 0:
             raise DegeneratePlaneError(
                 f"plane ({dy}, {dx}) mean {float(mean)} is not normalizable")
-        planes[a, b] = np.where(v, planes[a, b] / mean, 0.0)
-    return replace(jpd, planes=planes)
+        plane /= mean
+        np.copyto(plane, 0.0, where=~v)
+    return jpd
 
 
 def super_resolve(jpd: Jpd) -> GridImage:
@@ -177,17 +199,31 @@ class PipelineResult:
 
 def process_jpd(jpd: Jpd, camera=None, threshold: float | None = 0.5,
                 normalize: bool = True, interpolate: bool = True) -> Jpd:
-    """Apply the standard post-estimation steps to a raw JPD."""
+    """Apply the standard post-estimation steps to a raw JPD: the camera's
+    separation policy, interpolation (near field) or acceptance of the
+    holes, the plane filter and normalization.
+
+    *jpd* is left as it is: its planes and mask are copied once, and every
+    step works in place on the copy, so beside its input the steps hold the
+    copy, interpolation's band of neighbour sums and bool and u8 masks.
+    """
+    return _process(_copy(jpd), camera, threshold, normalize, interpolate)
+
+
+def _process(jpd: Jpd, camera, threshold: float | None, normalize: bool,
+             interpolate: bool) -> Jpd:
+    """:func:`process_jpd` on a JPD whose planes and mask it may
+    overwrite."""
     if camera is not None:
-        jpd = apply_separation_policy(jpd, camera.invalid_pair_separation)
+        jpd = _apply_policy(jpd, camera.invalid_pair_separation)
         if interpolate and jpd.mode == "near":
-            jpd = interpolate_invalid(jpd)
+            jpd = _interpolate(jpd)
         else:
             jpd = jpd.with_invalid_excluded()
     if threshold is not None:
         jpd = filter_jpd(jpd, threshold)
     if normalize:
-        jpd = normalize_jpd(jpd)
+        jpd = _normalize(jpd)
     return jpd
 
 
@@ -207,15 +243,19 @@ def reconstruct(frames, mode: str = "near", camera=None,
     (:func:`check_threshold`), then the stack once, as the accumulator
     checks it, then the band radius by
     :func:`~jpdkit.jpd.check_band_radius`, before any accumulation.
+
+    The band it accumulates is its own, so it is finalized and processed
+    in place, as :func:`~jpdkit.jpd.accumulate_jpd` and
+    :func:`process_jpd` work on their copies: past the chunk reads it holds
+    at most two bands and their masks.
     """
     if threshold is not None:
         check_threshold(threshold)
     frames = _check_args(frames, mode, band_radius, chunk_size, workers)
     check_band_radius(band_radius, frames.shape[1:])
-    jpd = finalize_jpd(_accumulate(frames, mode, band_radius, chunk_size,
-                                   workers))
-    jpd = process_jpd(jpd, camera=camera, threshold=threshold,
-                      normalize=normalize, interpolate=interpolate)
+    jpd = _finalize(_accumulate(frames, mode, band_radius, chunk_size,
+                                workers))
+    jpd = _process(jpd, camera, threshold, normalize, interpolate)
     image = super_resolve(jpd)
     native = None
     if mode == "near" and jpd.active[band_radius, band_radius]:

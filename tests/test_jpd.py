@@ -1,6 +1,7 @@
 import concurrent.futures
 import dataclasses
 import struct
+import sys
 import threading
 import time
 import tracemalloc
@@ -227,7 +228,7 @@ def test_slow_first_chunk_holds_at_most_one_more_chunk_than_threads(
     started, lock, first_done = [], threading.Lock(), threading.Event()
     ahead = []
 
-    def spy(chunk, dtype, mode, k, scratch):
+    def spy(chunk, dtype, mode, k, scratch, sums=None, add=False):
         with lock:
             first = not started
             started.append(chunk)
@@ -235,7 +236,7 @@ def test_slow_first_chunk_holds_at_most_one_more_chunk_than_threads(
             time.sleep(0.3)
             ahead.append(len(started))
             first_done.set()
-        return kernel(chunk, dtype, mode, k, scratch)
+        return kernel(chunk, dtype, mode, k, scratch, sums, add)
 
     monkeypatch.setattr(jpd_module, "_accumulate_chunk", spy)
     got = accumulate_jpd(frames, band_radius=2, chunk_size=2, workers=2)
@@ -440,8 +441,8 @@ def test_bright_chunk_falls_back_to_float64_with_the_same_bits(monkeypatch):
     kernel = jpd_module._accumulate_chunk
     dtypes = []
 
-    def spy(chunk, dtype, mode, k, scratch):
-        part = kernel(chunk, dtype, mode, k, scratch)
+    def spy(chunk, dtype, mode, k, scratch, sums=None, add=False):
+        part = kernel(chunk, dtype, mode, k, scratch, sums, add)
         dtypes.append(_kernel_dtype(scratch).name)
         return part
 
@@ -517,9 +518,9 @@ def test_stream_is_cut_into_the_array_chunks(monkeypatch):
     kernel = jpd_module._accumulate_chunk
     seen = []
 
-    def spy(chunk, dtype, mode, k, scratch):
+    def spy(chunk, dtype, mode, k, scratch, sums=None, add=False):
         seen.append((chunk.tobytes(), chunk.base is not None))
-        return kernel(chunk, dtype, mode, k, scratch)
+        return kernel(chunk, dtype, mode, k, scratch, sums, add)
 
     monkeypatch.setattr(jpd_module, "_accumulate_chunk", spy)
     accumulate_jpd(frames, band_radius=1, chunk_size=4)
@@ -639,9 +640,9 @@ def test_stream_past_exact_sums_raises_before_the_chunk_that_crosses(
     kernel = jpd_module._accumulate_chunk
     seen = []
 
-    def spy(chunk, dtype, mode, k, scratch):
+    def spy(chunk, dtype, mode, k, scratch, sums=None, add=False):
         seen.append(chunk.copy())
-        return kernel(chunk, dtype, mode, k, scratch)
+        return kernel(chunk, dtype, mode, k, scratch, sums, add)
 
     monkeypatch.setattr(jpd_module, "_accumulate_chunk", spy)
     for cuts in ([], [1, 5, 6], list(range(1, 11))):
@@ -711,6 +712,108 @@ def test_finalize_holds_few_band_copies(mode):
         tracemalloc.stop()
     assert peak <= 2.5 * sums.nbytes
     assert np.array_equal(sums, before)
+
+
+@pytest.mark.parametrize("workers", [None, 2])
+def test_running_band_equals_merged_chunks(workers):
+    # the running band stores the first chunk's band and adds the later
+    # ones, the float64 additions merge_partials makes.  Float64 products
+    # of the tiny stack round to -0.0, and 32 terms sum to -0.0, which a
+    # band that started from zeros and added would turn into +0.0
+    rng = np.random.default_rng(21)
+    ints = rng.integers(0, 65536, (97, 4, 11), dtype=np.uint16)
+    tiny = np.cumsum(-1e-200 * (1 + rng.random((97, 4, 11))), axis=0)
+    for frames in (ints, ints > 30000, (ints / 7).astype(np.float32), tiny):
+        for mode in jpd_module.MODES:
+            parts = [accumulate_partial(frames[a:a + 33], mode, 2)
+                     for a in range(0, 96, 32)]
+            merged = merge_partials(parts)
+            running = jpd_module._accumulate(frames, mode, 2, 32, workers)
+            assert running.sums.tobytes() == merged.sums.tobytes()
+            assert running.n_terms == merged.n_terms == 96
+    zeros = merged.sums[merged.sums == 0]
+    assert np.signbit(parts[0].sums[parts[0].sums == 0]).any()
+    assert np.signbit(zeros).any()
+
+
+def test_threads_store_into_spare_bands_one_chunk_at_a_time(monkeypatch):
+    # more threads than cores, switching often: a chunk band the calling
+    # thread has added and handed back is taken by one later chunk only,
+    # or a chunk's sums would be lost or counted twice
+    frames = np.random.default_rng(17).integers(0, 9, (400, 6, 10),
+                                                dtype=np.uint16)
+    base = accumulate_jpd(frames, band_radius=2, chunk_size=3)
+    monkeypatch.setattr(jpd_module, "_usable_cpus", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            got = accumulate_jpd(frames, band_radius=2, chunk_size=3,
+                                 workers=8)
+            assert got.planes.tobytes() == base.planes.tobytes()
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("mode", ["near", "far"])
+def test_accumulation_holds_one_band(tmp_path, mode):
+    # beside the kernel's buffers (KERNEL_BYTES) and one chunk read from
+    # the file (at most KERNEL_BYTES for u16 frames), the chunks of a
+    # serial run add into one band; a merge would hold two at least
+    k, h, w = 3, 128, 64
+    frames = np.random.default_rng(15).integers(0, 50, (600, h, w),
+                                                dtype=np.uint16)
+    path = tmp_path / "stack.bpsr"
+    write_frames(path, frames)
+    band = (2 * k + 1) ** 2 * h * w * 8
+    slack = 4 * np.getbufsize() * 8  # numpy's casting buffers
+    for source, chunk in ((frames, 0), (open_frames(path),
+                                        jpd_module.KERNEL_BYTES)):
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            running = jpd_module._accumulate(source, mode, k, 256, None)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert running.sums.nbytes == band
+        assert peak <= jpd_module.KERNEL_BYTES + chunk + band + slack
+
+
+def test_integer_chunks_fit_the_kernel_budget(monkeypatch):
+    # integer and bool chunks take at most chunk_size terms and as many
+    # frames as fit KERNEL_BYTES; float chunks keep chunk_size terms
+    frames = np.random.default_rng(16).integers(0, 9, (50, 4, 8),
+                                                dtype=np.uint16)
+    base = accumulate_jpd(frames, band_radius=1, chunk_size=20)
+    kernel = jpd_module._accumulate_chunk
+    seen = []
+
+    def spy(chunk, dtype, mode, k, scratch, sums=None, add=False):
+        seen.append(len(chunk))
+        return kernel(chunk, dtype, mode, k, scratch, sums, add)
+
+    monkeypatch.setattr(jpd_module, "_accumulate_chunk", spy)
+    monkeypatch.setattr(jpd_module, "KERNEL_BYTES", 10 * 4 * 8 * 2)
+    for stack, lengths in ((frames, [10] * 5 + [5]),
+                           (frames > 4, [20, 20, 12]),
+                           (frames.astype(np.float32), [21, 21, 10])):
+        if stack.dtype == np.bool_:  # 1-byte frames: 20 fit, 21 do not
+            monkeypatch.setattr(jpd_module, "KERNEL_BYTES", 20 * 4 * 8)
+        for workers in (None, 2):
+            seen.clear()
+            got = accumulate_jpd(stack, band_radius=1, chunk_size=20,
+                                 workers=workers)
+            assert seen == lengths
+        if stack.dtype == np.uint16:
+            assert got.planes.tobytes() == base.planes.tobytes()
+    # a frame larger than the budget still makes chunks of one term
+    monkeypatch.setattr(jpd_module, "KERNEL_BYTES", 1)
+    seen.clear()
+    assert accumulate_jpd(frames, band_radius=1).planes.tobytes() == (
+        base.planes.tobytes())
+    assert seen == [2] * 49
 
 
 @pytest.mark.parametrize("mode", ["near", "far"])

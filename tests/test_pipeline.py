@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,9 +10,10 @@ from hypothesis.extra.numpy import arrays
 from jpdkit.errors import (ConfigurationError, DegeneratePlaneError,
                            EmptyFilterError, InterpolationError, StateError)
 from jpdkit.jpd import (Jpd, PartialJpd, accumulate_jpd,
-                        apply_separation_policy, finalize_jpd,
-                        minus_projection, scatter_half_grid,
-                        structural_validity, sum_projection)
+                        accumulate_partial, apply_separation_policy,
+                        finalize_jpd, merge_partials, minus_projection,
+                        scatter_half_grid, structural_validity,
+                        sum_projection)
 from jpdkit.pipeline import (filter_jpd, interpolate_invalid, normalize_jpd,
                              plane_masses, process_jpd, reconstruct,
                              super_resolve)
@@ -354,6 +356,85 @@ def test_process_jpd_steps_compose():
     none = process_jpd(raw, camera=None, threshold=None, normalize=False)
     assert np.array_equal(none.planes, raw.planes)
     assert none.active.all()
+
+
+def _traced_peak(fn, *args, **kwargs):
+    """fn's result and its peak of traced memory above what was held."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn(*args, **kwargs)
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("mode, camera", [
+    ("near", IdealCamera()), ("near", SpadCamera()), ("far", SpadCamera())],
+    ids=["near_ideal", "near_spad", "far_spad"])
+def test_process_jpd_memory_by_formula(mode, camera):
+    # beside its input, process_jpd holds its one copy of the band and,
+    # while it interpolates, the band of neighbour sums: 2 float64 bands,
+    # with 5 one-byte masks (the copied validity, the u8 counts, the holes,
+    # the entries filled and one temporary) and a plane while it
+    # normalizes; the far field does not interpolate
+    k, h, w = 3, 64, 64
+    sums = np.random.default_rng(13).random((2 * k + 1, 2 * k + 1, h, w)) + 1
+    jpd = finalize_jpd(PartialJpd(mode, k, (h, w), sums, 100))
+    planes, valid = jpd.planes.copy(), jpd.valid.copy()
+    band, mask = jpd.planes.nbytes, jpd.valid.nbytes
+    out, peak = _traced_peak(process_jpd, jpd, camera=camera, threshold=0.5)
+    bands = 2 if mode == "near" else 1
+    assert peak <= bands * band + 5 * mask + h * w * 8
+    assert jpd.planes.tobytes() == planes.tobytes()
+    assert np.array_equal(jpd.valid, valid)
+    assert not out.pending_invalid
+
+
+def test_public_steps_leave_their_input_unchanged():
+    # each public step works on its own copy and returns the bytes that
+    # reconstruct, which works on the band it accumulated in place, gives
+    scene = grating(12, period=3.0, duty=0.5)
+    for mode, camera in (("near", EmccdCamera()), ("near", SpadCamera()),
+                         ("far", SpadCamera())):
+        frames = simulate_frames(scene, mode=mode, sigma=0.5, pair_rate=20.0,
+                                 n_frames=300, camera=camera, seed=5)
+        parts = [accumulate_partial(frames[:150], mode, 2),
+                 accumulate_partial(frames[149:], mode, 2)]
+        merged = merge_partials(parts)
+        held = [merged.sums.copy(), parts[0].sums.copy()]
+        raw = finalize_jpd(merged)
+        assert merged.sums.tobytes() == held[0].tobytes()
+        assert parts[0].sums.tobytes() == held[1].tobytes()
+        steps = [lambda j: apply_separation_policy(
+            j, camera.invalid_pair_separation)]
+        if mode == "near":
+            steps.append(interpolate_invalid)
+        else:
+            steps.append(Jpd.with_invalid_excluded)
+        steps += [lambda j: filter_jpd(j, 0.5), normalize_jpd]
+        jpd = raw
+        for step in steps:
+            before = (jpd.planes.tobytes(), jpd.valid.tobytes(),
+                      jpd.active.tobytes(), jpd.pending_invalid)
+            out = step(jpd)
+            assert (jpd.planes.tobytes(), jpd.valid.tobytes(),
+                    jpd.active.tobytes(), jpd.pending_invalid) == before
+            jpd = out
+        raw_planes = raw.planes.tobytes()
+        processed = process_jpd(raw, camera=camera)
+        assert raw.planes.tobytes() == raw_planes
+        result = reconstruct(frames, mode=mode, camera=camera, band_radius=2)
+        for got in (processed, result.jpd):
+            assert got.planes.tobytes() == jpd.planes.tobytes()
+            assert np.array_equal(got.valid, jpd.valid)
+            assert np.array_equal(got.active, jpd.active)
+        assert (result.image.values.tobytes()
+                == super_resolve(jpd).values.tobytes())
+    planes = np.ones((3, 3, 4, 4))
+    assert Jpd.from_planes("near", planes, 0).planes[0, 0, 0, 0] == 0.0
+    assert (planes == 1).all()
 
 
 def test_reconstruct_end_to_end():
