@@ -33,6 +33,7 @@ their exclusion, so silent drop-outs cannot skew downstream images.
 from __future__ import annotations
 
 import collections
+import contextlib
 import itertools
 import os
 import struct
@@ -213,17 +214,16 @@ def accumulate_partial(frames, mode: str = "near",
 
 
 def _accumulate_chunk(frames: np.ndarray, dtype, mode: str,
-                      band_radius: int, scratch: dict,
-                      sums: np.ndarray | None = None,
-                      add: bool = False) -> PartialJpd:
+                      band_radius: int, scratch: dict, sums: np.ndarray,
+                      add: bool, turn) -> None:
     """:func:`accumulate_partial` of a checked chunk in the kernel *dtype*
-    that :func:`_typed` gives it, into the float64 band *sums*: a fresh
-    zeroed one when None.  The chunk's band is stored in it or, with *add*,
-    added to it in place, which are the float64 additions
-    :func:`merge_partials` makes, so the same bits.  A store writes every
-    entry but those of the planes no partner reaches, which stay zero, so
-    the band of an earlier chunk of the same frame shape and radius serves
-    as a fresh one.
+    that :func:`_typed` gives it, into the zeroed float64 band *sums*.
+    The chunk's planes are stored in it or, with *add*, added to it in
+    place, which are the float64 additions :func:`merge_partials` makes,
+    so the same bits.  A store writes every entry but those of the planes
+    no partner reaches, which stay zero.  Each row band's planes are
+    stored or added inside ``turn(y1)``, a context manager for the rows up
+    to y1 (:func:`contextlib.nullcontext` for a chunk that waits on none).
 
     It runs over bands of frame rows whose kernel
     buffers (``pix``, ``part`` and ``prod``) fit KERNEL_BYTES; a chunk
@@ -302,8 +302,6 @@ def _accumulate_chunk(frames: np.ndarray, dtype, mode: str,
                        (span * item, item, prod_row, (m + 1) * item),
                        writeable=False))
     pix, part, partners, out, band = scratch[key]
-    if sums is None:
-        sums = np.zeros((2 * k + 1, 2 * k + 1, h, w))
     # the planes the kernel fills, in its (dy, dx) order
     planes = sums[k - ky:k + ky + 1, k - kx:k + kx + 1][::sign, ::sign]
     for y0 in range(0, h, rows):
@@ -336,11 +334,11 @@ def _accumulate_chunk(frames: np.ndarray, dtype, mode: str,
             np.subtract(src[t, ..., :-1], src[t, ..., 1:], out=part[p0:p1])
             np.matmul(a[:, t], partners[:r], out=out[t, :r])
         # the band's planes, widened to float64, added or stored
-        if add:
-            planes[:, :, y0:y1] += band[:, :, :r]
-        else:
-            planes[:, :, y0:y1] = band[:, :, :r]
-    return PartialJpd(mode, k, (h, w), sums, n)
+        with turn(y1):
+            if add:
+                planes[:, :, y0:y1] += band[:, :, :r]
+            else:
+                planes[:, :, y0:y1] = band[:, :, :r]
 
 
 def _stage(out: np.ndarray, frames: np.ndarray) -> None:
@@ -559,11 +557,11 @@ def accumulate_jpd(frames, mode: str = "near",
     once it is yielded.  The chunks are accumulated (optionally on up to
     ``workers`` threads, never more than there are processors this process
     may use, nor than there are chunks in an array or a file) into one
-    running float64 band, in chunk order: the first chunk's band is
-    stored in it and each later one added.  A serial run's kernel adds
-    straight into that band, so it holds one band; with threads each chunk
-    makes its own band, which the calling thread adds as the chunks finish,
-    and at most one chunk more than there are threads is in flight.  An
+    running float64 band, in chunk order: each chunk's kernel stores (the
+    first chunk) or adds (every later one) each band of frame rows into it
+    once the chunk before it has added those rows.  So a run holds one
+    band whatever its thread count, and at most one chunk more than there
+    are threads is in flight.  An
     integer or bool chunk takes at most ``chunk_size`` terms and at most
     as many frames as fit KERNEL_BYTES (at least 2).  Each chunk runs over
     bands of frame rows whose kernel buffers fit KERNEL_BYTES, so memory
@@ -621,12 +619,34 @@ def _accumulate(frames, mode: str, band_radius: int, chunk_size: int,
     """The accumulator of a source and arguments that :func:`_check_args`
     has checked, as :func:`accumulate_jpd` reads it, in one running band
     that the caller owns."""
+    sums = np.zeros((2 * band_radius + 1,) * 2 + frames.shape[1:])
     # each thread's kernel scratch, kept across its chunks for this call only
     scratch = {}
+    # the rows [0, added[i]) that chunk i has added to sums, np.inf once it
+    # is done: chunk i stores or adds a row band once chunk i - 1 has added
+    # those rows, so every entry takes its chunks in chunk order, whichever
+    # threads run them.  Chunks are numbered in the calling thread, as read.
+    added, ready = {-1: np.inf}, threading.Condition()
 
-    def run(typed, sums=None, add=False):
-        mine = scratch.setdefault(threading.get_ident(), {})
-        return _accumulate_chunk(*typed, mode, band_radius, mine, sums, add)
+    def run(i, typed):
+        @contextlib.contextmanager
+        def turn(rows):  # the rows are stored or added under the lock
+            with ready:
+                ready.wait_for(lambda: added.get(i - 1, 0) >= rows)
+                yield
+                added[i] = rows
+                ready.notify_all()
+
+        try:
+            _accumulate_chunk(*typed, mode, band_radius,
+                              scratch.setdefault(threading.get_ident(), {}),
+                              sums, i > 0, turn)
+        finally:
+            # done, raised or not, so the later chunks go on; chunk i - 1's
+            # record, which chunk i alone read, goes
+            with turn(np.inf):
+                added.pop(i - 1)
+        return len(typed[0]) - 1
 
     chunk_size = _chunk_terms(frames, chunk_size)
     chunks = _typed(frames, chunk_size)
@@ -637,32 +657,14 @@ def _accumulate(frames, mode: str, band_radius: int, chunk_size: int,
         # imported here: concurrent.futures loads logging, which a serial
         # run has no use for
         from concurrent.futures import ThreadPoolExecutor
-        # the chunk bands already added, which later chunks are stored
-        # into, so no more bands are made than are ever in flight
-        spare = collections.deque()
-
-        def store(typed):
-            try:
-                sums = spare.pop()
-            except IndexError:  # none spare yet
-                sums = None
-            return run(typed, sums)
-
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = _in_order(pool, store, chunks, threads + 1)
-            total = next(parts)
-            for part in parts:
-                total.sums += part.sums
-                total.n_terms += part.n_terms
-                spare.append(part.sums)
-            return total
-    # map holds no chunk past its call: each is released before the next
-    # is read
-    total = run(next(chunks))
-    for part in map(run, chunks, itertools.repeat(total.sums),
-                    itertools.repeat(True)):
-        total.n_terms += part.n_terms
-    return total
+            n_terms = sum(_in_order(pool, run, zip(itertools.count(), chunks),
+                                    threads + 1))
+    else:
+        # map holds no chunk past its call (enumerate and zip keep theirs
+        # until the next is read), so each is released before the next
+        n_terms = sum(map(run, itertools.count(), chunks))
+    return PartialJpd(mode, band_radius, frames.shape[1:], sums, n_terms)
 
 
 def _usable_cpus() -> int:
@@ -676,14 +678,14 @@ def _usable_cpus() -> int:
 
 
 def _in_order(pool, fn, items, depth: int):
-    """``fn`` of each of *items*, run on *pool* and yielded in order, with
-    at most *depth* items submitted and not yet taken, so results that
-    finish early do not pile up behind a slow one."""
+    """``fn(*item)`` of each of *items*, run on *pool* and yielded in order,
+    with at most *depth* items submitted and not yet taken, so results
+    that finish early do not pile up behind a slow one."""
     pending = collections.deque()
     for item in items:
         if len(pending) == depth:
             yield pending.popleft().result()
-        pending.append(pool.submit(fn, item))
+        pending.append(pool.submit(fn, *item))
     while pending:
         yield pending.popleft().result()
 
@@ -745,12 +747,12 @@ def scatter_half_grid(jpd: Jpd, values, coordinate: str) -> GridImage:
     h, w = jpd.shape
     sh, sw = 2 * h - 1, 2 * w - 1
     k = jpd.band_radius
-    sy = half_grid_index(jpd.mode, coordinate, k, h)[:, None, :, None]
-    sx = half_grid_index(jpd.mode, coordinate, k, w)[None, :, None, :]
-    ok = (jpd.valid & jpd.active[:, :, None, None]
-          & (sy >= 0) & (sy < sh) & (sx >= 0) & (sx < sw))
+    a, b = np.nonzero(jpd.active)  # the active planes, in row-major order
+    sy = half_grid_index(jpd.mode, coordinate, k, h)[a, :, None]
+    sx = half_grid_index(jpd.mode, coordinate, k, w)[b, None, :]
+    ok = jpd.valid[a, b] & (sy >= 0) & (sy < sh) & (sx >= 0) & (sx < sw)
     idx = np.broadcast_to(sy * sw + sx, ok.shape)[ok]
-    weights = np.broadcast_to(values, ok.shape)[ok]
+    weights = np.broadcast_to(values, jpd.planes.shape)[a, b][ok]
     img = np.bincount(idx, weights, minlength=sh * sw).reshape(sh, sw)
     origin = ((0.0, 0.0) if coordinate == "sum"
               else (-(h - 1) / 2.0, -(w - 1) / 2.0))

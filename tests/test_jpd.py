@@ -1,4 +1,5 @@
 import concurrent.futures
+import contextlib
 import dataclasses
 import struct
 import sys
@@ -166,7 +167,11 @@ def test_result_independent_of_chunking_and_workers():
 def _kernel(frames, mode, k, scratch):
     """The band kernel on *frames* whole, in the dtype the feed gives it."""
     (chunk, dtype), = jpd_module._typed(frames, len(frames))
-    return jpd_module._accumulate_chunk(chunk, dtype, mode, k, scratch)
+    h, w = frames.shape[1:]
+    sums = np.zeros((2 * k + 1, 2 * k + 1, h, w))
+    jpd_module._accumulate_chunk(chunk, dtype, mode, k, scratch, sums, False,
+                                 contextlib.nullcontext)
+    return PartialJpd(mode, k, (h, w), sums, len(frames) - 1)
 
 
 def test_reused_kernel_scratch_gives_fresh_buffer_sums():
@@ -228,7 +233,7 @@ def test_slow_first_chunk_holds_at_most_one_more_chunk_than_threads(
     started, lock, first_done = [], threading.Lock(), threading.Event()
     ahead = []
 
-    def spy(chunk, dtype, mode, k, scratch, sums=None, add=False):
+    def spy(chunk, *args):
         with lock:
             first = not started
             started.append(chunk)
@@ -236,7 +241,7 @@ def test_slow_first_chunk_holds_at_most_one_more_chunk_than_threads(
             time.sleep(0.3)
             ahead.append(len(started))
             first_done.set()
-        return kernel(chunk, dtype, mode, k, scratch, sums, add)
+        return kernel(chunk, *args)
 
     monkeypatch.setattr(jpd_module, "_accumulate_chunk", spy)
     got = accumulate_jpd(frames, band_radius=2, chunk_size=2, workers=2)
@@ -441,8 +446,8 @@ def test_bright_chunk_falls_back_to_float64_with_the_same_bits(monkeypatch):
     kernel = jpd_module._accumulate_chunk
     dtypes = []
 
-    def spy(chunk, dtype, mode, k, scratch, sums=None, add=False):
-        part = kernel(chunk, dtype, mode, k, scratch, sums, add)
+    def spy(chunk, dtype, mode, k, scratch, *args):
+        part = kernel(chunk, dtype, mode, k, scratch, *args)
         dtypes.append(_kernel_dtype(scratch).name)
         return part
 
@@ -518,9 +523,9 @@ def test_stream_is_cut_into_the_array_chunks(monkeypatch):
     kernel = jpd_module._accumulate_chunk
     seen = []
 
-    def spy(chunk, dtype, mode, k, scratch, sums=None, add=False):
+    def spy(chunk, *args):
         seen.append((chunk.tobytes(), chunk.base is not None))
-        return kernel(chunk, dtype, mode, k, scratch, sums, add)
+        return kernel(chunk, *args)
 
     monkeypatch.setattr(jpd_module, "_accumulate_chunk", spy)
     accumulate_jpd(frames, band_radius=1, chunk_size=4)
@@ -640,9 +645,9 @@ def test_stream_past_exact_sums_raises_before_the_chunk_that_crosses(
     kernel = jpd_module._accumulate_chunk
     seen = []
 
-    def spy(chunk, dtype, mode, k, scratch, sums=None, add=False):
+    def spy(chunk, *args):
         seen.append(chunk.copy())
-        return kernel(chunk, dtype, mode, k, scratch, sums, add)
+        return kernel(chunk, *args)
 
     monkeypatch.setattr(jpd_module, "_accumulate_chunk", spy)
     for cuts in ([], [1, 5, 6], list(range(1, 11))):
@@ -736,10 +741,10 @@ def test_running_band_equals_merged_chunks(workers):
     assert np.signbit(zeros).any()
 
 
-def test_threads_store_into_spare_bands_one_chunk_at_a_time(monkeypatch):
-    # more threads than cores, switching often: a chunk band the calling
-    # thread has added and handed back is taken by one later chunk only,
-    # or a chunk's sums would be lost or counted twice
+def test_threads_add_rows_in_chunk_order(monkeypatch):
+    # more threads than cores, switching often: each chunk adds a row band
+    # into the running band only once the chunk before it has added those
+    # rows, or a chunk's sums would be lost or added out of order
     frames = np.random.default_rng(17).integers(0, 9, (400, 6, 10),
                                                 dtype=np.uint16)
     base = accumulate_jpd(frames, band_radius=2, chunk_size=3)
@@ -781,6 +786,69 @@ def test_accumulation_holds_one_band(tmp_path, mode):
         assert peak <= jpd_module.KERNEL_BYTES + chunk + band + slack
 
 
+def test_threaded_accumulation_holds_one_band(tmp_path, monkeypatch):
+    # with two threads the chunks still add into the one band: beside it
+    # each thread holds its kernel buffers (at most KERNEL_BYTES) and, from
+    # a file, the chunks in flight (threads + 1 submitted, one being read);
+    # a band per chunk in flight would take three bands more
+    k, h, w, chunk, threads = 3, 128, 128, 8, 2
+    monkeypatch.setattr(jpd_module, "_usable_cpus", lambda: threads)
+    frames = np.random.default_rng(19).integers(0, 50, (121, h, w),
+                                                dtype=np.uint16)
+    path = tmp_path / "stack.bpsr"
+    write_frames(path, frames)
+    band = (2 * k + 1) ** 2 * h * w * 8
+    read = (threads + 2) * (chunk + 1) * h * w * 2
+    slack = 4 * np.getbufsize() * 8 * threads  # numpy's casting buffers
+    for source, held in ((frames, 0), (open_frames(path), read)):
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            running = jpd_module._accumulate(source, "near", k, chunk,
+                                             threads)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert running.sums.nbytes == band
+        assert running.n_terms == 120
+        assert peak <= threads * jpd_module.KERNEL_BYTES + held + band + slack
+
+
+def test_failing_threaded_chunk_raises_and_does_not_hang(monkeypatch):
+    # the third chunk fails before it adds a row; the chunks after it must
+    # still take their turns, so the pool finishes and the error reaches
+    # the caller instead of every later chunk waiting on it for ever
+    frames = np.random.default_rng(20).integers(0, 9, (40, 5, 6),
+                                                dtype=np.uint16)
+    monkeypatch.setattr(jpd_module, "_usable_cpus", lambda: 2)
+    kernel = jpd_module._accumulate_chunk
+    calls, lock, raised = [], threading.Lock(), []
+
+    def spy(chunk, *args):
+        with lock:
+            calls.append(len(chunk))
+            third = len(calls) == 3
+        if third:
+            raise MemoryError
+        return kernel(chunk, *args)
+
+    def call():
+        try:
+            accumulate_jpd(frames, band_radius=2, chunk_size=3, workers=2)
+        except MemoryError as error:
+            raised.append(error)
+
+    monkeypatch.setattr(jpd_module, "_accumulate_chunk", spy)
+    # run in a thread of its own, so a hang fails the test instead of
+    # blocking it
+    caller = threading.Thread(target=call, daemon=True)
+    caller.start()
+    caller.join(timeout=60)
+    assert not caller.is_alive(), "accumulation hung after a chunk failed"
+    assert len(raised) == 1 and len(calls) >= 3
+
+
 def test_integer_chunks_fit_the_kernel_budget(monkeypatch):
     # integer and bool chunks take at most chunk_size terms and as many
     # frames as fit KERNEL_BYTES; float chunks keep chunk_size terms
@@ -790,9 +858,9 @@ def test_integer_chunks_fit_the_kernel_budget(monkeypatch):
     kernel = jpd_module._accumulate_chunk
     seen = []
 
-    def spy(chunk, dtype, mode, k, scratch, sums=None, add=False):
+    def spy(chunk, *args):
         seen.append(len(chunk))
-        return kernel(chunk, dtype, mode, k, scratch, sums, add)
+        return kernel(chunk, *args)
 
     monkeypatch.setattr(jpd_module, "_accumulate_chunk", spy)
     monkeypatch.setattr(jpd_module, "KERNEL_BYTES", 10 * 4 * 8 * 2)
@@ -837,7 +905,9 @@ def test_kernel_memory_is_bounded_by_its_budget(mode):
     try:
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        partial = jpd_module._accumulate_chunk(chunk, dtype, mode, k, scratch)
+        sums = np.zeros((2 * k + 1, 2 * k + 1, h, w))
+        jpd_module._accumulate_chunk(chunk, dtype, mode, k, scratch, sums,
+                                     False, contextlib.nullcontext)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -845,7 +915,7 @@ def test_kernel_memory_is_bounded_by_its_budget(mode):
     pix, part, partners, out, band = scratch[shape, dtype]
     assert np.dtype(dtype) == np.float64
     assert 1 < len(partners) < h  # several bands of several rows
-    assert partial.sums.nbytes == band_sums
+    assert sums.nbytes == band_sums
     assert peak <= jpd_module.KERNEL_BYTES + band_sums + slack
 
 
